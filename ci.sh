@@ -54,8 +54,8 @@ if [ "$quick" = 0 ]; then
     go test -run TestParallelEquivalence -race ./internal/exp/...
     step "tier-2: bench smoke (EngineEvent, 1 iteration)"
     go test -bench=EngineEvent -benchtime=1x -run '^$' ./internal/sim
-    step "tier-2: bench smoke (machine hot path, 1 iteration)"
-    go test -bench='LoadLineHotPath|PrimeFlush' -benchtime=1x -run '^$' ./internal/machine
+    step "tier-2: bench smoke (machine hot path + construction, 1 iteration)"
+    go test -bench='LoadLineHotPath|PrimeFlush|NewMachine' -benchtime=1x -run '^$' ./internal/machine
 
     # Tier 2: the zero-allocation guarantee the hotalloc analyzer enforces
     # statically, re-proved dynamically: the steady-state event, step-handoff

@@ -61,7 +61,7 @@ func MeasureCacheBandwidths(cfg knl.Config, o Options, sizes []int) CacheBandwid
 	out := CacheBandwidths{Config: cfg}
 	remoteOwner := knl.NumCores / 2 // a tile far enough to be remote
 	// Four table rows x len(sizes) message sizes, every point an
-	// independent copyOnce on its own machine; each row reports its
+	// independent copyOnce on a pooled machine; each row reports its
 	// maximum median across sizes.
 	rows := []struct {
 		owner int
@@ -74,10 +74,12 @@ func MeasureCacheBandwidths(cfg knl.Config, o Options, sizes []int) CacheBandwid
 		{remoteOwner, cache.Exclusive, false}, // CopyRemote
 	}
 	key := o.KeyFor("table1-bandwidth", cfg).Ints(sizes).Key()
-	vals, _ := exp.RunMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
-		len(rows)*len(sizes), func(i int) float64 {
+	vals, _ := exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
+		len(rows)*len(sizes), newWorkerPool, func(pool *exp.MachinePool, i int) float64 {
+			po := o
+			po.pool = pool
 			r := rows[i/len(sizes)]
-			return copyOnce(cfg, o, r.owner, r.st, sizes[i%len(sizes)], r.read)
+			return copyOnce(cfg, po, r.owner, r.st, sizes[i%len(sizes)], r.read)
 		})
 	best := make([]float64, len(rows))
 	for i, v := range vals {
@@ -155,15 +157,17 @@ func MeasureCopyBySize(cfg knl.Config, o Options, sizesBytes []int) []SizePoint 
 	states := []cache.State{cache.Modified, cache.Exclusive}
 	perPl := len(states) * len(sizesBytes)
 	key := o.KeyFor("fig5-copy-by-size", cfg).Ints(sizesBytes).Key()
-	pts, _ := exp.RunMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
-		len(placements)*perPl, func(i int) SizePoint {
+	pts, _ := exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
+		len(placements)*perPl, newWorkerPool, func(pool *exp.MachinePool, i int) SizePoint {
+			po := o
+			po.pool = pool
 			pl := placements[i/perPl]
 			st := states[(i%perPl)/len(sizesBytes)]
 			lines := sizesBytes[i%len(sizesBytes)] / knl.LineSize
 			if lines < 1 {
 				lines = 1
 			}
-			gbs := copyOnce(cfg, o, ownerForPlacement(cfg, pl), st, lines, false)
+			gbs := copyOnce(cfg, po, ownerForPlacement(cfg, pl), st, lines, false)
 			return SizePoint{Placement: pl, State: st, Bytes: lines * knl.LineSize, GBs: gbs}
 		})
 	return pts

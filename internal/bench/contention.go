@@ -32,35 +32,38 @@ func MeasureContention(cfg knl.Config, o Options, ns []int) ContentionResult {
 	}
 	res := ContentionResult{Config: cfg, Ns: ns}
 	key := o.KeyFor("table1-contention", cfg).Ints(ns).Key()
-	res.Medians, _ = exp.RunMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key, len(ns), func(i int) float64 {
-		n := ns[i]
-		m := o.acquire(cfg)
-		shared := m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)
-		// Accessors start at core 2 (skip the owner tile).
-		all := placesFor(knl.FillTiles, knl.NumCores)
-		var places []knl.Place
-		for _, pl := range all {
-			if pl.Tile != 0 {
-				places = append(places, pl)
+	res.Medians, _ = exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key, len(ns),
+		newWorkerPool, func(pool *exp.MachinePool, i int) float64 {
+			po := o
+			po.pool = pool
+			n := ns[i]
+			m := po.acquire(cfg)
+			shared := m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)
+			// Accessors start at core 2 (skip the owner tile).
+			all := placesFor(knl.FillTiles, knl.NumCores)
+			var places []knl.Place
+			for _, pl := range all {
+				if pl.Tile != 0 {
+					places = append(places, pl)
+				}
+				if len(places) == n {
+					break
+				}
 			}
-			if len(places) == n {
-				break
+			locals := make([]memmode.Buffer, len(places))
+			for i := range locals {
+				locals[i] = m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)
 			}
-		}
-		locals := make([]memmode.Buffer, len(places))
-		for i := range locals {
-			locals[i] = m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)
-		}
-		setup := func(iter int) { m.Prime(shared, 0, cache.Modified) }
-		maxes := RunWindows(m, places, o, setup, func(rank, iter int) machine.Program {
-			return OpsProgram(
-				machine.KernelOp{Kind: machine.KernelLoad, B: shared},
-				machine.KernelOp{Kind: machine.KernelStore, B: locals[rank]},
-			)
+			setup := func(iter int) { m.Prime(shared, 0, cache.Modified) }
+			maxes := RunWindows(m, places, po, setup, func(rank, iter int) machine.Program {
+				return OpsProgram(
+					machine.KernelOp{Kind: machine.KernelLoad, B: shared},
+					machine.KernelOp{Kind: machine.KernelStore, B: locals[rank]},
+				)
+			})
+			po.release(m)
+			return stats.Median(maxes)
 		})
-		o.release(m)
-		return stats.Median(maxes)
-	})
 	xs := make([]float64, len(ns))
 	for i, n := range ns {
 		xs[i] = float64(n)

@@ -39,10 +39,12 @@ func MeasureMultiLine(cfg knl.Config, o Options, st cache.State, lineCounts []in
 	out := MultiLineFit{Config: cfg, State: st, Lines: lineCounts}
 	owner := knl.NumCores / 2
 	key := o.KeyFor("multiline-fit", cfg).Int(int(st)).Ints(lineCounts).Key()
-	out.Medians, _ = exp.RunMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
-		len(lineCounts), func(i int) float64 {
+	out.Medians, _ = exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
+		len(lineCounts), newWorkerPool, func(pool *exp.MachinePool, i int) float64 {
+			po := o
+			po.pool = pool
 			n := lineCounts[i]
-			m := o.acquire(cfg)
+			m := po.acquire(cfg)
 			src := m.Alloc.MustAlloc(knl.DDR, 0, int64(n)*knl.LineSize)
 			dst := m.Alloc.MustAlloc(knl.DDR, 0, int64(n)*knl.LineSize)
 			vals := make([]float64, 0, o.Iterations)
@@ -58,7 +60,7 @@ func MeasureMultiLine(cfg knl.Config, o Options, st cache.State, lineCounts []in
 			if _, err := m.Run(); err != nil {
 				panic(err)
 			}
-			o.release(m)
+			po.release(m)
 			return stats.Median(vals)
 		})
 	xs := make([]float64, len(lineCounts))

@@ -61,8 +61,7 @@ func (s State) CanForward() bool {
 // entry is one way of one set. An entry is live only while its epoch
 // matches the array's: Reset and Flush advance the array epoch instead of
 // clearing the slice, so emptying a tag array is O(1) no matter how large
-// it is (the L2 arrays dominate Machine.Reset otherwise — ~12 MB of
-// entries across the die per pooled reuse).
+// it is (a touched L2 array holds 16384 entries, 384 KB).
 type entry struct {
 	line  Line
 	state State
@@ -71,13 +70,19 @@ type entry struct {
 }
 
 // SetAssoc is a set-associative tag array with LRU replacement.
+//
+// The entries slice is allocated by the first Insert, not by NewSetAssoc:
+// a machine has 38 L2 and 76 L1 arrays (13.4 MB of entries), and the
+// microbenchmarks behind the capability model touch one or two tiles. A
+// nil slice reads as an empty array. Reset and Flush keep storage once
+// allocated, so a pooled machine reuses the arrays its earlier runs touched.
 type SetAssoc struct {
 	name    string
 	sets    int
 	ways    int
 	tick    uint64
 	epoch   uint32
-	entries []entry // sets*ways, row-major by set
+	entries []entry // sets*ways, row-major by set; nil until the first Insert
 
 	hits, misses, evictions uint64
 }
@@ -93,12 +98,7 @@ func NewSetAssoc(name string, capacityBytes, ways int) *SetAssoc {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: sets %d not a power of two", sets))
 	}
-	return &SetAssoc{
-		name:    name,
-		sets:    sets,
-		ways:    ways,
-		entries: make([]entry, sets*ways),
-	}
+	return &SetAssoc{name: name, sets: sets, ways: ways}
 }
 
 // Sets returns the number of sets.
@@ -122,6 +122,10 @@ func (c *SetAssoc) live(e *entry) bool {
 // Lookup returns the state of the line (Invalid if absent) and updates LRU
 // and hit/miss counters on readable hits.
 func (c *SetAssoc) Lookup(l Line) State {
+	if c.entries == nil {
+		c.misses++
+		return Invalid
+	}
 	set := c.setOf(l)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
@@ -139,6 +143,9 @@ func (c *SetAssoc) Lookup(l Line) State {
 
 // Peek returns the state of the line without touching LRU or counters.
 func (c *SetAssoc) Peek(l Line) State {
+	if c.entries == nil {
+		return Invalid
+	}
 	set := c.setOf(l)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
@@ -162,6 +169,9 @@ type Victim struct {
 func (c *SetAssoc) Insert(l Line, s State) Victim {
 	if s == Invalid {
 		panic("cache: Insert with Invalid state")
+	}
+	if c.entries == nil {
+		c.allocate()
 	}
 	set := c.setOf(l)
 	base := set * c.ways
@@ -200,6 +210,9 @@ func (c *SetAssoc) Insert(l Line, s State) Victim {
 // lines unless the new state is Invalid, in which case absence is fine.
 // Setting Invalid removes the line.
 func (c *SetAssoc) SetState(l Line, s State) {
+	if c.entries == nil {
+		return
+	}
 	set := c.setOf(l)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
@@ -217,6 +230,9 @@ func (c *SetAssoc) SetState(l Line, s State) {
 
 // Invalidate removes the line and returns its previous state.
 func (c *SetAssoc) Invalidate(l Line) State {
+	if c.entries == nil {
+		return Invalid
+	}
 	set := c.setOf(l)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
@@ -228,6 +244,13 @@ func (c *SetAssoc) Invalidate(l Line) State {
 		}
 	}
 	return Invalid
+}
+
+// allocate gives a never-touched array its storage. Zeroed entries hold
+// Invalid, so none is live whatever the current epoch.
+func (c *SetAssoc) allocate() {
+	//lint:ignore hotalloc runs once per array per machine lifetime: Reset and Flush keep the storage, so pooled machines never re-enter it
+	c.entries = make([]entry, c.sets*c.ways)
 }
 
 // Flush removes every line (states are discarded) by advancing the epoch;

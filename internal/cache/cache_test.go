@@ -166,6 +166,75 @@ func TestSetAssocStatsAndFlush(t *testing.T) {
 	}
 }
 
+// A never-touched array has no storage yet and must read exactly like an
+// empty one: Lookup counts its miss, the other read and update paths are
+// no-ops, and none of them allocates.
+func TestSetAssocUntouchedReadsEmpty(t *testing.T) {
+	c := NewSetAssoc("t", 1<<20, 16)
+	if got := c.Lookup(5); got != Invalid {
+		t.Errorf("Lookup on untouched array = %v, want I", got)
+	}
+	if hits, misses, ev := c.Stats(); hits != 0 || misses != 1 || ev != 0 {
+		t.Errorf("stats = %d/%d/%d, want 0/1/0", hits, misses, ev)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if c.Peek(5) != Invalid || c.Invalidate(5) != Invalid {
+			t.Error("untouched array reported a resident line")
+		}
+		c.SetState(5, Shared)
+		c.SetState(5, Invalid)
+	})
+	if allocs != 0 {
+		t.Errorf("read paths allocated %v times per run", allocs)
+	}
+	if c.entries != nil {
+		t.Error("a read path allocated the tag storage")
+	}
+	if c.Occupancy() != 0 {
+		t.Errorf("occupancy = %d, want 0", c.Occupancy())
+	}
+	c.Flush()
+	c.Reset()
+	if c.entries != nil {
+		t.Error("Flush/Reset allocated the tag storage")
+	}
+	c.Insert(5, Exclusive)
+	if c.entries == nil || c.Peek(5) != Exclusive {
+		t.Error("first Insert did not install the line")
+	}
+}
+
+// A fresh array and one that was used and then Reset are the same state,
+// so their digests must agree (machine pooling relies on it).
+func TestSetAssocDigestFreshEqualsReset(t *testing.T) {
+	fresh := NewSetAssoc("t", 64*4*2, 2)
+	used := NewSetAssoc("t", 64*4*2, 2)
+	used.Insert(3, Modified)
+	used.Lookup(3)
+	used.Lookup(4)
+	used.Reset()
+	if fresh.Digest() != used.Digest() {
+		t.Errorf("digest after Insert+Reset %#x != fresh %#x", used.Digest(), fresh.Digest())
+	}
+}
+
+// Reset keeps the storage a first Insert allocated, so a pooled array
+// never allocates again.
+func TestSetAssocResetKeepsStorage(t *testing.T) {
+	c := NewSetAssoc("t", 1<<20, 16)
+	c.Insert(1, Exclusive)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Reset()
+		c.Insert(9, Modified)
+	})
+	if allocs != 0 {
+		t.Errorf("Reset+Insert on touched storage allocated %v times per run", allocs)
+	}
+	if c.Occupancy() != 1 || c.Peek(1) != Invalid {
+		t.Error("Reset left stale lines resident")
+	}
+}
+
 // Property: occupancy never exceeds capacity and inserted line is always
 // resident immediately afterwards.
 func TestSetAssocCapacityProperty(t *testing.T) {

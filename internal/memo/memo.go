@@ -208,14 +208,26 @@ func (c *Cache) Put(k Key, data []byte) {
 }
 
 // writeAtomic writes via a temp file and rename, so a reader never
-// observes a torn entry.
+// observes a torn entry. The temp file has a unique name in the entry's
+// directory, so concurrent writers of the same key never share one; the
+// last rename wins, and every writer renames a complete entry.
 func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		if rmErr := os.Remove(tmp); rmErr != nil {
+	// CreateTemp makes the file 0600; entries keep the 0644 they had.
+	if err = f.Chmod(0o644); err == nil {
+		_, err = f.Write(data)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		if rmErr := os.Remove(f.Name()); rmErr != nil {
 			return fmt.Errorf("%w (and could not remove temp: %v)", err, rmErr)
 		}
 		return err

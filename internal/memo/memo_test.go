@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -102,6 +104,63 @@ func TestDiskPersistence(t *testing.T) {
 	}
 	if s := c2.Stats(); s.Hits != 1 {
 		t.Errorf("stats = %+v, want 1 memory hit", s)
+	}
+}
+
+// Two invocations sharing a cache directory may store the same key at
+// the same time (two caches over one directory stand in for the two
+// processes). Both writes must succeed, the entry must decode, and no
+// temp file may be left behind.
+func TestConcurrentStoreSameKey(t *testing.T) {
+	dir := t.TempDir()
+	want := make([]float64, 1<<15) // 256 KB, so the two writes overlap
+	for i := range want {
+		want[i] = float64(i)
+	}
+	for round := 0; round < 20; round++ {
+		k := NewKey("race").Int(round).Key()
+		var caches [2]*Cache
+		for i := range caches {
+			c, err := New(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			caches[i] = c
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for _, c := range caches {
+			wg.Add(1)
+			go func(c *Cache) {
+				defer wg.Done()
+				<-start
+				Store(c, k, want)
+			}(c)
+		}
+		close(start)
+		wg.Wait()
+		for i, c := range caches {
+			if s := c.Stats(); s.Stores != 1 || s.WriteErrs != 0 {
+				t.Fatalf("round %d: cache %d stats = %+v, want 1 store and no write errors", round, i, s)
+			}
+		}
+		fresh, err := New(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := Lookup[[]float64](fresh, k)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: entry did not decode to the stored value (ok=%v)", round, ok)
+		}
+	}
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range names {
+		if !strings.HasSuffix(e.Name(), ".memo") {
+			t.Errorf("left behind %s", e.Name())
+		}
 	}
 }
 
