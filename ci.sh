@@ -40,9 +40,10 @@ step "go test ./..."
 go test ./...
 
 if [ "$quick" = 0 ]; then
-    # These packages spawn goroutines (the parallel sort, the simulator's
-    # process mechanism, and the experiment worker pool); everything else
-    # is single-threaded.
+    # These packages spawn goroutines: the real ParallelSort (msort.Simulate
+    # replays on step kernels and spawns none), the simulator's process
+    # mechanism, and the experiment worker pool. Everything else is
+    # single-threaded.
     step "go test -race (internal/msort, internal/sim, internal/exp)"
     go test -race ./internal/msort ./internal/sim ./internal/exp
 
@@ -56,6 +57,13 @@ if [ "$quick" = 0 ]; then
     go test -bench=EngineEvent -benchtime=1x -run '^$' ./internal/sim
     step "tier-2: bench smoke (machine hot path + construction, 1 iteration)"
     go test -bench='LoadLineHotPath|PrimeFlush|NewMachine' -benchtime=1x -run '^$' ./internal/machine
+
+    # Tier 2: the benchmark module's own tests. perfbench is a separate Go
+    # module, so the root go test ./... skips it, yet its pinned exact
+    # counts (cache.hit_base, sim.events_per_run, the walk event counts)
+    # are what prove a host-side rewrite changed no simulated work.
+    step "tier-2: perfbench tests (pinned counts and import surface)"
+    (cd perfbench && go test .)
 
     # Tier 2: the zero-allocation guarantee the hotalloc analyzer enforces
     # statically, re-proved dynamically: the steady-state event, step-handoff

@@ -60,8 +60,8 @@ func (s State) CanForward() bool {
 
 // entry is one way of one set. An entry is live only while its epoch
 // matches the array's: Reset and Flush advance the array epoch instead of
-// clearing the slice, so emptying a tag array is O(1) no matter how large
-// it is (a touched L2 array holds 16384 entries, 384 KB).
+// clearing the storage, so emptying a tag array is O(1) no matter how much
+// of it was touched (a fully touched L2 array holds 16384 entries, 384 KB).
 type entry struct {
 	line  Line
 	state State
@@ -69,20 +69,30 @@ type entry struct {
 	lru   uint64 // last-touch tick
 }
 
+// blockSets is the number of sets in one unit of tag storage. An L1 (64
+// sets) is a single block; an L2 (1024 sets) is 16 blocks of 24 KB.
+const (
+	blockShift = 6
+	blockSets  = 1 << blockShift
+)
+
 // SetAssoc is a set-associative tag array with LRU replacement.
 //
-// The entries slice is allocated by the first Insert, not by NewSetAssoc:
-// a machine has 38 L2 and 76 L1 arrays (13.4 MB of entries), and the
-// microbenchmarks behind the capability model touch one or two tiles. A
-// nil slice reads as an empty array. Reset and Flush keep storage once
-// allocated, so a pooled machine reuses the arrays its earlier runs touched.
+// Storage is a table of fixed blocks of blockSets consecutive sets, each
+// allocated by the first Insert into it, not by NewSetAssoc: a machine has
+// 38 L2 and 76 L1 arrays (13.4 MB of entries), and the microbenchmarks and
+// collectives behind the capability model touch a few lines on a few
+// tiles. The table itself also waits for the first Insert, so building an
+// array allocates nothing beyond its header. A never-touched block reads as
+// empty. Reset and Flush keep the blocks already allocated, so a pooled
+// machine reuses the storage its earlier runs touched.
 type SetAssoc struct {
-	name    string
-	sets    int
-	ways    int
-	tick    uint64
-	epoch   uint32
-	entries []entry // sets*ways, row-major by set; nil until the first Insert
+	name   string
+	sets   int
+	ways   int
+	tick   uint64
+	epoch  uint32
+	blocks [][]entry // blocks[b] holds sets [b*blockSets, (b+1)*blockSets), row-major by set; the table and each block stay nil until their first Insert
 
 	hits, misses, evictions uint64
 }
@@ -112,6 +122,19 @@ func (c *SetAssoc) CapacityBytes() int { return c.sets * c.ways * 64 }
 
 func (c *SetAssoc) setOf(l Line) int { return int(uint64(l) & uint64(c.sets-1)) }
 
+// row returns the ways of the set holding l, or nil while that set's block
+// has never been touched (an empty row reads as a set of invalid ways).
+func (c *SetAssoc) row(l Line) []entry {
+	set := c.setOf(l)
+	bi := set >> blockShift
+	if bi >= len(c.blocks) || c.blocks[bi] == nil {
+		return nil
+	}
+	b := c.blocks[bi]
+	base := (set & (blockSets - 1)) * c.ways
+	return b[base : base+c.ways]
+}
+
 // live reports whether the entry belongs to the current epoch and holds a
 // line. Every read path must use this rather than checking the state
 // alone, or lines from before a Reset would resurrect.
@@ -122,15 +145,9 @@ func (c *SetAssoc) live(e *entry) bool {
 // Lookup returns the state of the line (Invalid if absent) and updates LRU
 // and hit/miss counters on readable hits.
 func (c *SetAssoc) Lookup(l Line) State {
-	if c.entries == nil {
-		c.misses++
-		return Invalid
-	}
-	set := c.setOf(l)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		e := &c.entries[base+w]
-		if c.live(e) && e.line == l {
+	row := c.row(l)
+	for w := range row {
+		if e := &row[w]; c.live(e) && e.line == l {
 			c.tick++
 			e.lru = c.tick
 			c.hits++
@@ -143,14 +160,9 @@ func (c *SetAssoc) Lookup(l Line) State {
 
 // Peek returns the state of the line without touching LRU or counters.
 func (c *SetAssoc) Peek(l Line) State {
-	if c.entries == nil {
-		return Invalid
-	}
-	set := c.setOf(l)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		e := &c.entries[base+w]
-		if c.live(e) && e.line == l {
+	row := c.row(l)
+	for w := range row {
+		if e := &row[w]; c.live(e) && e.line == l {
 			return e.state
 		}
 	}
@@ -170,14 +182,14 @@ func (c *SetAssoc) Insert(l Line, s State) Victim {
 	if s == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
-	if c.entries == nil {
-		c.allocate()
+	row := c.row(l)
+	if row == nil {
+		c.allocate(c.setOf(l) >> blockShift)
+		row = c.row(l)
 	}
-	set := c.setOf(l)
-	base := set * c.ways
 	var free, lru *entry
-	for w := 0; w < c.ways; w++ {
-		e := &c.entries[base+w]
+	for w := range row {
+		e := &row[w]
 		if !c.live(e) {
 			if free == nil {
 				free = e
@@ -210,19 +222,10 @@ func (c *SetAssoc) Insert(l Line, s State) Victim {
 // lines unless the new state is Invalid, in which case absence is fine.
 // Setting Invalid removes the line.
 func (c *SetAssoc) SetState(l Line, s State) {
-	if c.entries == nil {
-		return
-	}
-	set := c.setOf(l)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		e := &c.entries[base+w]
-		if c.live(e) && e.line == l {
-			if s == Invalid {
-				e.state = Invalid
-			} else {
-				e.state = s
-			}
+	row := c.row(l)
+	for w := range row {
+		if e := &row[w]; c.live(e) && e.line == l {
+			e.state = s
 			return
 		}
 	}
@@ -230,14 +233,9 @@ func (c *SetAssoc) SetState(l Line, s State) {
 
 // Invalidate removes the line and returns its previous state.
 func (c *SetAssoc) Invalidate(l Line) State {
-	if c.entries == nil {
-		return Invalid
-	}
-	set := c.setOf(l)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		e := &c.entries[base+w]
-		if c.live(e) && e.line == l {
+	row := c.row(l)
+	for w := range row {
+		if e := &row[w]; c.live(e) && e.line == l {
 			s := e.state
 			e.state = Invalid
 			return s
@@ -246,11 +244,16 @@ func (c *SetAssoc) Invalidate(l Line) State {
 	return Invalid
 }
 
-// allocate gives a never-touched array its storage. Zeroed entries hold
-// Invalid, so none is live whatever the current epoch.
-func (c *SetAssoc) allocate() {
-	//lint:ignore hotalloc runs once per array per machine lifetime: Reset and Flush keep the storage, so pooled machines never re-enter it
-	c.entries = make([]entry, c.sets*c.ways)
+// allocate gives never-touched block b its storage, and the array its
+// block table on the first call. Zeroed entries hold Invalid, so none is
+// live whatever the current epoch.
+func (c *SetAssoc) allocate(b int) {
+	if c.blocks == nil {
+		//lint:ignore hotalloc runs once per array per machine lifetime: Reset and Flush keep the table
+		c.blocks = make([][]entry, (c.sets+blockSets-1)/blockSets)
+	}
+	//lint:ignore hotalloc runs once per block per machine lifetime: Reset and Flush keep the storage, so pooled machines never re-enter it
+	c.blocks[b] = make([]entry, min(c.sets, blockSets)*c.ways)
 }
 
 // Flush removes every line (states are discarded) by advancing the epoch;
@@ -270,12 +273,14 @@ func (c *SetAssoc) Reset() {
 }
 
 // bumpEpoch invalidates every entry in O(1). On the (practically
-// unreachable) uint32 wraparound the slice is cleared for real, so an
+// unreachable) uint32 wraparound the blocks are cleared for real, so an
 // entry surviving 2^32 epochs can never appear live again.
 func (c *SetAssoc) bumpEpoch() {
 	c.epoch++
 	if c.epoch == 0 {
-		clear(c.entries)
+		for _, b := range c.blocks {
+			clear(b)
+		}
 	}
 }
 
@@ -287,9 +292,11 @@ func (c *SetAssoc) Stats() (hits, misses, evictions uint64) {
 // Occupancy returns the number of valid lines currently cached.
 func (c *SetAssoc) Occupancy() int {
 	n := 0
-	for i := range c.entries {
-		if c.live(&c.entries[i]) {
-			n++
+	for _, b := range c.blocks {
+		for i := range b {
+			if c.live(&b[i]) {
+				n++
+			}
 		}
 	}
 	return n

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -166,9 +167,21 @@ func TestSetAssocStatsAndFlush(t *testing.T) {
 	}
 }
 
-// A never-touched array has no storage yet and must read exactly like an
+// allocatedBlocks counts the blocks that hold storage.
+func (c *SetAssoc) allocatedBlocks() int {
+	n := 0
+	for _, b := range c.blocks {
+		if b != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// A never-touched block has no storage yet and must read exactly like an
 // empty one: Lookup counts its miss, the other read and update paths are
-// no-ops, and none of them allocates.
+// no-ops, and none of them allocates. The first Insert allocates only the
+// block holding the line's set.
 func TestSetAssocUntouchedReadsEmpty(t *testing.T) {
 	c := NewSetAssoc("t", 1<<20, 16)
 	if got := c.Lookup(5); got != Invalid {
@@ -177,30 +190,89 @@ func TestSetAssocUntouchedReadsEmpty(t *testing.T) {
 	if hits, misses, ev := c.Stats(); hits != 0 || misses != 1 || ev != 0 {
 		t.Errorf("stats = %d/%d/%d, want 0/1/0", hits, misses, ev)
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if c.Peek(5) != Invalid || c.Invalidate(5) != Invalid {
-			t.Error("untouched array reported a resident line")
+	reads := func(l Line) {
+		c.Lookup(l)
+		if c.Peek(l) != Invalid || c.Invalidate(l) != Invalid {
+			t.Errorf("untouched block reported line %d resident", l)
 		}
-		c.SetState(5, Shared)
-		c.SetState(5, Invalid)
-	})
-	if allocs != 0 {
+		c.SetState(l, Shared)
+		c.SetState(l, Invalid)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { reads(5) }); allocs != 0 {
 		t.Errorf("read paths allocated %v times per run", allocs)
 	}
-	if c.entries != nil {
-		t.Error("a read path allocated the tag storage")
+	if n := c.allocatedBlocks(); n != 0 {
+		t.Errorf("a read path allocated %d blocks", n)
 	}
 	if c.Occupancy() != 0 {
 		t.Errorf("occupancy = %d, want 0", c.Occupancy())
 	}
 	c.Flush()
 	c.Reset()
-	if c.entries != nil {
-		t.Error("Flush/Reset allocated the tag storage")
+	if n := c.allocatedBlocks(); n != 0 {
+		t.Errorf("Flush/Reset allocated %d blocks", n)
 	}
 	c.Insert(5, Exclusive)
-	if c.entries == nil || c.Peek(5) != Exclusive {
+	if c.Peek(5) != Exclusive {
 		t.Error("first Insert did not install the line")
+	}
+	if n := c.allocatedBlocks(); n != 1 || c.blocks[0] == nil || len(c.blocks[0]) != blockSets*16 {
+		t.Errorf("first Insert allocated %d blocks, want block 0 alone", n)
+	}
+	// Set 5+blockSets lives in the next block, still untouched.
+	if allocs := testing.AllocsPerRun(10, func() { reads(5 + blockSets) }); allocs != 0 {
+		t.Errorf("read paths on an untouched block allocated %v times per run", allocs)
+	}
+	if n := c.allocatedBlocks(); n != 1 {
+		t.Errorf("reads of an untouched block allocated it (%d blocks)", n)
+	}
+}
+
+// mallocs counts the heap allocations f makes in one call.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// One Insert into an untouched L2 block allocates exactly that block (the
+// array's first Insert also allocates the block table). Construction
+// allocates only the array header.
+func TestSetAssocInsertAllocatesOneBlock(t *testing.T) {
+	if allocs := testing.AllocsPerRun(10, func() { NewSetAssoc("t", 1<<20, 16) }); allocs != 1 {
+		t.Errorf("NewSetAssoc made %v allocations, want 1", allocs)
+	}
+	c := NewSetAssoc("t", 1<<20, 16)
+	if n := mallocs(func() { c.Insert(700, Modified) }); n != 2 {
+		t.Errorf("first Insert made %d allocations, want 2 (table and block)", n)
+	}
+	if b := 700 >> blockShift; c.allocatedBlocks() != 1 || c.blocks[b] == nil || len(c.blocks[b]) != blockSets*16 {
+		t.Errorf("Insert into set 700 allocated %d blocks, want block %d alone", c.allocatedBlocks(), b)
+	}
+	if n := mallocs(func() { c.Insert(5, Modified) }); n != 1 {
+		t.Errorf("Insert into untouched block 0 made %d allocations, want 1", n)
+	}
+	if c.allocatedBlocks() != 2 {
+		t.Errorf("after Inserts into sets 700 and 5: %d blocks allocated, want 2", c.allocatedBlocks())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { c.Insert(5+1024, Shared) }); allocs != 0 {
+		t.Errorf("Insert into an allocated block allocated %v times per run", allocs)
+	}
+}
+
+// Geometries the machine builds: one block for an L1, sixteen for an L2.
+func TestSetAssocBlockGeometry(t *testing.T) {
+	for _, g := range []struct{ cap, ways, blocks int }{
+		{32 << 10, 8, 1}, {1 << 20, 16, 16}, {64 * 8 * 4, 4, 1},
+	} {
+		c := NewSetAssoc("t", g.cap, g.ways)
+		c.Insert(0, Exclusive)
+		if got := len(c.blocks); got != g.blocks {
+			t.Errorf("%d bytes / %d ways: %d blocks, want %d", g.cap, g.ways, got, g.blocks)
+		}
 	}
 }
 

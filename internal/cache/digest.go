@@ -35,15 +35,21 @@ func (c *SetAssoc) Digest() uint64 {
 	d.put(c.hits)
 	d.put(c.misses)
 	d.put(c.evictions)
-	for i := range c.entries {
-		e := &c.entries[i]
-		if !c.live(e) {
-			continue // invalidated and stale-epoch tags are not state
+	// Blocks hold consecutive sets, so block b's entry i has global way
+	// index b*len(block)+i (set*ways+way), the same whether or not the
+	// blocks before it were ever allocated.
+	per := min(c.sets, blockSets) * c.ways
+	for b, blk := range c.blocks {
+		for i := range blk {
+			e := &blk[i]
+			if !c.live(e) {
+				continue // invalidated and stale-epoch tags are not state
+			}
+			d.put(uint64(b*per + i))
+			d.put(uint64(e.line))
+			d.put(uint64(e.state))
+			d.put(e.lru)
 		}
-		d.put(uint64(i))
-		d.put(uint64(e.line))
-		d.put(uint64(e.state))
-		d.put(e.lru)
 	}
 	return d.sum()
 }

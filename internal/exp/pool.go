@@ -6,13 +6,13 @@ import (
 )
 
 // MachinePool recycles machines across the points of a sweep. Building a
-// machine allocates about 530 small objects (tag-array headers, resources,
-// channel ports; tag storage waits for the first install), and a point's
-// run then allocates the tag arrays it touches; pooled, both are paid once
-// per worker rather than once per point. Get hands out a recycled machine
-// via Machine.Reset — whose contract guarantees digest-identity with a
-// fresh construction — so pooled sweeps produce bit-identical results to
-// unpooled ones.
+// machine allocates about 300 small objects (tag-array headers, slabs of
+// per-tile state and resources, channel ports; tag storage waits for the
+// first install into each 64-set block), and a point's run then allocates
+// the tag blocks it touches; pooled, both are paid once per worker rather
+// than once per point. Get hands out a recycled machine via Machine.Reset —
+// whose contract guarantees digest-identity with a fresh construction — so
+// pooled sweeps produce bit-identical results to unpooled ones.
 //
 // A pool is NOT safe for concurrent use; give each worker its own (see
 // RunPooled), which also keeps every machine on the worker that built it.

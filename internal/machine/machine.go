@@ -151,18 +151,31 @@ func NewSeededWithParams(cfg knl.Config, p Params, seed uint64) *Machine {
 	}
 	m.lines[knl.DDR].init(knl.DDR, cache.LineOf(memmode.DDRBase))
 	m.lines[knl.MCDRAM].init(knl.MCDRAM, cache.LineOf(memmode.MCDRAMBase))
-	for t := 0; t < fp.NumTiles(); t++ {
-		m.tiles = append(m.tiles, &tileState{
-			l2:   cache.NewSetAssoc(l2Names[t], knl.L2Bytes, knl.L2Ways),
-			cha:  sim.NewResource(env, chaNames[t], 1),
-			port: sim.NewResource(env, portNames[t], 1),
-		})
+	// The per-tile and per-core structures and their resources are carved
+	// from a few slabs: a point that builds a fresh machine would otherwise
+	// pay several hundred small allocations for them.
+	nt, nc := fp.NumTiles(), fp.NumTiles()*knl.CoresPerTile
+	res := make([]sim.Resource, 2*nt+nc) // each tile's CHA and L2 port, then each core's issue
+	newRes := func(i int, name string) *sim.Resource {
+		res[i] = *sim.NewResource(env, name, 1)
+		return &res[i]
 	}
-	for c := 0; c < fp.NumTiles()*knl.CoresPerTile; c++ {
-		m.cores = append(m.cores, &coreState{
+	tiles, cores := make([]tileState, nt), make([]coreState, nc)
+	m.tiles, m.cores = make([]*tileState, nt), make([]*coreState, nc)
+	for t := range tiles {
+		tiles[t] = tileState{
+			l2:   cache.NewSetAssoc(l2Names[t], knl.L2Bytes, knl.L2Ways),
+			cha:  newRes(2*t, chaNames[t]),
+			port: newRes(2*t+1, portNames[t]),
+		}
+		m.tiles[t] = &tiles[t]
+	}
+	for c := range cores {
+		cores[c] = coreState{
 			l1:    cache.NewSetAssoc(l1Names[c], knl.L1Bytes, knl.L1Ways),
-			issue: sim.NewResource(env, issueNames[c], 1),
-		})
+			issue: newRes(2*nt+c, issueNames[c]),
+		}
+		m.cores[c] = &cores[c]
 	}
 	return m
 }

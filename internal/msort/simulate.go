@@ -7,6 +7,7 @@ import (
 	"knlcap/internal/exp"
 	"knlcap/internal/knl"
 	"knlcap/internal/machine"
+	"knlcap/internal/memmode"
 	"knlcap/internal/memo"
 	"knlcap/internal/stats"
 	"knlcap/internal/units"
@@ -44,7 +45,8 @@ func DefaultSimParams(totalLines, threads int, kind knl.MemKind) SimParams {
 }
 
 // Simulate replays the parallel merge sort's memory traffic on the
-// simulated machine and returns the completion time.
+// simulated machine and returns the completion time. Each thread runs as
+// a step kernel (see sortPlan.program).
 func Simulate(cfg knl.Config, p SimParams) units.Nanos {
 	m := machine.New(cfg)
 	threads := effectiveThreads(p.TotalLines*16, p.Threads)
@@ -54,70 +56,120 @@ func Simulate(cfg knl.Config, p SimParams) units.Nanos {
 	if cfg.Memory != knl.Flat && kind == knl.MCDRAM {
 		kind = knl.DDR
 	}
-	ping := m.Alloc.MustAlloc(kind, 0, int64(p.TotalLines)*knl.LineSize)
-	pong := m.Alloc.MustAlloc(kind, 0, int64(p.TotalLines)*knl.LineSize)
-	// Per-thread, per-stage completion flags.
-	maxStages := int(math.Log2(float64(threads))) + 2
-	flagBuf := m.Alloc.MustAlloc(knl.DDR, 0, int64(threads*maxStages)*knl.LineSize)
-	flagIdx := func(rank, stage int) int { return rank*maxStages + stage }
-
 	chunk := p.TotalLines / threads
 	if chunk < 1 {
 		chunk = 1
 	}
+	maxStages := int(math.Log2(float64(threads))) + 2
+	plan := sortPlan{
+		SimParams: p,
+		threads:   threads,
+		chunk:     chunk,
+		levels:    int(math.Log2(float64(chunk))) + 1,
+		maxStages: maxStages,
+		ping:      m.Alloc.MustAlloc(kind, 0, int64(p.TotalLines)*knl.LineSize),
+		pong:      m.Alloc.MustAlloc(kind, 0, int64(p.TotalLines)*knl.LineSize),
+		// Per-thread, per-stage completion flags.
+		flags: m.Alloc.MustAlloc(knl.DDR, 0, int64(threads*maxStages)*knl.LineSize),
+	}
+
 	var finish float64
 	for r, pl := range places {
-		r := r
-		m.Spawn(pl, func(th *machine.Thread) {
-			cur, other := ping, pong
-			lo := r * chunk
-			// Phase 1: local sort. One pass per merge level over the
-			// thread's chunk: read the current buffer, write the other.
-			levels := int(math.Log2(float64(chunk))) + 1
-			for lvl := 0; lvl < levels; lvl++ {
-				th.Compute(p.LevelOverheadNs.Float())
-				th.ReadStreamRange(cur, lo, chunk, true)
-				th.WriteStreamRange(other, lo, chunk, false)
-				th.Compute(p.BitonicNsPerLine.Scale(float64(chunk)).Float())
-				cur, other = other, cur
-			}
-			th.StoreWord(flagBuf, flagIdx(r, 0), 1)
-
-			// Phase 2: merge tree; active threads halve per stage.
-			width := 1
-			out := chunk * 2
-			for stage := 1; width < threads; stage++ {
-				if r%(2*width) == 0 {
-					partner := r + width
-					th.WaitWordGE(flagBuf, flagIdx(partner, stage-1), 1)
-					th.Compute(p.LevelOverheadNs.Float())
-					myLo := r * chunk
-					span := out
-					if myLo+span > p.TotalLines {
-						span = p.TotalLines - myLo
-					}
-					th.ReadStreamRange(cur, myLo, span, true)
-					th.WriteStreamRange(other, myLo, span, false)
-					th.Compute(p.BitonicNsPerLine.Scale(float64(span)).Float())
-					th.StoreWord(flagBuf, flagIdx(r, stage), 1)
-				} else if r%(2*width) == width {
-					// This thread retires after handing its chunk over.
-					th.StoreWord(flagBuf, flagIdx(r, stage-1), 1)
-					break
-				}
-				cur, other = other, cur
-				width *= 2
-				out *= 2
-			}
-			if at := th.Now(); at > finish {
-				finish = at
-			}
-		})
+		m.SpawnKernel(pl, plan.program(r, &finish))
 	}
 	if _, err := m.Run(); err != nil {
 		panic(err)
 	}
 	return units.Nanos(finish)
+}
+
+// sortPlan is one Simulate run's fixed layout: the ping-pong buffers, the
+// flag array, and how the input splits over the threads.
+type sortPlan struct {
+	SimParams
+	threads, chunk, levels, maxStages int
+	ping, pong, flags                 memmode.Buffer
+}
+
+// maxStepOps is the most operations one step of a thread emits (a merge
+// stage).
+const maxStepOps = 6
+
+// program returns thread r's kernel program. The thread's operation
+// sequence depends only on r and the plan (flag waits delay it, never
+// change it), so the program keeps only its position in the sequence and
+// rebuilds the current step to issue the next operation. When the thread
+// retires, it raises *finish to the instant its last operation completed.
+func (s *sortPlan) program(r int, finish *float64) machine.Program {
+	step, i := 0, 0
+	return func(now float64, _ uint64) (machine.KernelOp, bool) {
+		var buf [maxStepOps]machine.KernelOp
+		ops := s.appendStep(buf[:0], r, step)
+		if i == len(ops) {
+			// Every step before retirement issues at least one operation.
+			step, i = step+1, 0
+			ops = s.appendStep(buf[:0], r, step)
+		}
+		if len(ops) == 0 {
+			*finish = max(*finish, now)
+			return machine.KernelOp{}, false
+		}
+		i++
+		return ops[i-1], true
+	}
+}
+
+// appendStep appends the operations of thread r's step to ops: steps
+// below s.levels are the local sort's merge levels, later ones the merge
+// tree's stages. It appends nothing once the thread has retired.
+func (s *sortPlan) appendStep(ops []machine.KernelOp, r, step int) []machine.KernelOp {
+	compute := func(d units.Nanos) {
+		ops = append(ops, machine.KernelOp{Kind: machine.KernelCompute, Dur: d.Float()})
+	}
+	flag := func(kind machine.KernelOpKind, rank, stage int) {
+		ops = append(ops, machine.KernelOp{Kind: kind, B: s.flags, Li: rank*s.maxStages + stage, Val: 1})
+	}
+	// pass reads span lines of the current buffer and writes them to the
+	// other, then runs the bitonic network over them. The buffers swap
+	// roles every step.
+	lo := r * s.chunk
+	pass := func(span int) {
+		cur, other := s.ping, s.pong
+		if step%2 == 1 {
+			cur, other = other, cur
+		}
+		ops = append(ops,
+			machine.KernelOp{Kind: machine.StreamRead, Src: cur, SrcFrom: lo, N: span, Vector: true},
+			machine.KernelOp{Kind: machine.StreamWrite, Dst: other, DstFrom: lo, N: span})
+		compute(s.BitonicNsPerLine.Scale(float64(span)))
+	}
+
+	if step < s.levels {
+		// Phase 1: local sort. One pass per merge level over the
+		// thread's chunk.
+		compute(s.LevelOverheadNs)
+		pass(s.chunk)
+		if step == s.levels-1 {
+			flag(machine.KernelStoreWord, r, 0)
+		}
+		return ops
+	}
+
+	// Phase 2: merge tree; active threads halve per stage.
+	stage := step - s.levels + 1
+	width := 1 << (stage - 1)
+	switch {
+	case width >= s.threads:
+	case r%(2*width) == 0:
+		flag(machine.KernelWaitWordGE, r+width, stage-1)
+		compute(s.LevelOverheadNs)
+		pass(min(s.chunk<<stage, s.TotalLines-lo))
+		flag(machine.KernelStoreWord, r, stage)
+	case r%(2*width) == width:
+		// This thread retires after handing its chunk over.
+		flag(machine.KernelStoreWord, r, stage-1)
+	}
+	return ops
 }
 
 // FitOverhead fits the paper's overhead model: simulate 1 KB sorts across
