@@ -56,7 +56,7 @@ if [ "$quick" = 0 ]; then
     step "tier-2: bench smoke (EngineEvent, 1 iteration)"
     go test -bench=EngineEvent -benchtime=1x -run '^$' ./internal/sim
     step "tier-2: bench smoke (machine hot path + construction, 1 iteration)"
-    go test -bench='LoadLineHotPath|PrimeFlush|NewMachine' -benchtime=1x -run '^$' ./internal/machine
+    go test -bench='LoadLineHotPath|PrimeFlush|NewMachine|StreamFlushHelpers' -benchtime=1x -run '^$' ./internal/machine
 
     # Tier 2: the benchmark module's own tests. perfbench is a separate Go
     # module, so the root go test ./... skips it, yet its pinned exact

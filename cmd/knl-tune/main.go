@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"knlcap/internal/bench"
@@ -24,12 +25,51 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 32, "tree nodes (tiles)")
-	threads := flag.Int("threads", 64, "barrier thread count")
-	fit := flag.Bool("fit", false, "fit the model from simulator measurements instead of the paper's published numbers")
-	cacheMode := flag.Bool("cache", false, "use cache memory mode (Figure 1's configuration)")
-	modelFile := flag.String("model", "", "load a capability model saved by knl-model instead of the built-in one")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// fprintf and fprintln write the command's output, deliberately dropping
+// write errors: a run whose own output pipe fails has nothing useful left
+// to report.
+func fprintf(w io.Writer, format string, args ...any) {
+	_, _ = fmt.Fprintf(w, format, args...)
+}
+
+func fprintln(w io.Writer, args ...any) {
+	_, _ = fmt.Fprintln(w, args...)
+}
+
+// run is the whole command behind an argument list and two writers, so
+// flag validation can be tested in process. It returns the exit code: 0
+// on success, 1 if the model cannot be loaded or is invalid, 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("knl-tune", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	n := fs.Int("n", 32, "tree nodes (tiles)")
+	threads := fs.Int("threads", 64, "barrier thread count")
+	fit := fs.Bool("fit", false, "fit the model from simulator measurements instead of the paper's published numbers")
+	cacheMode := fs.Bool("cache", false, "use cache memory mode (Figure 1's configuration)")
+	modelFile := fs.String("model", "", "load a capability model saved by knl-model instead of the built-in one")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fprintf(stderr, "knl-tune: "+format+"\n", a...)
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments %q", fs.Args())
+	}
+	if *n < 1 {
+		return usage("-n must be at least 1 (got %d)", *n)
+	}
+	if *threads < 1 {
+		return usage("-threads must be at least 1 (got %d)", *threads)
+	}
 
 	cfg := knl.DefaultConfig()
 	if *cacheMode {
@@ -39,12 +79,12 @@ func main() {
 	if *modelFile != "" {
 		var err error
 		if model, err = core.LoadFile(*modelFile); err != nil {
-			fmt.Fprintf(os.Stderr, "knl-tune: %v\n", err)
-			os.Exit(1)
+			fprintf(stderr, "knl-tune: %v\n", err)
+			return 1
 		}
 	}
 	if *fit {
-		fmt.Fprintln(os.Stderr, "fitting capability model from benchmarks...")
+		fprintln(stderr, "fitting capability model from benchmarks...")
 		o := bench.DefaultOptions().Quick()
 		t1 := bench.MeasureTableI(cfg, o)
 		t2 := bench.MeasureTableII(cfg, o, []int{16, 64}, []knl.Schedule{knl.FillTiles})
@@ -52,20 +92,20 @@ func main() {
 		model = core.FromMeasurements(t1, t2, sweep)
 	}
 	if err := model.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "knl-tune: invalid model: %v\n", err)
-		os.Exit(1)
+		fprintf(stderr, "knl-tune: invalid model: %v\n", err)
+		return 1
 	}
 
-	fmt.Printf("capability model (%s): RL=%.1f RR=%.1f RI=%.1f TC=%.0f+%.1fN\n\n",
+	fprintf(stdout, "capability model (%s): RL=%.1f RR=%.1f RI=%.1f TC=%.0f+%.1fN\n\n",
 		cfg.Name(), model.RL, model.RR, model.RI, model.CAlpha, model.CBeta)
 
 	bc := tune.Broadcast(model, *n)
 	rd := tune.Reduce(model, *n)
-	fmt.Printf("Model-tuned broadcast tree over %d tiles (cost %.0f ns):\n%s\n",
+	fprintf(stdout, "Model-tuned broadcast tree over %d tiles (cost %.0f ns):\n%s\n",
 		*n, bc.CostNs, tune.RenderTree(bc.Tree))
-	fmt.Printf("Model-tuned reduce tree over %d tiles — Figure 1 (cost %.0f ns):\n%s\n",
+	fprintf(stdout, "Model-tuned reduce tree over %d tiles — Figure 1 (cost %.0f ns):\n%s\n",
 		*n, rd.CostNs, tune.RenderTree(rd.Tree))
-	fmt.Printf("reduce tree shape: %s\n\n", rd.Tree)
+	fprintf(stdout, "reduce tree shape: %s\n\n", rd.Tree)
 
 	cmp := &report.Table{
 		Title:   "Predicted broadcast cost vs standard shapes [ns]",
@@ -84,10 +124,10 @@ func main() {
 		c := model.BroadcastCost(s.t)
 		cmp.AddRow(s.name, c.Float(), fmt.Sprintf("%.2fx", c.Float()/bc.CostNs.Float()))
 	}
-	cmp.Write(os.Stdout)
+	cmp.Write(stdout)
 
 	b := tune.Barrier(model, *threads)
-	fmt.Printf("\nModel-tuned dissemination barrier over %d threads: m=%d, r=%d rounds, predicted %.0f ns\n",
+	fprintf(stdout, "\nModel-tuned dissemination barrier over %d threads: m=%d, r=%d rounds, predicted %.0f ns\n",
 		b.N, b.M, b.Rounds, b.CostNs)
 	bcmp := &report.Table{
 		Title:   "Predicted barrier cost by fan-out m [ns]",
@@ -96,5 +136,6 @@ func main() {
 	for _, mw := range []int{1, 2, 3, 5, 7, 15, *threads - 1} {
 		bcmp.AddRow(mw, core.DisseminationRounds(*threads, mw), model.BarrierCost(*threads, mw).Float())
 	}
-	bcmp.Write(os.Stdout)
+	bcmp.Write(stdout)
+	return 0
 }

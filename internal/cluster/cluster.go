@@ -138,19 +138,7 @@ type LinePlace struct {
 // all channels and pick the directory in the cluster of the chosen channel
 // (Figure 3b), while A2A hashes directories over the whole die (Figure 3a).
 func (m *Mapper) Place(kind knl.MemKind, affinity int, l cache.Line) LinePlace {
-	var chans []int
-	nClusters := m.cfg.Cluster.Clusters()
-	numaVisible := m.cfg.Cluster.NUMAVisible()
-	if numaVisible {
-		if affinity < 0 || affinity >= nClusters {
-			panic(fmt.Sprintf("cluster: bad affinity %d for %v", affinity, m.cfg.Cluster))
-		}
-		chans = m.channelsOf(kind, affinity)
-	} else {
-		chans = m.allChannels(kind)
-	}
-	ch := chans[int(hash(l, 0x11)%uint64(len(chans)))]
-
+	ch := m.Channel(kind, affinity, l)
 	// Home directory cluster: A2A spreads over the die; all other modes put
 	// the home in the cluster that owns the memory channel.
 	var homeCluster int
@@ -164,6 +152,22 @@ func (m *Mapper) Place(kind knl.MemKind, affinity int, l cache.Line) LinePlace {
 	tiles := m.tilesByCluster[homeCluster]
 	home := tiles[int(hash(l, 0x22)%uint64(len(tiles)))]
 	return LinePlace{Kind: kind, Channel: ch, HomeTile: home, Cluster: homeCluster}
+}
+
+// Channel resolves only the memory channel of a line: the channel half of
+// Place, with the same hash, for callers that have no use for the home
+// directory (the stream kernels' per-channel flush bookkeeping).
+func (m *Mapper) Channel(kind knl.MemKind, affinity int, l cache.Line) int {
+	var chans []int
+	if m.cfg.Cluster.NUMAVisible() {
+		if affinity < 0 || affinity >= m.cfg.Cluster.Clusters() {
+			panic(fmt.Sprintf("cluster: bad affinity %d for %v", affinity, m.cfg.Cluster))
+		}
+		chans = m.channelsOf(kind, affinity)
+	} else {
+		chans = m.allChannels(kind)
+	}
+	return chans[int(hash(l, 0x11)%uint64(len(chans)))]
 }
 
 // CacheEDC returns the EDC whose MCDRAM slice caches the given DDR line in

@@ -5,6 +5,7 @@ import (
 
 	"knlcap/internal/cache"
 	"knlcap/internal/knl"
+	"knlcap/internal/stats"
 )
 
 func mapperFor(cm knl.ClusterMode) *Mapper {
@@ -49,6 +50,26 @@ func TestPlaceDeterministic(t *testing.T) {
 	b := m.Place(knl.DDR, 2, 12345)
 	if a != b {
 		t.Errorf("Place not deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// Channel is the channel half of Place: the same hash over the same
+// channel sets, for every mode, memory kind and allocation cluster.
+func TestChannelMatchesPlace(t *testing.T) {
+	rng := stats.NewRNG(7)
+	for _, cm := range knl.ClusterModes {
+		m := mapperFor(cm)
+		for _, kind := range []knl.MemKind{knl.DDR, knl.MCDRAM} {
+			for aff := 0; aff < cm.Clusters(); aff++ {
+				for i := 0; i < 2000; i++ {
+					l := cache.Line(rng.Uint64() >> 6)
+					if got, want := m.Channel(kind, aff, l), m.Place(kind, aff, l).Channel; got != want {
+						t.Fatalf("%v %v affinity %d line %#x: Channel = %d, Place().Channel = %d",
+							cm, kind, aff, l, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

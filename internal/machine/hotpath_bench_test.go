@@ -99,3 +99,67 @@ func TestNewMachineAllocBytes(t *testing.T) {
 		t.Errorf("flat machine.New allocates %d bytes, want < %d", per, limit)
 	}
 }
+
+// streamOnce runs one stream op as a fresh kernel on m and returns when
+// the machine is quiescent again.
+func streamOnce(tb testing.TB, m *Machine, op KernelOp) {
+	issued := false
+	m.SpawnKernel(place(0), func(float64, uint64) (KernelOp, bool) {
+		if issued {
+			return KernelOp{}, false
+		}
+		issued = true
+		return op, true
+	})
+	if _, err := m.Run(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestFlushHelpersAllocateNothing guards the flush-helper free lists: an
+// NT write stream over a DDR buffer books every line on the channels, so
+// each chunk ends in a multi-channel flush that spawns one helper per
+// channel. Re-running it on the same machine must reuse the helper frames
+// (and the join's waiter list): allocations per run may not grow with the
+// number of flushes. With a fresh frame per helper, the 16x longer stream
+// allocates ~16x more.
+func TestFlushHelpersAllocateNothing(t *testing.T) {
+	m := noJitterF(knl.DefaultConfig())
+	const long = 4096
+	buf := m.Alloc.MustAlloc(knl.DDR, 0, long*knl.LineSize)
+	allocs := func(n int) float64 {
+		op := KernelOp{Kind: StreamWrite, Dst: buf, N: n, NT: true}
+		return testing.AllocsPerRun(4, func() { streamOnce(t, m, op) })
+	}
+	short, longRun := allocs(long/16), allocs(long)
+	busy := 0
+	for ch := 0; ch < knl.DDRChannels; ch++ {
+		if m.Mem.Channel(knl.DDR, ch).LinesWritten() != 0 {
+			busy++
+		}
+	}
+	if busy < 2 {
+		t.Fatalf("the stream wrote to %d DDR channels, want several (no multi-channel flush)", busy)
+	}
+	if longRun > short {
+		t.Errorf("allocs per run grow with the flush count: %.0f for %d lines, %.0f for %d",
+			short, long/16, longRun, long)
+	}
+}
+
+// BenchmarkStreamFlushHelpers measures one multi-channel NT write stream
+// re-run on a warm machine: the chunk loop, the per-channel flush helpers
+// and their join. allocs/op counts the per-run kernel spawn only; the
+// helper frames come from the machine's free lists.
+func BenchmarkStreamFlushHelpers(b *testing.B) {
+	m := noJitterF(knl.DefaultConfig())
+	const lines = 1024
+	buf := m.Alloc.MustAlloc(knl.DDR, 0, lines*knl.LineSize)
+	op := KernelOp{Kind: StreamWrite, Dst: buf, N: lines, NT: true}
+	streamOnce(b, m, op)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		streamOnce(b, m, op)
+	}
+}

@@ -95,6 +95,13 @@ type Machine struct {
 	OnChunkStart func(p *sim.Proc)
 	//knl:nostate observation hook, cleared on Reset and never read by the protocol
 	OnTopUp func(p *sim.Proc, lat float64)
+
+	// freeMemJobs and freeDrains recycle the frames of finished stream
+	// flush helpers (see flushOps in step_stream.go).
+	//knl:nostate recycled helper frames, zeroed on return and invisible to any digest
+	freeMemJobs []*memJobStep
+	//knl:nostate recycled helper frames, zeroed on return and invisible to any digest
+	freeDrains []*drainStep
 }
 
 // Interned resource-name tables: a machine builds ~250 named resources,
@@ -265,10 +272,25 @@ func (m *Machine) placeOf(b memmode.Buffer, l cache.Line) cluster.LinePlace {
 	return m.Mapper.Place(b.Kind, b.Affinity, l)
 }
 
-// placeOfLine resolves placement for a bare line (reverse buffer lookup),
-// used for evicted victims. The line table records each line's buffer, so
-// the lookup is O(1) instead of the allocator's binary search.
+// placeOfLine resolves placement for a bare line (see bufferOfLine), used
+// for evicted victims.
 func (m *Machine) placeOfLine(l cache.Line) (cluster.LinePlace, bool) {
+	b, ok := m.bufferOfLine(l)
+	if !ok {
+		return cluster.LinePlace{}, false
+	}
+	return m.placeOf(b, l), true
+}
+
+// channelOf resolves only the memory channel serving line l of buffer b.
+func (m *Machine) channelOf(b memmode.Buffer, l cache.Line) int {
+	return m.Mapper.Channel(b.Kind, b.Affinity, l)
+}
+
+// bufferOfLine finds the buffer a bare line belongs to. The line table
+// records each line's buffer, so the lookup is O(1) instead of the
+// allocator's binary search.
+func (m *Machine) bufferOfLine(l cache.Line) (memmode.Buffer, bool) {
 	t, _, i := m.lineState(l)
 	id := t.lineBuf[i]
 	if id == 0 {
@@ -276,10 +298,10 @@ func (m *Machine) placeOfLine(l cache.Line) (cluster.LinePlace, bool) {
 		// extended before its buffer existed; sync once and re-check.
 		t.grow(m.Alloc, i)
 		if id = t.lineBuf[i]; id == 0 {
-			return cluster.LinePlace{}, false
+			return memmode.Buffer{}, false
 		}
 	}
-	return m.placeOf(t.bufs[id-1], l), true
+	return t.bufs[id-1], true
 }
 
 // forwarder picks the tile that will source a cache-to-cache transfer for

@@ -247,6 +247,23 @@ func (w *memJobStep) Step(c *sim.StepCtx) {
 		w.join.done.Broadcast()
 	}
 	c.End()
+	// The scheduler retires this process without calling Step again, so
+	// the frame can go back to the free list now.
+	m := w.m
+	*w = memJobStep{}
+	m.freeMemJobs = append(m.freeMemJobs, w)
+}
+
+// newMemJob takes a zeroed helper frame from the machine's free list, or
+// allocates one when the list is empty.
+func (m *Machine) newMemJob() *memJobStep {
+	if n := len(m.freeMemJobs); n > 0 {
+		w := m.freeMemJobs[n-1]
+		m.freeMemJobs = m.freeMemJobs[:n-1]
+		return w
+	}
+	//lint:ignore hotalloc cold fallback: finished helpers return their frames, so steady state never reaches this allocation
+	return &memJobStep{}
 }
 
 // drainStep fires the booked async write-backs, one channel per juncture:
@@ -271,6 +288,20 @@ func (w *drainStep) Step(c *sim.StepCtx) {
 		w.ch = 0
 	}
 	c.End()
+	m := w.m
+	*w = drainStep{}
+	m.freeDrains = append(m.freeDrains, w)
+}
+
+// newDrain is newMemJob for write-back helper frames.
+func (m *Machine) newDrain() *drainStep {
+	if n := len(m.freeDrains); n > 0 {
+		w := m.freeDrains[n-1]
+		m.freeDrains = m.freeDrains[:n-1]
+		return w
+	}
+	//lint:ignore hotalloc cold fallback: finished helpers return their frames, so steady state never reaches this allocation
+	return &drainStep{}
 }
 
 // streamStep runs one stream op (read/write/copy/triad) as the old chunk
@@ -347,9 +378,13 @@ func (s *streamStep) startSerial() {
 
 // flushOps serves the accumulated lines, mirroring the old pending.flush:
 // the async write-backs spawn first, then the per-channel batches — inline
-// on c for a single channel, as joined helper processes otherwise. It
-// reports true when nothing was queued (the caller may fall through to the
-// top-up in the same juncture, like the old flush returning immediately).
+// on c for a single channel, as joined helper processes otherwise. The
+// helpers are spawned at the current instant, so their first events ride
+// the engine's same-instant lane rather than the heap, and their frames
+// come from the machine's free lists (freeMemJobs, freeDrains), so a
+// steady stream of flushes allocates none. It reports true when nothing
+// was queued (the caller may fall through to the top-up in the same
+// juncture, like the old flush returning immediately).
 func (s *streamStep) flushOps(c *sim.StepCtx) bool {
 	m, pd := s.m, &s.pd
 	var jobs [2 * 2 * maxChans]flushJob
@@ -374,8 +409,9 @@ func (s *streamStep) flushOps(c *sim.StepCtx) bool {
 	}
 	if pd.nAsync != 0 {
 		if m.Steps {
-			//lint:ignore hotalloc one helper frame per flush with async write-backs, the spawn the old goroutine version also paid
-			m.Env.GoSteps("wb", &drainStep{m: m, async: pd.async})
+			w := m.newDrain()
+			w.m, w.async = m, pd.async
+			m.Env.GoSteps("wb", w)
 		} else {
 			async := pd.async
 			//lint:ignore hotalloc one helper process per flush with async write-backs (goroutine A/B mode)
@@ -413,8 +449,9 @@ func (s *streamStep) flushOps(c *sim.StepCtx) bool {
 		join.remaining = nj
 		for ji := 0; ji < nj; ji++ {
 			if m.Steps {
-				//lint:ignore hotalloc one helper frame per flushed channel, the spawn the old goroutine version also paid
-				m.Env.GoSteps("mem", &memJobStep{m: m, j: jobs[ji], join: join})
+				w := m.newMemJob()
+				w.m, w.j, w.join = m, jobs[ji], join
+				m.Env.GoSteps("mem", w)
 			} else {
 				j := jobs[ji]
 				//lint:ignore hotalloc one helper process per flushed channel (goroutine A/B mode)

@@ -38,18 +38,19 @@ type pending struct {
 
 // pendWriteBack books an asynchronous dirty write-back of line l.
 func (m *Machine) pendWriteBack(pd *pending, l cache.Line) {
-	place, ok := m.placeOfLine(l)
+	b, ok := m.bufferOfLine(l)
 	if !ok {
 		return
 	}
-	if m.Policy.Enabled() && place.Kind == knl.DDR {
-		edc := m.Mapper.CacheEDC(place.Channel, l)
+	ch := m.channelOf(b, l)
+	if m.Policy.Enabled() && b.Kind == knl.DDR {
+		edc := m.Mapper.CacheEDC(ch, l)
 		pd.async[knl.MCDRAM][edc]++
 		pd.nAsync++
 		if !m.Policy.Probe(edc, l) {
 			if victim, dirty, vok := m.Policy.Fill(edc, l); vok && dirty {
-				if vp, found := m.placeOfLine(victim); found {
-					pd.async[knl.DDR][vp.Channel]++
+				if vb, found := m.bufferOfLine(victim); found {
+					pd.async[knl.DDR][m.channelOf(vb, victim)]++
 					pd.nAsync++
 				}
 			}
@@ -57,50 +58,50 @@ func (m *Machine) pendWriteBack(pd *pending, l cache.Line) {
 		m.Policy.MarkDirty(edc, l)
 		return
 	}
-	pd.async[place.Kind][place.Channel]++
+	pd.async[b.Kind][ch]++
 	pd.nAsync++
 }
 
 // pendMemRead books a batched memory read of line l, routing through the
 // MCDRAM side cache in cache/hybrid mode.
 func (m *Machine) pendMemRead(pd *pending, b memmode.Buffer, l cache.Line) {
-	place := m.placeOf(b, l)
-	if m.Policy.Enabled() && place.Kind == knl.DDR {
-		edc := m.Mapper.CacheEDC(place.Channel, l)
+	ch := m.channelOf(b, l)
+	if m.Policy.Enabled() && b.Kind == knl.DDR {
+		edc := m.Mapper.CacheEDC(ch, l)
 		if m.Policy.Probe(edc, l) {
 			pd.reads[knl.MCDRAM][edc]++
 			return
 		}
-		pd.reads[knl.DDR][place.Channel]++
+		pd.reads[knl.DDR][ch]++
 		pd.writes[knl.MCDRAM][edc]++ // simultaneous cache fill
 		if victim, dirty, ok := m.Policy.Fill(edc, l); ok && dirty {
-			if vp, found := m.placeOfLine(victim); found {
-				pd.writes[knl.DDR][vp.Channel]++
+			if vb, found := m.bufferOfLine(victim); found {
+				pd.writes[knl.DDR][m.channelOf(vb, victim)]++
 			}
 		}
 		return
 	}
-	pd.reads[place.Kind][place.Channel]++
+	pd.reads[b.Kind][ch]++
 }
 
 // pendMemWrite books a batched memory write of line l (NT stores), routing
 // through the MCDRAM side cache in cache/hybrid mode.
 func (m *Machine) pendMemWrite(pd *pending, b memmode.Buffer, l cache.Line) {
-	place := m.placeOf(b, l)
-	if m.Policy.Enabled() && place.Kind == knl.DDR {
-		edc := m.Mapper.CacheEDC(place.Channel, l)
+	ch := m.channelOf(b, l)
+	if m.Policy.Enabled() && b.Kind == knl.DDR {
+		edc := m.Mapper.CacheEDC(ch, l)
 		pd.writes[knl.MCDRAM][edc]++
 		if !m.Policy.Probe(edc, l) {
 			if victim, dirty, ok := m.Policy.Fill(edc, l); ok && dirty {
-				if vp, found := m.placeOfLine(victim); found {
-					pd.writes[knl.DDR][vp.Channel]++
+				if vb, found := m.bufferOfLine(victim); found {
+					pd.writes[knl.DDR][m.channelOf(vb, victim)]++
 				}
 			}
 		}
 		m.Policy.MarkDirty(edc, l)
 		return
 	}
-	pd.writes[place.Kind][place.Channel]++
+	pd.writes[b.Kind][ch]++
 }
 
 // classify peeks where a line would be found, with no side effects.

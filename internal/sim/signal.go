@@ -49,14 +49,17 @@ func (s *Signal) WaitVersion(p *Proc, v uint64) uint64 {
 func (s *Signal) Version() uint64 { return s.version }
 
 // Broadcast resumes every waiting process at the current time (in the order
-// they began waiting) and increments the version.
+// they began waiting) and increments the version. unblock only queues
+// events, so no process can join the list mid-loop, and the emptied list
+// keeps its backing array: a Signal reused across many waits (a stream's
+// flush join) allocates its waiter list once.
 func (s *Signal) Broadcast() {
 	s.version++
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
+	for _, p := range s.waiters {
 		s.env.unblock(p)
 	}
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 }
 
 // Waiting returns the number of processes currently blocked on the Signal.

@@ -12,9 +12,10 @@
 // so a step costs one channel transfer instead of the classic two (worker
 // to scheduler, scheduler to next worker) — and when the next event belongs
 // to the ceding process itself, the step costs no channel operation at all.
-// The event queue is a concrete 4-ary heap over a slice of event values and
-// resume channels are recycled through a free list, so the steady-state
-// per-event path performs no allocation.
+// The event queue is a concrete 4-ary heap over a slice of event values,
+// fronted by a FIFO ring for events due at the current instant, and resume
+// channels are recycled through a free list, so the steady-state per-event
+// path performs no allocation.
 //
 // Time is in nanoseconds (float64), matching the units of the capability
 // model in the paper.
@@ -41,16 +42,60 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is a 4-ary min-heap of events. A 4-ary layout halves the tree
-// depth of a binary heap and keeps the four children of a node in one or
-// two cache lines; the concrete element type avoids the interface{} boxing
-// that container/heap imposes on every Push and Pop.
+// eventQueue holds the pending events in two lanes. The 4-ary min-heap h
+// holds events scheduled for a later instant than the clock showed when
+// they were queued; the FIFO ring holds events scheduled for the current
+// instant (at == now), which make up a large share of all events (signal
+// and resource wake-ups, same-instant spawns) and need no sift. pop takes
+// the smaller of the two heads by eventLess, so the dispatch order is
+// exactly the (at, seq) order of a single heap: every ring entry carries
+// the same at (the ring drains before the clock can advance past it) and
+// sits in seq order (it is appended in scheduling order).
+//
+// The 4-ary layout halves the tree depth of a binary heap and keeps the
+// four children of a node in one or two cache lines; the concrete element
+// type avoids the interface{} boxing that container/heap imposes on every
+// Push and Pop.
 type eventQueue struct {
 	//knl:nostate empty whenever a machine is digested or reset (Env.Reset panics otherwise)
 	h []event
+	//knl:nostate ring occupancy: zero at every digest/Reset point
+	n int
+	//knl:nostate ring cursor: zero entries at every digest/Reset point
+	head int
+	//knl:nostate empty whenever a machine is digested or reset (Env.Reset panics otherwise)
+	ring []event // power-of-two FIFO of same-instant events
 }
 
-func (q *eventQueue) len() int { return len(q.h) }
+func (q *eventQueue) len() int { return len(q.h) + q.n }
+
+// pushNow appends a same-instant event to the ring.
+func (q *eventQueue) pushNow(ev event) {
+	if q.n == len(q.ring) {
+		q.growRing()
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = ev
+	q.n++
+}
+
+// growRing doubles the ring, unwrapping its entries to the front. It stays
+// out of line: inlined through pushNow into schedule, the cold make and
+// copies grew schedule's frame and slowed the heap-only dispatch of
+// BenchmarkStepHandoff by ~13%.
+//
+//go:noinline
+func (q *eventQueue) growRing() {
+	size := 2 * len(q.ring)
+	if size == 0 {
+		size = 16
+	}
+	//lint:ignore hotalloc the ring doubles to the deepest same-instant backlog once, then is reused for the Env's lifetime
+	grown := make([]event, size)
+	m := copy(grown, q.ring[q.head:])
+	copy(grown[m:], q.ring[:q.head])
+	q.ring = grown
+	q.head = 0
+}
 
 func (q *eventQueue) push(ev event) {
 	q.h = append(q.h, ev)
@@ -65,7 +110,18 @@ func (q *eventQueue) push(ev event) {
 	}
 }
 
+// pop removes and returns the earliest event by (at, seq): the ring's head
+// when it precedes the heap's top, the heap's top otherwise. Both lanes
+// live in this one function so the common heap-only dispatch still costs
+// a single call.
 func (q *eventQueue) pop() event {
+	if q.n != 0 && (len(q.h) == 0 || eventLess(q.ring[q.head], q.h[0])) {
+		ev := q.ring[q.head]
+		q.ring[q.head] = event{} // drop the proc pointer so retired processes collect
+		q.head = (q.head + 1) & (len(q.ring) - 1)
+		q.n--
+		return ev
+	}
 	top := q.h[0]
 	n := len(q.h) - 1
 	q.h[0] = q.h[n]
@@ -215,24 +271,31 @@ func (e *Env) retire(p *Proc) {
 	e.cede(nil)
 }
 
-// schedule queues a resumption of p at time at.
+// schedule queues a resumption of p at time at: on the same-instant ring
+// when at is the current time, on the heap otherwise. Either way the event
+// takes the next seq number, so Seq counts every scheduled event.
 func (e *Env) schedule(p *Proc, at Time) {
 	e.seq++
+	if at == e.now {
+		e.events.pushNow(event{at: at, seq: e.seq, proc: p})
+		return
+	}
 	e.events.push(event{at: at, seq: e.seq, proc: p})
 }
 
 // waitFast consumes a wait of the running process without touching the event
-// heap: when the event that schedule would push is strictly the next one to
+// queue: when the event that schedule would push is strictly the next one to
 // pop (every queued event is later; an equal-time event has an earlier seq
 // and must run first), pushing and immediately popping it is pure overhead —
 // the clock advances and the same process keeps running. The seq increment
 // still happens, so Seq-based digests are bit-identical with the slow path.
-// Reports false when a queued event is due first; the caller then schedules
-// and yields as usual.
+// Reports false when a queued event is due first — any event on the
+// same-instant ring (due now, so never later than at) or a heap top due at
+// or before at; the caller then schedules and yields as usual.
 //
 //knl:hotpath the fused wait of the protocol walks; BenchmarkLoadLineHotPath pins 0 allocs/op
 func (e *Env) waitFast(at Time) bool {
-	if len(e.events.h) != 0 && e.events.h[0].at <= at {
+	if e.events.n != 0 || len(e.events.h) != 0 && e.events.h[0].at <= at {
 		return false
 	}
 	e.seq++
