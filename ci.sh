@@ -41,11 +41,10 @@ go test ./...
 
 if [ "$quick" = 0 ]; then
     # These packages spawn goroutines: the real ParallelSort (msort.Simulate
-    # replays on step kernels and spawns none), the simulator's process
-    # mechanism, and the experiment worker pool. Everything else is
-    # single-threaded.
-    step "go test -race (internal/msort, internal/sim, internal/exp)"
-    go test -race ./internal/msort ./internal/sim ./internal/exp
+    # replays on step kernels and spawns none) and the experiment worker
+    # pool. Everything else, the simulator included, is single-threaded.
+    step "go test -race (internal/msort, internal/exp)"
+    go test -race ./internal/msort ./internal/exp
 
     # Tier 2: parallel-vs-serial digest equivalence under the race
     # detector, plus the engine benchmark smoke (asserts the zero-alloc
@@ -75,21 +74,6 @@ if [ "$quick" = 0 ]; then
     go test -bench='BenchmarkLoadLineHotPath|BenchmarkStoreLineHotPath' -benchtime=5000x -benchmem -run '^$' ./internal/machine |
         tee /dev/stderr |
         awk '/allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
-
-    # Tier 2: steps-on/off A/B on the store-walk benchmarks. The contention
-    # sweep exercises the RFO invalidate fan-out and the ping-pong pairs the
-    # signal-watch juncture; a -nosteps run must print byte-identical rows.
-    step "tier-2: contention sweep steps A/B (-nosteps must be byte-identical)"
-    abdir=$(mktemp -d)
-    go build -o "$abdir/knl-bench" ./cmd/knl-bench
-    "$abdir/knl-bench" -table 1 -quick -nojitter -csv          > "$abdir/steps.csv"
-    "$abdir/knl-bench" -table 1 -quick -nojitter -csv -nosteps > "$abdir/nosteps.csv"
-    if ! cmp -s "$abdir/steps.csv" "$abdir/nosteps.csv"; then
-        echo "ci.sh: -nosteps contention sweep diverged from the step engine" >&2
-        diff "$abdir/steps.csv" "$abdir/nosteps.csv" >&2 || true
-        exit 1
-    fi
-    rm -rf "$abdir"
 
     # Tier 2: memo determinism gate. Two identical -cache invocations into a
     # fresh cache directory must (a) print byte-identical results and (b) run

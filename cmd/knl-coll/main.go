@@ -74,7 +74,6 @@ func main() {
 	converge := flag.Int("converge", 0,
 		"stop deterministic measurement loops after N bit-identical passes and extrapolate (0 = exact; needs -nojitter to fire)")
 	nojitter := flag.Bool("nojitter", false, "disable the simulated timing jitter")
-	nosteps := flag.Bool("nosteps", false, "run protocol walks as goroutine processes instead of stackless step machines (debugging; bit-identical results)")
 	flag.Parse()
 
 	cfg := knl.DefaultConfig() // SNC4-flat, as in the paper's figures
@@ -87,7 +86,6 @@ func main() {
 	o.Parallel = *parallel
 	o.ConvergeAfter = *converge
 	o.NoJitter = *nojitter
-	o.NoSteps = *nosteps
 	mc := openMemo("knl-coll", *useCache, *cacheDir)
 	o.Memo = mc
 	defer memoReport(mc)

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"knlcap/internal/cache"
@@ -25,26 +26,50 @@ import (
 )
 
 func main() {
-	from := flag.Int("from", 0, "requesting core (0-63)")
-	owner := flag.Int("owner", 20, "core whose cache holds the line (ignored for state I)")
-	state := flag.String("state", "M", "line state at the owner: M, E, S, F or I (uncached)")
-	kind := flag.String("kind", "dram", "memory backing the line: dram | mcdram")
-	clusterMode := flag.String("cluster", "SNC4", "cluster mode")
-	memMode := flag.String("memmode", "flat", "memory mode: flat | cache | hybrid")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	cfg := knl.DefaultConfig()
+// fprintf writes the command's output, deliberately dropping write
+// errors: a run whose own output pipe fails has nothing useful left to
+// report.
+func fprintf(w io.Writer, format string, args ...any) {
+	_, _ = fmt.Fprintf(w, format, args...)
+}
+
+// run is the whole command behind an argument list and two writers, so
+// flag validation can be tested in process. It returns the exit code: 0
+// on success, 1 if the simulation fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("knl-explain", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	from := fs.Int("from", 0, "requesting core (0-63)")
+	owner := fs.Int("owner", 20, "core whose cache holds the line (ignored for state I)")
+	state := fs.String("state", "M", "line state at the owner: M, E, S, F or I (uncached)")
+	kind := fs.String("kind", "dram", "memory backing the line: dram | mcdram")
+	clusterMode := fs.String("cluster", "SNC4", "cluster mode")
+	memMode := fs.String("memmode", "flat", "memory mode: flat | cache | hybrid")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fprintf(stderr, "knl-explain: "+format+"\n", a...)
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments %q", fs.Args())
+	}
 	cm, err := knl.ParseClusterMode(*clusterMode)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "knl-explain:", err)
-		os.Exit(2)
+		return usage("%v", err)
 	}
 	mm, err := knl.ParseMemoryMode(*memMode)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "knl-explain:", err)
-		os.Exit(2)
+		return usage("%v", err)
 	}
-	cfg = cfg.WithModes(cm, mm)
+	cfg := knl.DefaultConfig().WithModes(cm, mm)
 	var st cache.State
 	switch *state {
 	case "M":
@@ -58,16 +83,25 @@ func main() {
 	case "I":
 		st = cache.Invalid
 	default:
-		fmt.Fprintln(os.Stderr, "knl-explain: -state must be M, E, S, F or I")
-		os.Exit(2)
+		return usage("-state must be M, E, S, F or I")
 	}
-	mk := knl.DDR
-	if *kind == "mcdram" {
+	var mk knl.MemKind
+	switch *kind {
+	case "dram":
+		mk = knl.DDR
+	case "mcdram":
 		mk = knl.MCDRAM
+	default:
+		return usage("-kind must be dram or mcdram (got %q)", *kind)
 	}
 	if mk == knl.MCDRAM && cfg.Memory == knl.CacheMode {
-		fmt.Fprintln(os.Stderr, "knl-explain: no flat MCDRAM in cache mode")
-		os.Exit(2)
+		return usage("no flat MCDRAM in cache mode")
+	}
+	if *from < 0 || *from >= knl.NumCores {
+		return usage("-from must be a core in 0..%d (got %d)", knl.NumCores-1, *from)
+	}
+	if st != cache.Invalid && (*owner < 0 || *owner >= knl.NumCores) {
+		return usage("-owner must be a core in 0..%d (got %d)", knl.NumCores-1, *owner)
 	}
 
 	p := machine.DefaultParams()
@@ -80,29 +114,28 @@ func main() {
 
 	var latency float64
 	reqTile := *from / knl.CoresPerTile
-	m.Spawn(knl.Place{Tile: reqTile, Core: *from}, func(th *machine.Thread) {
-		start := th.Now()
-		th.Load(buf, 0)
-		latency = th.Now() - start
-	})
+	s := &machine.Script{}
+	s.Load(buf, 0)
+	s.Do(func() { latency = m.Env.Now() }) // the load issued at time 0
+	m.SpawnKernel(knl.Place{Tile: reqTile, Core: *from}, s.Program())
 	if _, err := m.Run(); err != nil {
-		fmt.Fprintln(os.Stderr, "knl-explain:", err)
-		os.Exit(1)
+		fprintf(stderr, "knl-explain: %v\n", err)
+		return 1
 	}
 
 	place := m.Mapper.Place(mk, 0, buf.Line(0))
-	fmt.Printf("configuration: %s | line backed by %v channel %d, home CHA on tile %d\n",
+	fprintf(stdout, "configuration: %s | line backed by %v channel %d, home CHA on tile %d\n",
 		cfg.Name(), place.Kind, place.Channel, place.HomeTile)
-	fmt.Printf("request: core %d (tile %d) loads a line", *from, reqTile)
+	fprintf(stdout, "request: core %d (tile %d) loads a line", *from, reqTile)
 	if st != cache.Invalid {
-		fmt.Printf(" held %s by core %d (tile %d)", st, *owner, *owner/knl.CoresPerTile)
+		fprintf(stdout, " held %s by core %d (tile %d)", st, *owner, *owner/knl.CoresPerTile)
 	} else {
-		fmt.Printf(" cached nowhere")
+		fprintf(stdout, " cached nowhere")
 	}
-	fmt.Printf("\n\nmeasured on the simulator: %.1f ns\n\n", latency)
+	fprintf(stdout, "\n\nmeasured on the simulator: %.1f ns\n\n", latency)
 
-	fmt.Println("protocol walk (timing parameters):")
-	step := func(name string, v float64) { fmt.Printf("  %-42s %6.1f ns\n", name, v) }
+	fprintf(stdout, "protocol walk (timing parameters):\n")
+	step := func(name string, v float64) { fprintf(stdout, "  %-42s %6.1f ns\n", name, v) }
 	ownerTile := *owner / knl.CoresPerTile
 	switch {
 	case st != cache.Invalid && ownerTile == reqTile && *owner == *from:
@@ -147,19 +180,20 @@ func main() {
 	}
 
 	model := core.Default()
-	fmt.Println("\ncapability-model abstraction:")
+	fprintf(stdout, "\ncapability-model abstraction:\n")
 	switch {
 	case st != cache.Invalid && *owner == *from:
-		fmt.Printf("  R_L (local cache read)      = %.1f ns\n", model.RL)
+		fprintf(stdout, "  R_L (local cache read)      = %.1f ns\n", model.RL)
 	case st != cache.Invalid && ownerTile == reqTile:
-		fmt.Printf("  R_tile(%s)                   = %.1f / %.1f / %.1f ns (M/E/SF)\n",
+		fprintf(stdout, "  R_tile(%s)                   = %.1f / %.1f / %.1f ns (M/E/SF)\n",
 			st, model.RTileM, model.RTileE, model.RTileSF)
 	case st != cache.Invalid:
-		fmt.Printf("  R_R (remote cache read)     = %.1f ns (band %.0f-%.0f)\n",
+		fprintf(stdout, "  R_R (remote cache read)     = %.1f ns (band %.0f-%.0f)\n",
 			model.RR, model.RRMin, model.RRMax)
 	default:
-		fmt.Printf("  R_I (memory read, %v)    = %.1f ns\n", mk, model.MemLatency(mk))
+		fprintf(stdout, "  R_I (memory read, %v)    = %.1f ns\n", mk, model.MemLatency(mk))
 	}
+	return 0
 }
 
 // ctrlLeg is the mesh latency between a tile and the controller serving

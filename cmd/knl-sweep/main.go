@@ -36,7 +36,6 @@ func main() {
 	converge := flag.Int("converge", 0,
 		"stop deterministic measurement loops after N bit-identical passes and extrapolate (0 = exact; needs -nojitter to fire)")
 	nojitter := flag.Bool("nojitter", false, "disable the simulated timing jitter")
-	nosteps := flag.Bool("nosteps", false, "run protocol walks as goroutine processes instead of stackless step machines (debugging; bit-identical results)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Parse()
@@ -55,7 +54,6 @@ func main() {
 	o.Parallel = *parallel
 	o.ConvergeAfter = *converge
 	o.NoJitter = *nojitter
-	o.NoSteps = *nosteps
 	mc := openMemo("knl-sweep", *useCache, *cacheDir)
 	o.Memo = mc
 	defer memoReport(mc)

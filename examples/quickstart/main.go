@@ -26,12 +26,14 @@ func main() {
 	//    that another core holds in Modified state.
 	buf := m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)
 	m.Prime(buf, 20, cache.Modified) // core 20 = tile 10
-	var latency float64
-	m.Spawn(knl.Place{Tile: 0, Core: 0}, func(t *machine.Thread) {
-		start := t.Now()
-		t.Load(buf, 0)
-		latency = t.Now() - start
-	})
+	//    A Script records the thread's steps; SpawnKernel pins the
+	//    resulting program to core 0.
+	var start, latency float64
+	s := &machine.Script{}
+	s.Do(func() { start = m.Env.Now() })
+	s.Load(buf, 0)
+	s.Do(func() { latency = m.Env.Now() - start })
+	m.SpawnKernel(knl.Place{Tile: 0, Core: 0}, s.Program())
 	if _, err := m.Run(); err != nil {
 		panic(err)
 	}

@@ -35,18 +35,17 @@ func main() {
 		core := 2 + i*2
 		local := m.Alloc.MustAlloc(knl.DDR, 0, 4*knl.LineSize)
 		cold := m.Alloc.MustAlloc(knl.DDR, 0, 16*knl.LineSize)
-		seed := rng.Uint64()
-		m.Spawn(knl.Place{Tile: core / 2, Core: core}, func(t *machine.Thread) {
-			r := stats.NewRNG(seed)
-			for it := 0; it < 20; it++ {
-				t.Load(hot, 0)              // contended remote line
-				t.Load(local, r.Intn(4))    // L1 after first touch
-				t.Load(remote, r.Intn(8))   // cache-to-cache, then shared
-				t.Load(cold, r.Intn(16))    // memory (first touches)
-				t.Store(local, r.Intn(4))   // local store
-				t.StoreNT(cold, r.Intn(16)) // streaming store
-			}
-		})
+		r := stats.NewRNG(rng.Uint64())
+		s := &machine.Script{}
+		for it := 0; it < 20; it++ {
+			s.Load(hot, 0)              // contended remote line
+			s.Load(local, r.Intn(4))    // L1 after first touch
+			s.Load(remote, r.Intn(8))   // cache-to-cache, then shared
+			s.Load(cold, r.Intn(16))    // memory (first touches)
+			s.Store(local, r.Intn(4))   // local store
+			s.StoreNT(cold, r.Intn(16)) // streaming store
+		}
+		m.SpawnKernel(knl.Place{Tile: core / 2, Core: core}, s.Program())
 	}
 	if _, err := m.Run(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -13,7 +13,7 @@
 //     or explicitly discarded with `_ =`.
 //   - printban: library packages may not print to stdout; user output goes
 //     through cmd/ or internal/report.
-//   - envshare: outside internal/sim and internal/exp, a *sim.Env or
+//   - envshare: outside internal/exp, a *sim.Env or
 //     *machine.Machine may not be captured by a go statement or sent over a
 //     channel — parallel experiments stay deterministic only while every
 //     point owns its environment.
@@ -132,7 +132,7 @@ type Config struct {
 	// sending over channels.
 	EnvShareTypes []string
 	// EnvShareExempt are packages allowed to share those types across
-	// goroutines: the process mechanism itself and the experiment runner.
+	// goroutines: the experiment runner.
 	EnvShareExempt []string
 	// LineMapPkgs are the simulator hot-path packages where the linemap
 	// analyzer forbids maps keyed by the line types in LineKeyTypes.
@@ -220,7 +220,6 @@ func DefaultConfig() *Config {
 			"knlcap/internal/machine.Machine",
 		},
 		EnvShareExempt: []string{
-			"knlcap/internal/sim",
 			"knlcap/internal/exp",
 		},
 		LineMapPkgs: []string{

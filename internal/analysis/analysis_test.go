@@ -122,7 +122,7 @@ func TestDeterminismGolden(t *testing.T) {
 		"testdata/src/simpkg/simpkg.go:33:7: determinism: time.Now: wall-clock time leaks host timing into the simulation; use sim.Env.Now",
 		"testdata/src/simpkg/simpkg.go:34:12: determinism: time.Since: wall-clock time leaks host timing into the simulation; use sim.Env.Now",
 		"testdata/src/simpkg/simpkg.go:39:9: determinism: rand.Intn uses the global, unseeded random source; use an explicitly seeded generator (stats.NewRNG)",
-		"testdata/src/simpkg/simpkg.go:50:2: determinism: go statement: goroutine interleaving is scheduler-dependent; spawn simulated processes via sim.Env.Go",
+		"testdata/src/simpkg/simpkg.go:50:2: determinism: go statement: goroutine interleaving is scheduler-dependent; spawn simulated processes via machine.Machine.SpawnKernel or sim.Env.GoSteps",
 		"testdata/src/simpkg/simpkg.go:52:2: determinism: select statement: the runtime picks ready cases at random; use deterministic event ordering",
 	})
 }

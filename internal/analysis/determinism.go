@@ -44,7 +44,7 @@ func runDeterminism(pass *Pass) {
 				}
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
-					"go statement: goroutine interleaving is scheduler-dependent; spawn simulated processes via sim.Env.Go")
+					"go statement: goroutine interleaving is scheduler-dependent; spawn simulated processes via machine.Machine.SpawnKernel or sim.Env.GoSteps")
 			case *ast.SelectStmt:
 				pass.Reportf(n.Pos(),
 					"select statement: the runtime picks ready cases at random; use deterministic event ordering")

@@ -7,15 +7,15 @@ import (
 
 // EnvShare forbids sharing simulator state across goroutines: a *sim.Env or
 // *machine.Machine captured by a go statement, or sent over a channel,
-// outside the packages that legitimately own concurrency (the sim process
-// mechanism itself and the internal/exp worker pool). The parallel
-// experiment runner is deterministic only because every point builds its
-// own environment; this analyzer keeps an Env from quietly leaking into a
-// raw goroutine where host scheduling would decide the event order.
+// outside the package that legitimately owns concurrency (the internal/exp
+// worker pool). The parallel experiment runner is deterministic only
+// because every point builds its own environment; this analyzer keeps an
+// Env from quietly leaking into a raw goroutine where host scheduling
+// would decide the event order.
 var EnvShare = &Analyzer{
 	Name: "envshare",
 	Doc: "forbids *sim.Env / *machine.Machine captured by go statements or " +
-		"sent over channels outside internal/sim and internal/exp",
+		"sent over channels outside internal/exp",
 	Applies: func(cfg *Config, pkg *Package) bool {
 		return !matchPkg(cfg.EnvShareExempt, pkg.Path)
 	},

@@ -30,21 +30,17 @@ func copyOnce(cfg knl.Config, o Options, owner int, st cache.State, lines int, r
 	dst := m.Alloc.MustAlloc(knl.DDR, 0, int64(lines)*knl.LineSize)
 	vals := make([]float64, 0, o.Iterations)
 	bytes := float64(lines * knl.LineSize)
-	m.Spawn(knl.Place{Tile: 0, Core: 0}, func(th *machine.Thread) {
-		runConverged(th, o.ConvergeAfter, o.Iterations,
-			func() {
-				m.Prime(src, owner, st)
-				m.Prime(dst, 0, cache.Modified)
-			},
-			func() {
-				if read {
-					th.ReadStream(src, true)
-				} else {
-					th.CopyStream(dst, src, false)
-				}
-			},
-			func(elapsed float64) { vals = append(vals, bytes/elapsed) })
-	})
+	body := machine.KernelOp{Kind: machine.StreamCopy, Dst: dst, Src: src, N: lines}
+	if read {
+		body = machine.KernelOp{Kind: machine.StreamRead, Src: src, N: lines, Vector: true}
+	}
+	runConverged(m, knl.Place{Tile: 0, Core: 0}, o.ConvergeAfter, o.Iterations,
+		func() {
+			m.Prime(src, owner, st)
+			m.Prime(dst, 0, cache.Modified)
+		},
+		body,
+		func(elapsed float64) { vals = append(vals, bytes/elapsed) })
 	if _, err := m.Run(); err != nil {
 		panic(err)
 	}

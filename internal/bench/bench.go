@@ -72,15 +72,6 @@ type Options struct {
 	// to the jitter-free protocol sums; distribution widths (CIs, Fig. 4
 	// spread) collapse, so keep jitter on when those matter.
 	NoJitter bool
-	// NoSteps runs every spawnable simulator flow (bench kernels, posted
-	// write-backs, stream flush helpers) as goroutine processes instead of
-	// the default stackless step processes. Both engines execute the same
-	// state machines over one event heap and one RNG stream, so every
-	// measured value is bit-identical; the switch exists for debugging
-	// (goroutine stacks are easier to inspect) and for the A/B equivalence
-	// tests that prove the claim.
-	//knl:nokey step/goroutine equivalence is proven by TestBenchStepEquivalence
-	NoSteps bool
 	// Memo, when non-nil, caches sweep results content-addressed by the
 	// full measurement input (machine parameters, seed, workload, options).
 	// A nil cache means every sweep simulates.
@@ -124,14 +115,10 @@ func (o Options) KeyFor(workload string, cfg knl.Config) *memo.KeyWriter {
 // acquire hands out the point's machine for cfg — recycled when a sweep
 // installed a pool, freshly built otherwise.
 func (o Options) acquire(cfg knl.Config) *machine.Machine {
-	var m *machine.Machine
 	if o.pool == nil {
-		m = machine.NewWithParams(cfg, o.params())
-	} else {
-		m = o.pool.Get(cfg, o.params(), cfg.YieldSeed)
+		return machine.NewWithParams(cfg, o.params())
 	}
-	m.Steps = !o.NoSteps
-	return m
+	return o.pool.Get(cfg, o.params(), cfg.YieldSeed)
 }
 
 // release returns a machine taken from acquire once its point is done.

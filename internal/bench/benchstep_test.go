@@ -7,87 +7,29 @@ import (
 	"knlcap/internal/knl"
 )
 
-// TestBenchStepEquivalence runs representative benchmarks — a chase-based
-// latency table, a windowed bandwidth point, and a stream-peak run — on the
-// step-process engine and on the goroutine engine (Options.NoSteps) and
-// asserts bit-identical results. This is the bench-level half of the
-// equivalence claim; the machine-level half (identical state digests across
-// every cluster x memory mode) is TestStepGoroutineEquivalence.
+// TestBenchStepEquivalence checks that the convergence gate composes with
+// the step-process kernels: a cache-latency table measured with the gate
+// on (ConvergeAfter = 2) is bit-identical to the same table simulated in
+// full.
 func TestBenchStepEquivalence(t *testing.T) {
 	feq := func(name string, a, b float64) {
 		t.Helper()
 		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Errorf("%s: step %v != goroutine %v", name, a, b)
+			t.Errorf("%s: gated %v != ungated %v", name, a, b)
 		}
 	}
-	for _, cfg := range []knl.Config{
-		knl.DefaultConfig(),
-		knl.DefaultConfig().WithModes(knl.Quadrant, knl.CacheMode),
-	} {
-		oS := quick()
-		oG := quick()
-		oG.NoSteps = true
-
-		latS := MeasureMemLatencies(cfg, oS)
-		latG := MeasureMemLatencies(cfg, oG)
-		feq(cfg.Name()+" mem-lat DRAM lo", latS.DRAM.Lo, latG.DRAM.Lo)
-		feq(cfg.Name()+" mem-lat DRAM hi", latS.DRAM.Hi, latG.DRAM.Hi)
-		feq(cfg.Name()+" mem-lat MCDRAM lo", latS.MCDRAM.Lo, latG.MCDRAM.Lo)
-		feq(cfg.Name()+" mem-lat cache lo", latS.Cache.Lo, latG.Cache.Lo)
-		feq(cfg.Name()+" mem-lat cache hi", latS.Cache.Hi, latG.Cache.Hi)
-
-		bwS := MeasureMemBandwidth(cfg, oS, KernelTriad, knl.MCDRAM, true, 4, knl.Scatter)
-		bwG := MeasureMemBandwidth(cfg, oG, KernelTriad, knl.MCDRAM, true, 4, knl.Scatter)
-		feq(cfg.Name()+" triad bw", bwS.GBs, bwG.GBs)
-
-		pkS := MeasureStreamPeak(cfg, oS, KernelCopy, knl.MCDRAM, 4, knl.Scatter)
-		pkG := MeasureStreamPeak(cfg, oG, KernelCopy, knl.MCDRAM, 4, knl.Scatter)
-		feq(cfg.Name()+" copy peak", pkS, pkG)
-
-		// The store-walk and signal-watch junctures: 1:N contention (RFO
-		// invalidate fan-out) and ping-pong congestion (flag stores against
-		// KernelWaitWordGE) must not depend on the engine either.
-		ctS := MeasureContention(cfg, oS, []int{1, 4, 8})
-		ctG := MeasureContention(cfg, oG, []int{1, 4, 8})
-		for i := range ctS.Medians {
-			feq(cfg.Name()+" contention median", ctS.Medians[i], ctG.Medians[i])
-		}
-		cgS := MeasureCongestion(cfg, oS, 4)
-		cgG := MeasureCongestion(cfg, oG, 4)
-		feq(cfg.Name()+" congestion single", cgS.SinglePair, cgG.SinglePair)
-		feq(cfg.Name()+" congestion many", cgS.ManyPairs, cgG.ManyPairs)
-		feq(cfg.Name()+" congestion ring util", cgS.MaxRingUtilization, cgG.MaxRingUtilization)
-	}
-
-	// The NUMA ablation's windowed spawn loop, in an SNC mode.
-	{
-		cfg := knl.DefaultConfig().WithModes(knl.SNC4, knl.Flat)
-		oS := quick()
-		oG := quick()
-		oG.NoSteps = true
-		npS := MeasureNUMAAblation(cfg, oS, 8)
-		npG := MeasureNUMAAblation(cfg, oG, 8)
-		for i := range npS {
-			feq(cfg.Name()+" numa "+npS[i].Policy.String(), npS[i].GBs, npG[i].GBs)
-		}
-	}
-
-	// The convergence gate must compose with both engines: gated results on
-	// the step engine match ungated results on the goroutine engine.
 	o := quick()
 	o.NoJitter = true
 	o.ChaseLen = 64
 	og := o
 	og.ConvergeAfter = 2
-	og.NoSteps = false
 	ou := o
 	ou.ConvergeAfter = 0
-	ou.NoSteps = true
 	cfg := knl.DefaultConfig()
 	gated := MeasureCacheLatencies(cfg, og, 2)
 	ungated := MeasureCacheLatencies(cfg, ou, 2)
-	feq("gated-vs-goroutine L1", gated.LocalL1, ungated.LocalL1)
-	feq("gated-vs-goroutine tileM", gated.TileM, ungated.TileM)
-	feq("gated-vs-goroutine remoteM lo", gated.RemoteM.Lo, ungated.RemoteM.Lo)
-	feq("gated-vs-goroutine remoteM hi", gated.RemoteM.Hi, ungated.RemoteM.Hi)
+	feq("L1", gated.LocalL1, ungated.LocalL1)
+	feq("tileM", gated.TileM, ungated.TileM)
+	feq("remoteM lo", gated.RemoteM.Lo, ungated.RemoteM.Lo)
+	feq("remoteM hi", gated.RemoteM.Hi, ungated.RemoteM.Hi)
 }

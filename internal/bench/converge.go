@@ -10,8 +10,8 @@ package bench
 // exact float64 arithmetic.
 //
 // The profile is a small program, not a list of durations, because the
-// engine advances time in two ways. Plain Proc.Wait steps (now = now + d
-// with d a constant of the jitter-free protocol) replay as recorded. The
+// engine advances time in two ways. Plain waits (now = now + d with d a
+// constant of the jitter-free protocol) replay as recorded. The
 // stream kernels' chunk top-up, however, waits lat - (now - chunkStart):
 // the remainder depends on the absolute clock and must be *recomputed* at
 // replay magnitudes, anchored at the recorded chunk-start position — which
@@ -67,15 +67,9 @@ type opTrace struct {
 	skipWait bool
 }
 
-// install starts observing th's process. The hooks must be removed before
-// the machine is reused (uninstall; Env.Reset and Machine.Reset also
-// clear them).
-func (t *opTrace) install(th *machine.Thread) { t.installProc(th.M, th.P) }
-
-func (t *opTrace) uninstall(th *machine.Thread) { t.uninstallProc(th.M) }
-
-// installProc starts observing process p on m — the spawned-kernel form,
-// used when the measured process is a step kernel rather than a Thread.
+// installProc starts observing process p on m. The hooks must be removed
+// before the machine is reused (uninstallProc; Env.Reset and Machine.Reset
+// also clear them).
 func (t *opTrace) installProc(m *machine.Machine, p *sim.Proc) {
 	t.m = m
 	t.p = p
@@ -172,64 +166,69 @@ func opsEqual(ka []uint8, aa []float64, kb []uint8, ab []float64) bool {
 	return true
 }
 
-// runConverged drives an iteration-style measurement loop: iters timed
-// iterations of body, machine state re-established by setup before each,
-// elapsed nanoseconds reported through record. With k <= 0 it is the exact
-// legacy loop. With k > 0, iterations whose whole op program, elapsed
-// value, and self-check agree k times in a row stop the simulation; the
-// remaining iterations are interpreted from the settled program on a
-// virtual clock, reproducing the exact timings the simulator would have
-// produced.
-func runConverged(th *machine.Thread, k, iters int, setup, body func(), record func(elapsed float64)) {
-	if k <= 0 {
-		for it := 0; it < iters; it++ {
-			setup()
-			start := th.Now()
-			body()
-			record(th.Now() - start)
-		}
-		return
-	}
+// runConverged spawns an iteration-style measurement kernel pinned to
+// place: iters timed iterations of the body op, machine state
+// re-established by setup (at zero simulated cost) before each, elapsed
+// nanoseconds reported through record. The caller runs the machine. With
+// k <= 0 every iteration is simulated. With k > 0, iterations whose whole
+// op program, elapsed value, and self-check agree k times in a row stop
+// the simulation; the remaining iterations are interpreted from the
+// settled program on a virtual clock, reproducing the exact timings the
+// simulator would have produced.
+func runConverged(m *machine.Machine, place knl.Place, k, iters int,
+	setup func(), body machine.KernelOp, record func(elapsed float64)) {
 	var tr opTrace
-	tr.install(th)
-	defer tr.uninstall(th)
 	var prevKinds []uint8
 	var prevArgs []float64
-	var prevElapsed float64
-	prevEnd := th.Now()
-	run := 0
-	for it := 0; it < iters; it++ {
+	var prevElapsed, start float64
+	prevEnd := m.Env.Now()
+	run, it := 0, 0
+	inBody := false
+	proc := m.SpawnKernel(place, func(now float64, _ uint64) (machine.KernelOp, bool) {
+		if inBody {
+			inBody = false
+			elapsed := now - start
+			record(elapsed)
+			it++
+			if k > 0 {
+				// start == prevEnd guards against setup consuming simulated
+				// time, which replay (which skips setup) could not reproduce.
+				ok := start == prevEnd && tr.selfCheck(start, now)
+				switch {
+				case ok && run > 0 && math.Float64bits(elapsed) == math.Float64bits(prevElapsed) &&
+					opsEqual(tr.kinds, tr.args, prevKinds, prevArgs):
+					run++
+				case ok:
+					run = 1
+				default:
+					run = 0
+				}
+				prevKinds = append(prevKinds[:0], tr.kinds...)
+				prevArgs = append(prevArgs[:0], tr.args...)
+				prevElapsed, prevEnd = elapsed, now
+				if run >= k {
+					for vt := now; it < iters; it++ {
+						s := vt
+						vt = interpOps(prevKinds, prevArgs, vt)
+						record(vt - s)
+					}
+				}
+			}
+		}
+		if it >= iters {
+			if k > 0 {
+				tr.uninstallProc(m)
+			}
+			return machine.KernelOp{}, false
+		}
 		setup()
 		tr.reset()
-		start := th.Now()
-		body()
-		end := th.Now()
-		elapsed := end - start
-		record(elapsed)
-		// start == prevEnd guards against setup consuming simulated time,
-		// which replay (which skips setup) could not reproduce.
-		ok := start == prevEnd && tr.selfCheck(start, end)
-		switch {
-		case ok && run > 0 && math.Float64bits(elapsed) == math.Float64bits(prevElapsed) &&
-			opsEqual(tr.kinds, tr.args, prevKinds, prevArgs):
-			run++
-		case ok:
-			run = 1
-		default:
-			run = 0
-		}
-		prevKinds = append(prevKinds[:0], tr.kinds...)
-		prevArgs = append(prevArgs[:0], tr.args...)
-		prevElapsed, prevEnd = elapsed, end
-		if run >= k {
-			vt := end
-			for it++; it < iters; it++ {
-				s := vt
-				vt = interpOps(prevKinds, prevArgs, vt)
-				record(vt - s)
-			}
-			return
-		}
+		start = now
+		inBody = true
+		return body, true
+	})
+	if k > 0 {
+		tr.installProc(m, proc)
 	}
 }
 
@@ -321,9 +320,8 @@ func (cp *chaseProfile) replay(vt float64, perm []int, chaseLen, nl, visits int)
 
 // chaseConverged is the gated chase: exact simulated passes until k
 // consecutive passes agree, replayed passes after. The measurement runs as
-// a spawned chase kernel (a step process on the default engine); the gate
-// lives entirely in the host callbacks, which run at the same simulated
-// instants the old Thread-closure loop ran the same code. The bench RNG
+// a spawned chase kernel; the gate lives entirely in the host callbacks,
+// which run between the kernel's loads. The bench RNG
 // keeps drawing one permutation per pass either way — including for
 // replayed passes — so the random stream, and with it every subsequent
 // draw, is identical to the ungated loop's.

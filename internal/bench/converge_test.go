@@ -97,15 +97,13 @@ func TestRunConvergedBitIdentical(t *testing.T) {
 		dst := m.Alloc.MustAlloc(knl.DDR, 0, 8*knl.LineSize)
 		vals := make([]float64, 0, 40)
 		owner := knl.NumCores / 2
-		m.Spawn(knl.Place{Tile: 0, Core: 0}, func(th *machine.Thread) {
-			runConverged(th, k, 40,
-				func() {
-					m.Prime(src, owner, cache.Exclusive)
-					m.Prime(dst, 0, cache.Modified)
-				},
-				func() { th.CopyStream(dst, src, false) },
-				func(elapsed float64) { vals = append(vals, elapsed) })
-		})
+		runConverged(m, knl.Place{Tile: 0, Core: 0}, k, 40,
+			func() {
+				m.Prime(src, owner, cache.Exclusive)
+				m.Prime(dst, 0, cache.Modified)
+			},
+			machine.KernelOp{Kind: machine.StreamCopy, Dst: dst, Src: src, N: 8},
+			func(elapsed float64) { vals = append(vals, elapsed) })
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -32,10 +32,9 @@ func chase(m *machine.Machine, core int, b memmode.Buffer, o Options,
 		// multiple of the line count; otherwise the legacy loop runs.
 		chaseConverged(m, place, b, o, prime, rng, perm, &avgs, k)
 	} else {
-		// The kernel runs as a spawned chase — a step process on the default
-		// engine — with the host callbacks doing exactly what the old Thread
-		// closure did between passes: prime, draw the permutation, fold the
-		// per-pass latency into the running average.
+		// The kernel runs as a spawned chase, with the host callbacks
+		// doing the work between passes: prime, draw the permutation, fold
+		// the per-pass latency into the running average.
 		a, p := 0, 0
 		var total float64
 		m.SpawnChase(place, machine.ChaseOps{
@@ -218,21 +217,32 @@ func MeasureMemLatencies(cfg knl.Config, o Options) MemLatencies {
 		rng := stats.NewRNG(o.Seed)
 		nl := b.NumLines()
 		avgs := make([]float64, 0, o.Averages)
-		m.Spawn(knl.Place{}, func(th *machine.Thread) {
-			for a := 0; a < o.Averages; a++ {
-				var total float64
-				for p := 0; p < o.Passes; p++ {
-					prime()
-					start := th.Now()
-					for i := 0; i < o.ChaseLen; i++ {
-						li := rng.Intn(nl)
-						m.FlushLine(b.Line(li))
-						th.Load(b, li)
-					}
-					total += (th.Now() - start) / float64(o.ChaseLen)
+		// Per access: draw the line, flush it, load it.
+		a, p, i := 0, 0, 0
+		var total, start float64
+		inPass := false
+		m.SpawnKernel(knl.Place{}, func(now float64, _ uint64) (machine.KernelOp, bool) {
+			if inPass && i == o.ChaseLen {
+				total += (now - start) / float64(o.ChaseLen)
+				inPass = false
+				if p++; p == o.Passes {
+					avgs = append(avgs, total/float64(o.Passes))
+					total, p = 0, 0
+					a++
 				}
-				avgs = append(avgs, total/float64(o.Passes))
 			}
+			if !inPass {
+				if a >= o.Averages {
+					return machine.KernelOp{}, false
+				}
+				prime()
+				start, i = now, 0
+				inPass = true
+			}
+			li := rng.Intn(nl)
+			m.FlushLine(b.Line(li))
+			i++
+			return machine.KernelOp{Kind: machine.KernelLoad, B: b, Li: li}, true
 		})
 		if _, err := m.Run(); err != nil {
 			panic(err)

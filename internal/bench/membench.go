@@ -156,9 +156,8 @@ func warmSideCache(m *machine.Machine, pools []threadBufs, k StreamKernel) {
 	}
 }
 
-// kernelOp builds the StreamOp for one kernel iteration, mirroring the
-// Thread wrappers' conventions: full buffers from line 0, lengths clipped
-// to the shortest operand, reads always vectorized.
+// kernelOp builds the StreamOp for one kernel iteration: full buffers from
+// line 0, lengths clipped to the shortest operand, reads always vectorized.
 func kernelOp(k StreamKernel, pool threadBufs, pick int, nt bool) machine.StreamOp {
 	switch k {
 	case KernelCopy:

@@ -48,15 +48,13 @@ func MeasureMultiLine(cfg knl.Config, o Options, st cache.State, lineCounts []in
 			src := m.Alloc.MustAlloc(knl.DDR, 0, int64(n)*knl.LineSize)
 			dst := m.Alloc.MustAlloc(knl.DDR, 0, int64(n)*knl.LineSize)
 			vals := make([]float64, 0, o.Iterations)
-			m.Spawn(knl.Place{Tile: 0, Core: 0}, func(th *machine.Thread) {
-				runConverged(th, o.ConvergeAfter, o.Iterations,
-					func() {
-						m.Prime(src, owner, st)
-						m.Prime(dst, 0, cache.Modified)
-					},
-					func() { th.CopyStream(dst, src, false) },
-					func(elapsed float64) { vals = append(vals, elapsed) })
-			})
+			runConverged(m, knl.Place{Tile: 0, Core: 0}, o.ConvergeAfter, o.Iterations,
+				func() {
+					m.Prime(src, owner, st)
+					m.Prime(dst, 0, cache.Modified)
+				},
+				machine.KernelOp{Kind: machine.StreamCopy, Dst: dst, Src: src, N: n},
+				func(elapsed float64) { vals = append(vals, elapsed) })
 			if _, err := m.Run(); err != nil {
 				panic(err)
 			}

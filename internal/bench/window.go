@@ -12,14 +12,12 @@ import (
 // window scheme of the Xeon Phi benchmarks, with per-thread skew); the
 // value recorded per iteration is the maximum duration over threads.
 //
-// Each rank runs a spawned kernel — a step process on the default engine —
-// whose per-iteration work is the kernel program produced by bodyFor (a
-// fresh program per window, driven to completion inside it). setup
-// (optional, may be nil) runs at zero simulated cost before each
-// iteration, with the machine quiescent: all ranks arrive early at the
-// window boundary, and rank 0 runs setup at that quiescent point. The
-// wrapper phases below are the old Thread loop's statements between
-// blocking points, instant-for-instant.
+// Each rank runs a spawned kernel whose per-iteration work is the kernel
+// program produced by bodyFor (a fresh program per window, driven to
+// completion inside it). setup (optional, may be nil) runs at zero
+// simulated cost before each iteration, with the machine quiescent: all
+// ranks arrive early at the window boundary, and rank 0 runs setup at that
+// quiescent point.
 func RunWindows(m *machine.Machine, places []knl.Place, o Options,
 	setup func(iter int),
 	bodyFor func(rank, iter int) machine.Program) []float64 {
@@ -151,29 +149,34 @@ func CalibrateTSC(cfg knl.Config, trueSkewNs []float64) SkewCalibration {
 	}
 	est := make([]float64, n)
 	const rounds = 8
-	m.Spawn(places[0], func(th *machine.Thread) {
-		for i := 1; i < n; i++ {
-			var sum float64
-			for r := 1; r <= rounds; r++ {
-				t0 := tsc(0, th.Now())
-				th.StoreWord(flags[i].ping, 0, uint64(r))
-				peerTSC := th.WaitWordGE(flags[i].pong, 0, uint64(r)*1e9)
-				t1 := tsc(0, th.Now())
-				sum += float64(peerTSC-uint64(r)*1e9) - (t0+t1)/2
-			}
-			est[i] = sum / rounds
-		}
-	})
+	master := &machine.Script{}
 	for i := 1; i < n; i++ {
 		i := i
-		m.Spawn(places[i], func(th *machine.Thread) {
-			for r := 1; r <= rounds; r++ {
-				th.WaitWordGE(flags[i].ping, 0, uint64(r))
-				// Reply with the local TSC reading encoded above a round tag.
-				reading := tsc(i, th.Now())
-				th.StoreWord(flags[i].pong, 0, uint64(r)*1e9+uint64(reading))
-			}
-		})
+		var sum, t0 float64
+		for r := 1; r <= rounds; r++ {
+			r := r
+			master.Do(func() { t0 = tsc(0, m.Env.Now()) })
+			master.StoreWord(flags[i].ping, 0, uint64(r))
+			master.WaitWordGE(flags[i].pong, 0, uint64(r)*1e9, func(peerTSC uint64) {
+				t1 := tsc(0, m.Env.Now())
+				sum += float64(peerTSC-uint64(r)*1e9) - (t0+t1)/2
+			})
+		}
+		master.Do(func() { est[i] = sum / rounds })
+	}
+	m.SpawnKernel(places[0], master.Program())
+	for i := 1; i < n; i++ {
+		i := i
+		peer := &machine.Script{}
+		for r := 1; r <= rounds; r++ {
+			r := r
+			peer.WaitWordGE(flags[i].ping, 0, uint64(r), nil)
+			// Reply with the local TSC reading encoded above a round tag.
+			peer.StoreWordFn(flags[i].pong, 0, func() uint64 {
+				return uint64(r)*1e9 + uint64(tsc(i, m.Env.Now()))
+			})
+		}
+		m.SpawnKernel(places[i], peer.Program())
 	}
 	if _, err := m.Run(); err != nil {
 		panic(err)

@@ -42,31 +42,31 @@ func newTunedAllgather(m *machine.Machine, cfg knl.Config, model *core.Model,
 	return ag
 }
 
-func (ag *tunedAllgather) emit(s *script, rank, seq int) {
+func (ag *tunedAllgather) emit(s *machine.Script, rank, seq int) {
 	n := ag.n
 	// Own contribution occupies slot `rank` of the local slab.
-	s.storeWord(ag.slabs[rank], rank, uint64(seq))
+	s.StoreWord(ag.slabs[rank], rank, uint64(seq))
 	// The dissemination schedule is a pure function of (rank, round), so the
 	// whole walk — including the mine-set bookkeeping — is known at emit time.
 	mine := map[int]bool{rank: true}
 	span := 1
 	for r := 0; r < ag.rds; r++ {
 		// Publish round flag: "my slab now holds `span`-worth of blocks".
-		s.storeWord(ag.slabs[rank], n+r, uint64(seq))
+		s.StoreWord(ag.slabs[rank], n+r, uint64(seq))
 		for j := 1; j <= ag.mWay; j++ {
 			partner := (rank - j*span + j*span*n) % n
 			if partner == rank {
 				continue
 			}
-			s.waitWordGE(ag.slabs[partner], n+r, uint64(seq), nil)
+			s.WaitWordGE(ag.slabs[partner], n+r, uint64(seq), nil)
 			// Pull the partner's accumulated block: their own contribution
 			// plus what they gathered in earlier rounds.
 			for _, src := range blockOwners(partner, span, ag.mWay, n) {
 				if mine[src] {
 					continue
 				}
-				s.load(ag.slabs[partner], src)
-				s.store(ag.slabs[rank], src)
+				s.Load(ag.slabs[partner], src)
+				s.Store(ag.slabs[rank], src)
 				mine[src] = true
 			}
 		}
@@ -75,7 +75,7 @@ func (ag *tunedAllgather) emit(s *script, rank, seq int) {
 			break
 		}
 	}
-	s.do(func() { ag.got[rank] = mine })
+	s.Do(func() { ag.got[rank] = mine })
 }
 
 // blockOwners lists the contributor ranks held by `owner` after gathering
@@ -128,20 +128,20 @@ func newOMPAllgather(m *machine.Machine, cfg knl.Config, g *group, p Params) *om
 	}
 }
 
-func (oa *ompAllgather) emit(s *script, rank, seq int) {
-	s.compute(oa.forkNs)
-	s.storeWord(oa.slab, rank, uint64(seq))
-	s.addWord(oa.count, 0, 1, nil)
-	s.waitWordGE(oa.count, 0, uint64(seq*oa.n), nil)
+func (oa *ompAllgather) emit(s *machine.Script, rank, seq int) {
+	s.Compute(oa.forkNs)
+	s.StoreWord(oa.slab, rank, uint64(seq))
+	s.AddWord(oa.count, 0, 1, nil)
+	s.WaitWordGE(oa.count, 0, uint64(seq*oa.n), nil)
 	have := 0
 	for i := 0; i < oa.n; i++ {
-		s.loadWord(oa.slab, i, func(got uint64) {
+		s.LoadWord(oa.slab, i, func(got uint64) {
 			if got >= uint64(seq) {
 				have++
 			}
 		})
 	}
-	s.do(func() { oa.got[rank] = have })
+	s.Do(func() { oa.got[rank] = have })
 }
 
 func (oa *ompAllgather) validate(m *machine.Machine, iters int) bool {
@@ -169,7 +169,7 @@ func newMPIAllgather(m *machine.Machine, cfg knl.Config, g *group, p Params) *mp
 	}
 }
 
-func (ma *mpiAllgather) emit(s *script, rank, seq int) {
+func (ma *mpiAllgather) emit(s *machine.Script, rank, seq int) {
 	n := ma.n
 	have := 1
 	span := 1
@@ -193,7 +193,7 @@ func (ma *mpiAllgather) emit(s *script, rank, seq int) {
 		span *= 2
 	}
 	got := have
-	s.do(func() { ma.got[rank] = got })
+	s.Do(func() { ma.got[rank] = got })
 }
 
 func (ma *mpiAllgather) validate(m *machine.Machine, iters int) bool {

@@ -36,15 +36,15 @@ func newTunedAllreduce(m *machine.Machine, cfg knl.Config, model *core.Model,
 	}
 }
 
-func (ar *tunedAllreduce) emit(s *script, rank, seq int) {
+func (ar *tunedAllreduce) emit(s *machine.Script, rank, seq int) {
 	ar.red.emit(s, rank, seq)
 	// The reduce root injects the sum into the broadcast payload word —
 	// deferred to the reduce-completion instant, when rootSum is set.
 	if rank == 0 {
-		s.do(func() { ar.bc.inject = ar.red.rootSum })
+		s.Do(func() { ar.bc.inject = ar.red.rootSum })
 	}
 	ar.bc.emit(s, rank, seq)
-	s.do(func() { ar.result[rank] = ar.bc.seen[rank] })
+	s.Do(func() { ar.result[rank] = ar.bc.seen[rank] })
 }
 
 func (ar *tunedAllreduce) validate(m *machine.Machine, iters int) bool {
@@ -82,19 +82,19 @@ func newOMPAllreduce(m *machine.Machine, cfg knl.Config, g *group, p Params) *om
 	}
 }
 
-func (oa *ompAllreduce) emit(s *script, rank, seq int) {
-	s.compute(oa.forkNs)
-	s.addWord(oa.acc, 0, uint64(rank+1), nil)
-	s.addWord(oa.count, 0, 1, nil)
+func (oa *ompAllreduce) emit(s *machine.Script, rank, seq int) {
+	s.Compute(oa.forkNs)
+	s.AddWord(oa.acc, 0, uint64(rank+1), nil)
+	s.AddWord(oa.count, 0, 1, nil)
 	if rank == 0 {
 		var sum uint64
-		s.waitWordGE(oa.count, 0, uint64(seq*oa.threads), nil)
-		s.loadWord(oa.acc, 0, func(got uint64) { sum = got })
-		s.storeWordFn(oa.out, 0, func() uint64 { return uint64(seq)*65536 + sum%65536 })
-		s.do(func() { oa.result[0] = sum % 65536 })
+		s.WaitWordGE(oa.count, 0, uint64(seq*oa.threads), nil)
+		s.LoadWord(oa.acc, 0, func(got uint64) { sum = got })
+		s.StoreWordFn(oa.out, 0, func() uint64 { return uint64(seq)*65536 + sum%65536 })
+		s.Do(func() { oa.result[0] = sum % 65536 })
 		return
 	}
-	s.waitWordGE(oa.out, 0, uint64(seq)*65536, func(got uint64) {
+	s.WaitWordGE(oa.out, 0, uint64(seq)*65536, func(got uint64) {
 		oa.result[rank] = got - uint64(seq)*65536
 	})
 }
@@ -126,13 +126,13 @@ func newMPIAllreduce(m *machine.Machine, cfg knl.Config, g *group, p Params) *mp
 	}
 }
 
-func (ma *mpiAllreduce) emit(s *script, rank, seq int) {
+func (ma *mpiAllreduce) emit(s *machine.Script, rank, seq int) {
 	ma.red.emit(s, rank, seq)
 	if rank == 0 {
-		s.do(func() { ma.bc.inject = ma.red.rootSum })
+		s.Do(func() { ma.bc.inject = ma.red.rootSum })
 	}
 	ma.bc.emit(s, rank, seq)
-	s.do(func() { ma.sum[rank] = ma.bc.seen[rank] })
+	s.Do(func() { ma.sum[rank] = ma.bc.seen[rank] })
 }
 
 func (ma *mpiAllreduce) validate(m *machine.Machine, iters int) bool {

@@ -31,17 +31,17 @@ func newTunedBarrier(m *machine.Machine, cfg knl.Config, model *core.Model,
 	return tb
 }
 
-func (tb *tunedBarrier) emit(s *script, rank, seq int) {
+func (tb *tunedBarrier) emit(s *machine.Script, rank, seq int) {
 	n := len(tb.g.places)
 	span := 1
 	for r := 0; r < tb.round; r++ {
-		s.storeWord(tb.flags[rank], r, uint64(seq))
+		s.StoreWord(tb.flags[rank], r, uint64(seq))
 		for j := 1; j <= tb.mWay; j++ {
 			partner := (rank + j*span) % n
 			if partner == rank {
 				continue
 			}
-			s.waitWordGE(tb.flags[partner], r, uint64(seq), nil)
+			s.WaitWordGE(tb.flags[partner], r, uint64(seq), nil)
 		}
 		span *= tb.mWay + 1
 	}
@@ -78,17 +78,17 @@ func newOMPBarrier(m *machine.Machine, cfg knl.Config, g *group, p Params) *ompB
 	}
 }
 
-func (ob *ompBarrier) emit(s *script, rank, seq int) {
-	s.compute(ob.forkNs) // runtime dispatch into __kmp_barrier
+func (ob *ompBarrier) emit(s *machine.Script, rank, seq int) {
+	s.Compute(ob.forkNs) // runtime dispatch into __kmp_barrier
 	n := len(ob.g.places)
 	// The continuation depends on the fetched counter: the last arriver
 	// releases, everyone else waits — queued from the AddWord's then hook.
-	s.addWord(ob.counter, 0, 1, func(got uint64) {
+	s.AddWord(ob.counter, 0, 1, func(got uint64) {
 		if got == uint64(seq*n) {
-			s.storeWord(ob.release, 0, uint64(seq))
+			s.StoreWord(ob.release, 0, uint64(seq))
 			return
 		}
-		s.waitWordGE(ob.release, 0, uint64(seq), nil)
+		s.WaitWordGE(ob.release, 0, uint64(seq), nil)
 	})
 }
 
@@ -115,7 +115,7 @@ func newMPIBarrier(m *machine.Machine, cfg knl.Config, g *group, p Params) *mpiB
 	}
 }
 
-func (mb *mpiBarrier) emit(s *script, rank, seq int) {
+func (mb *mpiBarrier) emit(s *machine.Script, rank, seq int) {
 	n := len(mb.g.places)
 	span := 1
 	for r := 0; r < mb.rds; r++ {

@@ -66,17 +66,17 @@ func newTunedBcast(m *machine.Machine, cfg knl.Config, model *core.Model,
 // use >= thresholds.
 func bcastValue(seq int) uint64 { return uint64(seq)*4096 + uint64(seq%1000) + 7 }
 
-func (tb *tunedBcast) emit(s *script, rank, seq int) {
+func (tb *tunedBcast) emit(s *machine.Script, rank, seq int) {
 	node := tb.g.nodeOf[rank]
 	lines := tb.payload[node].NumLines()
 
 	if !tb.g.leader[rank] {
 		// Intra-tile follower: wait for the leader's cheap local flag.
-		s.waitWordGE(tb.tileFlag[node], 0, uint64(seq)*4096, func(got uint64) {
+		s.WaitWordGE(tb.tileFlag[node], 0, uint64(seq)*4096, func(got uint64) {
 			tb.seen[rank] = got - uint64(seq)*4096
 		})
 		if lines > 1 {
-			s.readStreamRange(tb.payload[node], 1, lines-1, true)
+			s.ReadStreamRange(tb.payload[node], 1, lines-1, true)
 		}
 		return
 	}
@@ -85,7 +85,7 @@ func (tb *tunedBcast) emit(s *script, rank, seq int) {
 	if tb.parent[node] < 0 {
 		// Deferred: inject is set by the allreduce mid-iteration, so the
 		// payload value is computed at the simulated instant.
-		s.do(func() {
+		s.Do(func() {
 			val = bcastValue(seq)
 			if tb.inject != 0 {
 				val = uint64(seq)*4096 + tb.inject
@@ -94,31 +94,31 @@ func (tb *tunedBcast) emit(s *script, rank, seq int) {
 		})
 		// Root: write the payload, then flag+data in line 0.
 		for li := 1; li < lines; li++ {
-			s.store(tb.payload[node], li)
+			s.Store(tb.payload[node], li)
 		}
-		s.storeWordFn(tb.payload[node], 0, func() uint64 { return val })
+		s.StoreWordFn(tb.payload[node], 0, func() uint64 { return val })
 	} else {
 		p := tb.parent[node]
-		s.waitWordGE(tb.payload[p], 0, uint64(seq)*4096, func(got uint64) { val = got })
+		s.WaitWordGE(tb.payload[p], 0, uint64(seq)*4096, func(got uint64) { val = got })
 		// Copy the message into the local shared structure (contended read
 		// of the parent's lines: the TC(k) term).
 		if lines > 1 {
-			s.copyStreamRange(tb.payload[node], tb.payload[p], 1, 1, lines-1, false)
+			s.CopyStreamRange(tb.payload[node], tb.payload[p], 1, 1, lines-1, false)
 		}
-		s.storeWordFn(tb.payload[node], 0, func() uint64 { return val })
+		s.StoreWordFn(tb.payload[node], 0, func() uint64 { return val })
 		// Acknowledge to the parent.
-		s.storeWord(tb.acks[p], tb.childIdx[node], uint64(seq))
+		s.StoreWord(tb.acks[p], tb.childIdx[node], uint64(seq))
 	}
-	s.do(func() { tb.seen[rank] = val - uint64(seq)*4096 })
+	s.Do(func() { tb.seen[rank] = val - uint64(seq)*4096 })
 
 	// Release the intra-tile followers.
 	if len(tb.g.follows[node]) > 0 {
-		s.storeWordFn(tb.tileFlag[node], 0, func() uint64 { return val })
+		s.StoreWordFn(tb.tileFlag[node], 0, func() uint64 { return val })
 	}
 
 	// Collect the children's acknowledgement flags (RI + k*RR).
 	for i := range tb.children[node] {
-		s.waitWordGE(tb.acks[node], i, uint64(seq), nil)
+		s.WaitWordGE(tb.acks[node], i, uint64(seq), nil)
 	}
 }
 
@@ -157,26 +157,26 @@ func newOMPBcast(m *machine.Machine, cfg knl.Config, g *group, p Params) *ompBca
 	}
 }
 
-func (ob *ompBcast) emit(s *script, rank, seq int) {
-	s.compute(ob.forkNs) // runtime dispatch
+func (ob *ompBcast) emit(s *machine.Script, rank, seq int) {
+	s.Compute(ob.forkNs) // runtime dispatch
 	lines := ob.payload.NumLines()
 	if rank == 0 {
 		for li := 1; li < lines; li++ {
-			s.store(ob.payload, li)
+			s.Store(ob.payload, li)
 		}
-		s.storeWord(ob.payload, 0, bcastValue(seq))
-		s.do(func() { ob.seen[0] = bcastValue(seq) - uint64(seq)*4096 })
+		s.StoreWord(ob.payload, 0, bcastValue(seq))
+		s.Do(func() { ob.seen[0] = bcastValue(seq) - uint64(seq)*4096 })
 		// Cumulative arrival counter: one tick per reader per iteration.
-		s.waitWordGE(ob.ack, 0, uint64(seq)*uint64(len(ob.g.places)-1), nil)
+		s.WaitWordGE(ob.ack, 0, uint64(seq)*uint64(len(ob.g.places)-1), nil)
 		return
 	}
-	s.waitWordGE(ob.payload, 0, uint64(seq)*4096, func(got uint64) {
+	s.WaitWordGE(ob.payload, 0, uint64(seq)*4096, func(got uint64) {
 		ob.seen[rank] = got - uint64(seq)*4096
 	})
 	if lines > 1 {
-		s.readStreamRange(ob.payload, 1, lines-1, true)
+		s.ReadStreamRange(ob.payload, 1, lines-1, true)
 	}
-	s.addWord(ob.ack, 0, 1, nil)
+	s.AddWord(ob.ack, 0, 1, nil)
 }
 
 func (ob *ompBcast) validate(m *machine.Machine, iters int) bool {

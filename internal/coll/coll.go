@@ -277,9 +277,9 @@ func Measure(cfg knl.Config, model *core.Model, o bench.Options, op Op,
 	}
 
 	maxes := bench.RunWindows(m, places, o, nil, func(rank, iter int) machine.Program {
-		s := &script{}
+		s := &machine.Script{}
 		runner.emit(s, rank, iter+1)
-		return s.program()
+		return s.Program()
 	})
 	res := Result{
 		Op: op, Alg: alg, Config: cfg, Params: p,
@@ -293,10 +293,10 @@ func Measure(cfg knl.Config, model *core.Model, o bench.Options, op Op,
 }
 
 // iterRunner emits one collective iteration for one thread rank into a
-// script (replayed as a spawned kernel program). seq starts at 1 and
+// machine.Script (replayed as a spawned kernel program). seq starts at 1 and
 // increases per iteration.
 type iterRunner interface {
-	emit(s *script, rank, seq int)
+	emit(s *machine.Script, rank, seq int)
 	// validate checks operation semantics after all iterations.
 	validate(m *machine.Machine, iters int) bool
 }

@@ -56,17 +56,17 @@ func (f *mpiFabric) placeOf(rank int) knl.Place {
 // and the lazy bounce-buffer resolution run at the instants the old blocking
 // code reached them, so a value produced by an earlier recv in the same
 // iteration is available and first-touch allocation order is preserved.
-func (f *mpiFabric) send(s *script, from, to, tag, seq int, value func() uint64) {
-	s.compute(f.p.MPIOverheadNs.Float())
+func (f *mpiFabric) send(s *machine.Script, from, to, tag, seq int, value func() uint64) {
+	s.Compute(f.p.MPIOverheadNs.Float())
 	var b memmode.Buffer
-	s.do(func() { b = f.buf(from, to, tag) })
+	s.Do(func() { b = f.buf(from, to, tag) })
 	for li := 1; li < f.msgLines; li++ {
 		li := li
-		s.opf(func() machine.KernelOp {
+		s.OpF(func() machine.KernelOp {
 			return machine.KernelOp{Kind: machine.KernelStore, B: b, Li: li}
 		}, nil)
 	}
-	s.opf(func() machine.KernelOp {
+	s.OpF(func() machine.KernelOp {
 		v := uint64(0)
 		if value != nil {
 			v = value()
@@ -77,11 +77,11 @@ func (f *mpiFabric) send(s *script, from, to, tag, seq int, value func() uint64)
 
 // recv waits for the message and copies it out; then (optional) receives the
 // payload word at the flag-observation instant.
-func (f *mpiFabric) recv(s *script, from, to, tag, seq int, then func(payload uint64)) {
-	s.compute(f.p.MPIOverheadNs.Float())
+func (f *mpiFabric) recv(s *machine.Script, from, to, tag, seq int, then func(payload uint64)) {
+	s.Compute(f.p.MPIOverheadNs.Float())
 	var b memmode.Buffer
-	s.do(func() { b = f.buf(from, to, tag) })
-	s.opf(func() machine.KernelOp {
+	s.Do(func() { b = f.buf(from, to, tag) })
+	s.OpF(func() machine.KernelOp {
 		return machine.KernelOp{Kind: machine.KernelWaitWordGE, B: b, Val: uint64(seq) * 4096}
 	}, func(got uint64) {
 		if then != nil {
@@ -90,10 +90,10 @@ func (f *mpiFabric) recv(s *script, from, to, tag, seq int, then func(payload ui
 	})
 	for li := 1; li < f.msgLines; li++ {
 		li := li
-		s.opf(func() machine.KernelOp {
+		s.OpF(func() machine.KernelOp {
 			return machine.KernelOp{Kind: machine.KernelLoad, B: b, Li: li}
 		}, nil)
-		s.opf(func() machine.KernelOp {
+		s.OpF(func() machine.KernelOp {
 			return machine.KernelOp{Kind: machine.KernelStore, B: f.recvScratch(to), Li: li}
 		}, nil)
 	}
@@ -152,12 +152,12 @@ func newMPIBcast(m *machine.Machine, cfg knl.Config, g *group, p Params) *mpiBca
 	}
 }
 
-func (b *mpiBcast) emit(s *script, rank, seq int) {
+func (b *mpiBcast) emit(s *machine.Script, rank, seq int) {
 	var val uint64
 	if rank == 0 {
 		// Deferred: inject is set by the allreduce at reduce-completion time,
 		// mid-iteration, so it must be read at the simulated instant.
-		s.do(func() {
+		s.Do(func() {
 			val = uint64(seq%1000) + 7
 			if b.inject != 0 {
 				val = b.inject
@@ -203,14 +203,14 @@ func newMPIReduce(m *machine.Machine, cfg knl.Config, g *group, p Params) *mpiRe
 	}
 }
 
-func (rd *mpiReduce) emit(s *script, rank, seq int) {
+func (rd *mpiReduce) emit(s *machine.Script, rank, seq int) {
 	sum := uint64(rank + 1) // this rank's contribution
 	// Receive children in reverse send order (largest subtree last).
 	for _, c := range rd.children[rank] {
 		rd.mpi.recv(s, c, rank, 1, seq, func(payload uint64) { sum += payload })
 	}
 	if rank == 0 {
-		s.do(func() { rd.rootSum = sum })
+		s.Do(func() { rd.rootSum = sum })
 		return
 	}
 	rd.mpi.send(s, rank, rd.parent[rank], 1, seq, func() uint64 { return sum })

@@ -66,7 +66,7 @@ func encodeReduce(seq int, partial uint64) uint64 {
 	return uint64(seq)*65536 + partial
 }
 
-func (tr *tunedReduce) emit(s *script, rank, seq int) {
+func (tr *tunedReduce) emit(s *machine.Script, rank, seq int) {
 	node := tr.g.nodeOf[rank]
 	contribution := uint64(rank + 1)
 
@@ -74,7 +74,7 @@ func (tr *tunedReduce) emit(s *script, rank, seq int) {
 		// Intra-tile follower: deposit into the leader's tile slot.
 		for i, fr := range tr.g.follows[node] {
 			if fr == rank {
-				s.storeWord(tr.tileSlots[node], i, encodeReduce(seq, contribution))
+				s.StoreWord(tr.tileSlots[node], i, encodeReduce(seq, contribution))
 			}
 		}
 		return
@@ -83,23 +83,23 @@ func (tr *tunedReduce) emit(s *script, rank, seq int) {
 	sum := contribution
 	// Flat intra-tile gather (cheap polling, as the paper prescribes).
 	for i := range tr.g.follows[node] {
-		s.waitWordGE(tr.tileSlots[node], i, uint64(seq)*65536, func(got uint64) {
+		s.WaitWordGE(tr.tileSlots[node], i, uint64(seq)*65536, func(got uint64) {
 			sum += got - uint64(seq)*65536
 		})
-		s.compute(tr.opNs)
+		s.Compute(tr.opNs)
 	}
 	// Inter-tile gather from the children's slots.
 	for i := range tr.children[node] {
-		s.waitWordGE(tr.slots[node], i, uint64(seq)*65536, func(got uint64) {
+		s.WaitWordGE(tr.slots[node], i, uint64(seq)*65536, func(got uint64) {
 			sum += got - uint64(seq)*65536
 		})
-		s.compute(tr.opNs)
+		s.Compute(tr.opNs)
 	}
 	if tr.parent[node] < 0 {
-		s.do(func() { tr.rootSum = sum })
+		s.Do(func() { tr.rootSum = sum })
 		return
 	}
-	s.storeWordFn(tr.slots[tr.parent[node]], tr.childIdx[node], func() uint64 {
+	s.StoreWordFn(tr.slots[tr.parent[node]], tr.childIdx[node], func() uint64 {
 		return encodeReduce(seq, sum)
 	})
 }
@@ -131,20 +131,20 @@ func newOMPReduce(m *machine.Machine, cfg knl.Config, g *group, p Params) *ompRe
 	}
 }
 
-func (or *ompReduce) emit(s *script, rank, seq int) {
-	s.compute(or.forkNs) // runtime dispatch
-	s.addWord(or.acc, 0, uint64(rank+1), nil)
-	s.addWord(or.count, 0, 1, nil)
+func (or *ompReduce) emit(s *machine.Script, rank, seq int) {
+	s.Compute(or.forkNs) // runtime dispatch
+	s.AddWord(or.acc, 0, uint64(rank+1), nil)
+	s.AddWord(or.count, 0, 1, nil)
 	// An OpenMP `reduction` clause ends at the implicit barrier of the
 	// construct: the root publishes completion and everyone waits.
 	if rank == 0 {
 		n := len(or.g.places)
-		s.waitWordGE(or.count, 0, uint64(seq*n), nil)
-		s.loadWord(or.acc, 0, func(got uint64) { or.rootSum = got })
-		s.storeWord(or.release, 0, uint64(seq))
+		s.WaitWordGE(or.count, 0, uint64(seq*n), nil)
+		s.LoadWord(or.acc, 0, func(got uint64) { or.rootSum = got })
+		s.StoreWord(or.release, 0, uint64(seq))
 		return
 	}
-	s.waitWordGE(or.release, 0, uint64(seq), nil)
+	s.WaitWordGE(or.release, 0, uint64(seq), nil)
 }
 
 func (or *ompReduce) validate(m *machine.Machine, iters int) bool {

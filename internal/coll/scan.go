@@ -45,20 +45,20 @@ func newTunedScan(m *machine.Machine, cfg knl.Config, model *core.Model,
 	return ts
 }
 
-func (ts *tunedScan) emit(s *script, rank, seq int) {
+func (ts *tunedScan) emit(s *machine.Script, rank, seq int) {
 	partial := uint64(rank + 1)
-	s.storeWord(ts.slabs[rank], 0, encodeReduce(seq, partial))
+	s.StoreWord(ts.slabs[rank], 0, encodeReduce(seq, partial))
 	span := 1
 	for r := 0; r < ts.rounds; r++ {
 		if rank-span >= 0 {
-			s.waitWordGE(ts.slabs[rank-span], r, uint64(seq)*65536, func(got uint64) {
+			s.WaitWordGE(ts.slabs[rank-span], r, uint64(seq)*65536, func(got uint64) {
 				partial += got - uint64(seq)*65536
 			})
 		}
-		s.storeWordFn(ts.slabs[rank], r+1, func() uint64 { return encodeReduce(seq, partial) })
+		s.StoreWordFn(ts.slabs[rank], r+1, func() uint64 { return encodeReduce(seq, partial) })
 		span *= 2
 	}
-	s.do(func() { ts.result[rank] = partial })
+	s.Do(func() { ts.result[rank] = partial })
 }
 
 func (ts *tunedScan) validate(m *machine.Machine, iters int) bool {
@@ -92,17 +92,17 @@ func newOMPScan(m *machine.Machine, cfg knl.Config, g *group, p Params) *ompScan
 	}
 }
 
-func (os *ompScan) emit(s *script, rank, seq int) {
-	s.compute(os.forkNs)
+func (os *ompScan) emit(s *machine.Script, rank, seq int) {
+	s.Compute(os.forkNs)
 	prefix := uint64(0)
 	if rank > 0 {
-		s.waitWordGE(os.chain, rank-1, uint64(seq)*65536, func(got uint64) {
+		s.WaitWordGE(os.chain, rank-1, uint64(seq)*65536, func(got uint64) {
 			prefix = got - uint64(seq)*65536
 		})
 	}
-	s.do(func() { prefix += uint64(rank + 1) })
-	s.storeWordFn(os.chain, rank, func() uint64 { return encodeReduce(seq, prefix) })
-	s.do(func() { os.result[rank] = prefix })
+	s.Do(func() { prefix += uint64(rank + 1) })
+	s.StoreWordFn(os.chain, rank, func() uint64 { return encodeReduce(seq, prefix) })
+	s.Do(func() { os.result[rank] = prefix })
 }
 
 func (os *ompScan) validate(m *machine.Machine, iters int) bool {
@@ -127,7 +127,7 @@ func newMPIScan(m *machine.Machine, cfg knl.Config, g *group, p Params) *mpiScan
 		n: len(g.places), result: make([]uint64, len(g.places))}
 }
 
-func (ms *mpiScan) emit(s *script, rank, seq int) {
+func (ms *mpiScan) emit(s *machine.Script, rank, seq int) {
 	partial := uint64(rank + 1)
 	span := 1
 	for r := 0; span < ms.n; r++ {
@@ -139,7 +139,7 @@ func (ms *mpiScan) emit(s *script, rank, seq int) {
 		}
 		span *= 2
 	}
-	s.do(func() { ms.result[rank] = partial })
+	s.Do(func() { ms.result[rank] = partial })
 }
 
 func (ms *mpiScan) validate(m *machine.Machine, iters int) bool {

@@ -35,30 +35,21 @@ func BenchmarkSweepParallel(b *testing.B) {
 	b.Run("gomaxprocs", run(runtime.GOMAXPROCS(0)))
 }
 
-// BenchmarkContentionSweep pins the wall-clock effect of porting the store
-// walk and signal-watch juncture to step processes: the 1:N contention
-// sweep (RFO invalidate fan-out per accessor) and the ping-pong congestion
-// run (flag stores racing KernelWaitWordGE) on the step engine versus the
-// same sweeps forced onto goroutine processes with NoSteps. The ratio of
-// nosteps/steps ns/op is the handoff win on store-heavy workloads;
-// bench_baseline.sh records both sides in BENCH_sweep.json.
+// BenchmarkContentionSweep pins the wall-clock cost of the store walk and
+// the signal-watch juncture: the 1:N contention sweep (RFO invalidate
+// fan-out per accessor) and the ping-pong congestion run (flag stores
+// racing KernelWaitWordGE). bench_baseline.sh records it in
+// BENCH_sweep.json.
 func BenchmarkContentionSweep(b *testing.B) {
 	cfg := knl.DefaultConfig()
 	ns := []int{1, 4, 8, 16, 32}
-	run := func(nosteps bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			o := bench.DefaultOptions().Quick()
-			o.Parallel = 1
-			o.NoJitter = true
-			o.NoSteps = nosteps
-			for i := 0; i < b.N; i++ {
-				bench.MeasureContention(cfg, o, ns)
-				bench.MeasureCongestion(cfg, o, 8)
-			}
-		}
+	o := bench.DefaultOptions().Quick()
+	o.Parallel = 1
+	o.NoJitter = true
+	for i := 0; i < b.N; i++ {
+		bench.MeasureContention(cfg, o, ns)
+		bench.MeasureCongestion(cfg, o, 8)
 	}
-	b.Run("steps", run(false))
-	b.Run("nosteps", run(true))
 }
 
 // BenchmarkLatencySweep pins the wall-clock effect of the two perf layers of

@@ -99,19 +99,19 @@ func digestPoint(cfg knl.Config, seed uint64) uint64 {
 	for r, pl := range places {
 		r := r
 		li := rng.Intn(buf.NumLines())
-		m.Spawn(pl, func(th *machine.Thread) {
-			for it := 0; it < 8; it++ {
-				th.Load(buf, (li+it)%buf.NumLines())
-				if it%3 == r%3 {
-					th.Store(buf, (li+2*it)%buf.NumLines())
-				}
+		s := &machine.Script{}
+		for it := 0; it < 8; it++ {
+			s.Load(buf, (li+it)%buf.NumLines())
+			if it%3 == r%3 {
+				s.Store(buf, (li+2*it)%buf.NumLines())
 			}
-			th.AddWord(flag, 0, 1)
-		})
+		}
+		s.AddWord(flag, 0, 1, nil)
+		m.SpawnKernel(pl, s.Program())
 	}
-	m.Spawn(places[0], func(th *machine.Thread) {
-		th.WaitWordGE(flag, 0, uint64(len(places)))
-	})
+	poll := &machine.Script{}
+	poll.WaitWordGE(flag, 0, uint64(len(places)), nil)
+	m.SpawnKernel(places[0], poll.Program())
 	if _, err := m.Run(); err != nil {
 		panic(err)
 	}

@@ -24,15 +24,15 @@ func poolWorkload(m *machine.Machine, seed uint64) (uint64, error) {
 			ops[i] = rng.Intn(2)<<8 | rng.Intn(4)
 		}
 		pl := knl.Place{Tile: core / knl.CoresPerTile, Core: core}
-		m.Spawn(pl, func(th *machine.Thread) {
-			for _, op := range ops {
-				if op&0x100 != 0 {
-					th.Store(buf, op&0xff)
-				} else {
-					th.Load(buf, op&0xff)
-				}
+		s := &machine.Script{}
+		for _, op := range ops {
+			if op&0x100 != 0 {
+				s.Store(buf, op&0xff)
+			} else {
+				s.Load(buf, op&0xff)
 			}
-		})
+		}
+		m.SpawnKernel(pl, s.Program())
 	}
 	if _, err := m.Run(); err != nil {
 		return 0, fmt.Errorf("pool workload (seed %d): %w", seed, err)

@@ -8,8 +8,9 @@ import (
 	"knlcap/internal/stats"
 )
 
-// kernel runs one stream kernel over a thread-private buffer set.
-type kernel func(th *Thread, dst, src, src2 memmode.Buffer)
+// kernel appends one stream-kernel iteration over a thread-private buffer
+// set to s.
+type kernel func(m *Machine, s *Script, dst, src, src2 memmode.Buffer)
 
 // aggregateGBs runs `threads` simulated threads, each iterating the kernel
 // over private buffers of `lines` lines, and returns the aggregate counted
@@ -29,13 +30,11 @@ func aggregateGBs(t *testing.T, cfg knl.Config, threads, lines, iters int,
 		dst := m.Alloc.MustAlloc(kind, aff, int64(lines)*64)
 		src := m.Alloc.MustAlloc(kind, aff, int64(lines)*64)
 		src2 := m.Alloc.MustAlloc(kind, aff, int64(lines)*64)
-		m.Spawn(pl, func(th *Thread) {
+		spawnScript(m, pl, func(s *Script) {
 			for it := 0; it < iters; it++ {
-				k(th, dst, src, src2)
+				k(m, s, dst, src, src2)
 			}
-			if at := th.Now(); at > maxEnd {
-				maxEnd = at
-			}
+			atEnd(m, s, &maxEnd)
 		})
 	}
 	if _, err := m.Run(); err != nil {
@@ -46,21 +45,23 @@ func aggregateGBs(t *testing.T, cfg knl.Config, threads, lines, iters int,
 }
 
 var (
-	readKernel = func(th *Thread, dst, src, src2 memmode.Buffer) {
-		th.ReadStream(src, true)
-		th.M.FlushBuffer(src) // next iteration re-reads from memory
+	readKernel = func(m *Machine, s *Script, dst, src, src2 memmode.Buffer) {
+		s.Op(readOp(src), nil)
+		s.Do(func() { m.FlushBuffer(src) }) // next iteration re-reads from memory
 	}
-	writeNTKernel = func(th *Thread, dst, src, src2 memmode.Buffer) {
-		th.WriteStream(dst, true)
+	writeNTKernel = func(m *Machine, s *Script, dst, src, src2 memmode.Buffer) {
+		s.Op(writeOp(dst, true), nil)
 	}
-	copyNTKernel = func(th *Thread, dst, src, src2 memmode.Buffer) {
-		th.CopyStream(dst, src, true)
-		th.M.FlushBuffer(src)
+	copyNTKernel = func(m *Machine, s *Script, dst, src, src2 memmode.Buffer) {
+		s.Op(copyOp(dst, src, true), nil)
+		s.Do(func() { m.FlushBuffer(src) })
 	}
-	triadNTKernel = func(th *Thread, dst, src, src2 memmode.Buffer) {
-		th.TriadStream(dst, src, src2, true)
-		th.M.FlushBuffer(src)
-		th.M.FlushBuffer(src2)
+	triadNTKernel = func(m *Machine, s *Script, dst, src, src2 memmode.Buffer) {
+		s.Op(triadOp(dst, src, src2, true), nil)
+		s.Do(func() {
+			m.FlushBuffer(src)
+			m.FlushBuffer(src2)
+		})
 	}
 )
 
@@ -146,9 +147,9 @@ func TestNTvsCachedWriteAblation(t *testing.T) {
 	cfg := knl.DefaultConfig().WithModes(knl.Quadrant, knl.Flat)
 	const lines, iters = 512, 2
 	nt := aggregateGBs(t, cfg, 2, lines, iters, 64, knl.DDR, writeNTKernel)
-	cachedKernel := func(th *Thread, dst, src, src2 memmode.Buffer) {
-		th.WriteStream(dst, false)
-		th.M.FlushBuffer(dst) // force a fresh RFO next iteration
+	cachedKernel := func(m *Machine, s *Script, dst, src, src2 memmode.Buffer) {
+		s.Op(writeOp(dst, false), nil)
+		s.Do(func() { m.FlushBuffer(dst) }) // force a fresh RFO next iteration
 	}
 	cached := aggregateGBs(t, cfg, 2, lines, iters, 64, knl.DDR, cachedKernel)
 	if cached >= nt*0.85 {
@@ -177,17 +178,14 @@ func TestCacheModeBandwidthBetweenFlatDDRAndMCDRAM(t *testing.T) {
 		buf := m.Alloc.MustAlloc(knl.DDR, 0, perThreadBytes)
 		blocks := buf.NumLines() / blockLines
 		iters := 3 * blocks
-		seed := rng.Uint64() + uint64(r)
-		m.Spawn(pl, func(th *Thread) {
-			trng := stats.NewRNG(seed)
+		trng := stats.NewRNG(rng.Uint64() + uint64(r))
+		spawnScript(m, pl, func(s *Script) {
 			for it := 0; it < iters; it++ {
 				from := trng.Intn(blocks) * blockLines
-				th.ReadStreamRange(buf, from, blockLines, true)
-				th.M.FlushBuffer(buf.Slice(int64(from)*64, blockLines*64))
+				s.ReadStreamRange(buf, from, blockLines, true)
+				s.Do(func() { m.FlushBuffer(buf.Slice(int64(from)*64, blockLines*64)) })
 			}
-			if at := th.Now(); at > maxEnd {
-				maxEnd = at
-			}
+			atEnd(m, s, &maxEnd)
 		})
 		totalLines += iters * blockLines
 	}

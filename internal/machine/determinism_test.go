@@ -6,7 +6,6 @@ import (
 	"knlcap/internal/cache"
 	"knlcap/internal/knl"
 	"knlcap/internal/memmode"
-	"knlcap/internal/sim"
 	"knlcap/internal/stats"
 )
 
@@ -40,31 +39,37 @@ func runDigestOps(t *testing.T, m *Machine, seed uint64) (digest, events uint64,
 		for i := range ops {
 			ops[i] = rng.Intn(3)<<16 | rng.Intn(4)<<8 | rng.Intn(4)
 		}
-		m.Spawn(place(core), func(th *Thread) {
-			for _, op := range ops {
-				b := bufs[(op>>8)&0xff]
-				li := op & 0xff
-				switch op >> 16 {
-				case 0:
-					th.Load(b, li)
-				case 1:
-					th.Store(b, li)
-				default:
-					th.StoreNT(b, li)
-				}
-			}
-			th.AddWord(flags, 0, 1)
+		spawnScript(m, place(core), func(s *Script) {
+			lineOps(s, bufs, ops)
+			s.AddWord(flags, 0, 1, nil)
 		})
 	}
 	// One streamer and one poller exercise the word store and watchers.
-	m.Spawn(place(0), func(th *Thread) {
-		th.ReadStream(stream, true)
-		th.WaitWordGE(flags, 0, actors)
+	spawnScript(m, place(0), func(s *Script) {
+		s.Op(readOp(stream), nil)
+		s.WaitWordGE(flags, 0, actors, nil)
 	})
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("workload (seed %d): %v", seed, err)
 	}
 	return m.StateDigest(), m.Env.Seq(), m.Env.Now()
+}
+
+// lineOps appends random line ops, each encoded as kind<<16 | buffer<<8 |
+// line (kind 0 load, 1 store, otherwise NT store), to s.
+func lineOps(s *Script, bufs []memmode.Buffer, ops []int) {
+	for _, op := range ops {
+		b := bufs[(op>>8)&0xff]
+		li := op & 0xff
+		switch op >> 16 {
+		case 0:
+			s.Load(b, li)
+		case 1:
+			s.Store(b, li)
+		default:
+			s.StoreNT(b, li)
+		}
+	}
 }
 
 // TestStateDigestDoubleRun executes the same seeded workload twice per
@@ -102,14 +107,11 @@ func TestStateDigestSensitivity(t *testing.T) {
 	cfg := knl.DefaultConfig().WithModes(knl.Quadrant, knl.CacheMode)
 	m := noJitter(cfg)
 	b := m.Alloc.MustAlloc(knl.DDR, 0, 4*knl.LineSize)
-	m.Spawn(place(0), func(th *Thread) {
+	runOne(t, m, place(0), func(s *Script) {
 		for i := 0; i < b.NumLines(); i++ {
-			th.Store(b, i)
+			s.Store(b, i)
 		}
 	})
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
 
 	prev := m.StateDigest()
 	if again := m.StateDigest(); again != prev {
@@ -134,7 +136,9 @@ func TestStateDigestSensitivity(t *testing.T) {
 	step("rng state", func() { m.rng.Uint64() })
 	step("memory-side cache", func() { m.Policy.Fill(0, b.Line(3)) })
 	step("memory channel traffic", func() {
-		m.Env.Go("wb", func(p *sim.Proc) { m.Mem.Channel(knl.DDR, 0).ServeWrite(p, 1) })
+		w := &drainStep{m: m} // one posted line write on DDR channel 0
+		w.async[knl.DDR][0] = 1
+		m.Env.GoSteps("wb", w)
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}

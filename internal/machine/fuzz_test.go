@@ -22,19 +22,19 @@ func runFuzzProgram(m *Machine, buf memmode.Buffer, program []byte) error {
 		}
 		core := (a * 7) % knl.NumCores
 		ops := ops
-		m.Spawn(place(core), func(th *Thread) {
+		spawnScript(m, place(core), func(s *Script) {
 			for _, b := range ops {
 				li := int(b) & 3
 				switch b >> 6 {
 				case 0:
-					th.Load(buf, li)
+					s.Load(buf, li)
 				case 1:
-					th.Store(buf, li)
+					s.Store(buf, li)
 				case 2:
-					th.StoreNT(buf, li)
+					s.StoreNT(buf, li)
 				default:
-					th.Load(buf, li)
-					th.Store(buf, li)
+					s.Load(buf, li)
+					s.Store(buf, li)
 				}
 			}
 		})

@@ -6,10 +6,25 @@ import (
 
 	"knlcap/internal/cache"
 	"knlcap/internal/knl"
+	"knlcap/internal/memmode"
 )
 
+// strideKernel spawns a kernel issuing n single-line ops of the given kind
+// over buf, striding by 7 lines (coprime to the buffer's line count).
+func strideKernel(m *Machine, buf memmode.Buffer, lines, n int, kind KernelOpKind) {
+	i := 0
+	m.SpawnKernel(place(0), func(float64, uint64) (KernelOp, bool) {
+		if i == n {
+			return KernelOp{}, false
+		}
+		li := (i * 7) % lines
+		i++
+		return KernelOp{Kind: kind, B: buf, Li: li}, true
+	})
+}
+
 // BenchmarkLoadLineHotPath measures the simulator cost of the per-line
-// protocol walk itself: one thread striding over a 2 MB DDR buffer, so
+// protocol walk itself: one kernel striding over a 2 MB DDR buffer, so
 // nearly every access misses L2 and takes the full directory-to-memory
 // path through the dense line tables. bench_baseline.sh records its ns/op
 // as ns_per_line_access; allocs/op must stay 0 (amortized — table growth
@@ -20,11 +35,7 @@ func BenchmarkLoadLineHotPath(b *testing.B) {
 	buf := m.Alloc.MustAlloc(knl.DDR, 0, lines*knl.LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
-	m.Spawn(place(0), func(th *Thread) {
-		for i := 0; i < b.N; i++ {
-			th.Load(buf, (i*7)%lines) // stride 7 is coprime to the buffer
-		}
-	})
+	strideKernel(m, buf, lines, b.N, KernelLoad)
 	if _, err := m.Run(); err != nil {
 		b.Fatal(err)
 	}
@@ -40,11 +51,7 @@ func BenchmarkStoreLineHotPath(b *testing.B) {
 	buf := m.Alloc.MustAlloc(knl.DDR, 0, lines*knl.LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
-	m.Spawn(place(0), func(th *Thread) {
-		for i := 0; i < b.N; i++ {
-			th.Store(buf, (i*7)%lines)
-		}
-	})
+	strideKernel(m, buf, lines, b.N, KernelStore)
 	if _, err := m.Run(); err != nil {
 		b.Fatal(err)
 	}

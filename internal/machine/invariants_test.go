@@ -77,20 +77,7 @@ func TestCoherenceFuzz(t *testing.T) {
 				for i := range ops {
 					ops[i] = rng.Intn(3)<<16 | rng.Intn(4)<<8 | rng.Intn(4)
 				}
-				m.Spawn(place(core), func(th *Thread) {
-					for _, op := range ops {
-						b := bufs[(op>>8)&0xff]
-						li := op & 0xff
-						switch op >> 16 {
-						case 0:
-							th.Load(b, li)
-						case 1:
-							th.Store(b, li)
-						default:
-							th.StoreNT(b, li)
-						}
-					}
-				})
+				spawnScript(m, place(core), func(s *Script) { lineOps(s, bufs, ops) })
 			}
 			if _, err := m.Run(); err != nil {
 				t.Fatalf("seed %d cfg %s: %v", seed, cfgCase.Name(), err)
@@ -110,13 +97,11 @@ func TestAllFifteenConfigurations(t *testing.T) {
 			m := noJitter(cfg)
 			b := m.Alloc.MustAlloc(knl.DDR, 0, 64*knl.LineSize)
 			var dur float64
-			runOne(t, m, place(0), func(th *Thread) {
-				start := th.Now()
-				th.Load(b, 0)
-				th.Store(b, 1)
-				th.StoreNT(b, 2)
-				th.ReadStream(b, true)
-				dur = th.Now() - start
+			dur = runOne(t, m, place(0), func(s *Script) {
+				s.Load(b, 0)
+				s.Store(b, 1)
+				s.StoreNT(b, 2)
+				s.Op(readOp(b), nil)
 			})
 			if dur <= 0 {
 				t.Errorf("%s: no simulated time elapsed", cfg.Name())
@@ -141,10 +126,8 @@ func TestFlushedThenReprimedBehavesFresh(t *testing.T) {
 	fb := fresh.Alloc.MustAlloc(knl.DDR, 0, 8*knl.LineSize)
 	fresh.Prime(fb, owner, cache.Modified)
 	var freshLat float64
-	runOne(t, fresh, place(0), func(th *Thread) {
-		s := th.Now()
-		th.Load(fb, 0)
-		freshLat = th.Now() - s
+	runOne(t, fresh, place(0), func(s *Script) {
+		timed(fresh, s, func() { s.Load(fb, 0) }, func(d float64) { freshLat = d })
 	})
 
 	m := noJitter(cfg)
@@ -165,10 +148,8 @@ func TestFlushedThenReprimedBehavesFresh(t *testing.T) {
 	m.Prime(b, owner, cache.Modified)
 	checkCoherence(t, m, []memmode.Buffer{b})
 	var lat float64
-	runOne(t, m, place(0), func(th *Thread) {
-		s := th.Now()
-		th.Load(b, 0)
-		lat = th.Now() - s
+	runOne(t, m, place(0), func(s *Script) {
+		timed(m, s, func() { s.Load(b, 0) }, func(d float64) { lat = d })
 	})
 	if lat != freshLat {
 		t.Errorf("re-primed load = %v ns, fresh prime = %v ns", lat, freshLat)
@@ -190,10 +171,8 @@ func TestHybridModeSplitsMCDRAM(t *testing.T) {
 	}
 	// Flat-MCDRAM access must not consult the side cache.
 	var lat float64
-	runOne(t, m, place(0), func(th *Thread) {
-		s := th.Now()
-		th.Load(mc, 0)
-		lat = th.Now() - s
+	runOne(t, m, place(0), func(s *Script) {
+		timed(m, s, func() { s.Load(mc, 0) }, func(d float64) { lat = d })
 	})
 	if lat < 150 || lat > 190 {
 		t.Errorf("hybrid flat-MCDRAM latency = %v, want ~167", lat)
@@ -210,14 +189,10 @@ func TestHybridDDRGoesThroughSideCache(t *testing.T) {
 	m := noJitter(cfg)
 	b := m.Alloc.MustAlloc(knl.DDR, 0, 64)
 	var cold, warm float64
-	runOne(t, m, place(0), func(th *Thread) {
-		s := th.Now()
-		th.Load(b, 0) // cold: DDR + fill
-		cold = th.Now() - s
-		m.FlushLine(b.Line(0)) // drop from L1/L2, stays in side cache
-		s = th.Now()
-		th.Load(b, 0) // warm: MCDRAM side-cache hit
-		warm = th.Now() - s
+	runOne(t, m, place(0), func(s *Script) {
+		timed(m, s, func() { s.Load(b, 0) }, func(d float64) { cold = d }) // cold: DDR + fill
+		s.Do(func() { m.FlushLine(b.Line(0)) })                            // drop from L1/L2, stays in side cache
+		timed(m, s, func() { s.Load(b, 0) }, func(d float64) { warm = d }) // warm: MCDRAM side-cache hit
 	})
 	if m.Policy.HitRate() <= 0 {
 		t.Error("side cache saw no hits")

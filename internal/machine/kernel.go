@@ -8,18 +8,14 @@ import (
 	"knlcap/internal/sim"
 )
 
-// This file is the unified kernel spawn surface: Machine.SpawnKernel runs a
+// This file is the kernel spawn surface: Machine.SpawnKernel runs a
 // Program — a host callback emitting KernelOps one at a time — pinned to a
-// place. With Machine.Steps set (the default) the kernel runs as a stackless
-// step process: the whole measurement loop advances inline from the
-// scheduler with zero goroutine handoffs. With Steps clear it runs as an
-// ordinary goroutine process dispatching the same ops through the Thread
-// facade, which is what the A/B equivalence tests compare against.
+// place, as a stackless step process the scheduler advances inline.
 //
-// The program callback runs at the same simulated instants a Thread closure
-// would compute its next call — the completion instant of the previous op —
+// The program callback runs at the completion instant of the previous op,
 // so benchmark logic (priming, RNG permutation draws, convergence gating,
-// window accounting) ports without re-ordering a single draw or event.
+// window accounting) runs between ops at the exact simulated instant a
+// thread would reach it. Script builds Programs from straight-line code;
 // SpawnChase and SpawnStreamTask remain as thin wrappers building Programs.
 
 // KernelOpKind enumerates the kernel operations: the stream ops plus the
@@ -40,10 +36,10 @@ const (
 	// Src (b), Src2 (c) and Dst.
 	StreamTriad
 	// StreamSync waits until absolute time At (window synchronization);
-	// it is skipped when At is already past, like Thread.WaitUntil.
+	// it is skipped when At is already past.
 	StreamSync
 	// KernelLoad reads line Li of B (full protocol walk) and yields the
-	// line's payload word as the op result, like Thread.LoadWord.
+	// line's payload word as the op result.
 	KernelLoad
 	// KernelStore writes line Li of B (read-for-ownership walk).
 	KernelStore
@@ -224,57 +220,17 @@ func (m *Machine) SpawnKernel(place knl.Place, prog Program) *sim.Proc {
 	if place.Core < 0 || place.Core >= m.NumCores() {
 		panic(fmt.Sprintf("machine: place core %d out of range", place.Core))
 	}
-	name := place.String()
-	if m.Steps {
-		//lint:ignore hotalloc one frame per spawned measurement kernel (the goroutine version paid a closure and a stack)
-		return m.Env.GoSteps(name, &kernelStep{m: m, core: place.Core, prog: prog})
-	}
-	//lint:ignore hotalloc one Thread facade per spawned goroutine kernel
-	th := &Thread{M: m, Place: place}
-	return m.Env.Go(name, func(p *sim.Proc) {
-		th.P = p
-		var prev uint64
-		for {
-			op, ok := prog(m.Env.Now(), prev)
-			if !ok {
-				return
-			}
-			prev = runKernelOpThread(th, op)
-		}
-	})
+	//lint:ignore hotalloc one frame per spawned measurement kernel
+	return m.Env.GoSteps(place.String(), &kernelStep{m: m, core: place.Core, prog: prog})
 }
 
-// runKernelOpThread dispatches one kernel op through the Thread facade —
-// the goroutine half of kernelStep.Step, over the same step machines.
-func runKernelOpThread(th *Thread, op KernelOp) uint64 {
-	switch op.Kind {
-	case StreamSync:
-		th.WaitUntil(op.At)
-	case KernelLoad:
-		return th.LoadWord(op.B, op.Li)
-	case KernelStore:
-		th.Store(op.B, op.Li)
-	case KernelStoreNT:
-		th.StoreNT(op.B, op.Li)
-	case KernelStoreWord:
-		th.StoreWord(op.B, op.Li, op.Val)
-	case KernelAddWord:
-		return th.AddWord(op.B, op.Li, op.Val)
-	case KernelWaitWordGE:
-		return th.WaitWordGE(op.B, op.Li, op.Val)
-	case KernelCompute:
-		th.Compute(op.Dur)
-	default:
-		th.M.runStreamOp(th.P, th.Place.Core, op)
-	}
-	return 0
-}
+// Run executes the simulation to completion and returns the final time.
+func (m *Machine) Run() (sim.Time, error) { return m.Env.Run() }
 
 // SpawnStreamTask starts a kernel pinned to place that executes the stream
 // ops produced by next, one at a time, until next reports no more work.
-// next runs at the simulated instant the previous op completed — exactly
-// where a Thread closure would compute its next call — so it may observe
-// clocks and update benchmark accounting.
+// next runs at the simulated instant the previous op completed, so it may
+// observe clocks and update benchmark accounting.
 func (m *Machine) SpawnStreamTask(place knl.Place, next func(now float64) (StreamOp, bool)) *sim.Proc {
 	return m.SpawnKernel(place, func(now float64, _ uint64) (KernelOp, bool) {
 		return next(now)
@@ -284,8 +240,8 @@ func (m *Machine) SpawnStreamTask(place knl.Place, next func(now float64) (Strea
 // ChaseOps describes a pointer-chase kernel: passes of Len dependent
 // single-line loads over B, visiting lines in the permutation order Perm
 // (access i touches Perm[i%len(Perm)], so the caller may refill Perm
-// between passes). The callbacks run at the exact simulated instants the
-// old Thread-closure loop ran the same code:
+// between passes). The callbacks run between loads, at these simulated
+// instants:
 //
 //   - NextPass before each pass (prime the cache state, draw the next
 //     permutation); returning false ends the kernel.

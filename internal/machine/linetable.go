@@ -25,13 +25,13 @@ import (
 // entries).
 //
 // CAUTION for maintainers: a *lineSlot must never be held across a
-// blocking call (p.Wait, Signal.Wait, Resource.Acquire/Use) — the table
-// may grow while the process sleeps, reallocating the slots slice and
-// leaving the pointer dangling. Re-resolve through Machine.lineState
-// after every potential block (see Machine.waitWatch).
+// juncture of a step process — the table may grow while the process
+// sleeps, reallocating the slots slice and leaving the pointer dangling.
+// Re-resolve through Machine.lineState after every potential block (see
+// waitWordStep's wwWait state).
 
 // lineSlot is the per-line record. The sig pointer is non-nil only while
-// pollers are blocked on the line (see Machine.waitWatch): signals are
+// pollers are blocked on the line (see waitWordStep): signals are
 // dropped after every broadcast, fixing the monotonic watcher-table
 // growth of the map design.
 type lineSlot struct {
@@ -150,7 +150,7 @@ func (t *lineTable) extend(n int) {
 // lineState returns the table and slot for l, growing the table when the
 // line lies beyond the region synced from the allocator. The returned
 // pointer is valid only until the next potential table growth — never
-// hold it across a blocking call.
+// hold it across a juncture.
 func (m *Machine) lineState(l cache.Line) (*lineTable, *lineSlot, int) {
 	t := &m.lines[memmode.KindOfAddr(l.Addr())]
 	i := int(uint64(l) - uint64(t.base))
@@ -203,6 +203,18 @@ func (m *Machine) owners(l cache.Line) uint64 {
 
 // --- payload words --------------------------------------------------------
 
+// PeekWord returns the payload of line li of b without any timing cost
+// (test inspection).
+func (m *Machine) PeekWord(b memmode.Buffer, li int) uint64 {
+	return m.wordOf(b.Line(li))
+}
+
+// PokeWord sets the payload of line li of b without any timing cost
+// (setup).
+func (m *Machine) PokeWord(b memmode.Buffer, li int, v uint64) {
+	m.setWord(b.Line(li), v)
+}
+
 // wordOf reads the line's payload word (reads never create an entry, so
 // the digest's word count moves only on stores — as with the former map).
 func (m *Machine) wordOf(l cache.Line) uint64 {
@@ -246,29 +258,11 @@ func (m *Machine) markWatched(l cache.Line) {
 	}
 }
 
-// watchVersion samples the line's notify version; pass it to waitWatch to
-// sleep without lost wake-ups.
+// watchVersion samples the line's notify version; a poller compares it
+// after its load to sleep without lost wake-ups (waitWordStep).
 func (m *Machine) watchVersion(l cache.Line) uint64 {
 	_, s, _ := m.lineState(l)
 	return s.watchVer
-}
-
-// waitWatch blocks p until the line's notify version exceeds ver,
-// creating the slot's signal on demand (notify frees it again after each
-// broadcast). The slot is re-resolved after every wake-up: the table may
-// have grown while the process slept.
-func (m *Machine) waitWatch(p *sim.Proc, l cache.Line, ver uint64) {
-	for {
-		_, s, _ := m.lineState(l)
-		if s.watchVer > ver {
-			return
-		}
-		if s.sig == nil {
-			s.sig = sim.NewSignal(m.Env)
-		}
-		sig := s.sig
-		sig.Wait(p)
-	}
 }
 
 // notify wakes pollers of a line after a visible write.

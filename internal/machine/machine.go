@@ -1,7 +1,7 @@
 // Package machine assembles the full simulated Knights Landing system:
 // tiles with L1/L2 tag arrays and CHA directories, the mesh router, the
-// memory channels and the memory-mode policy, and exposes a per-thread
-// operation API (loads, stores, streams, flag polling) with full MESIF
+// memory channels and the memory-mode policy, and runs kernel programs
+// (loads, stores, streams, flag polling) pinned to cores with full MESIF
 // protocol timing.
 //
 // This is the substrate every benchmark in the repository "measures"; see
@@ -75,14 +75,6 @@ type Machine struct {
 	//knl:nostate observer hook, cleared on Reset and never read by the protocol
 	tracer Tracer
 
-	// Steps selects the stackless step-process execution mode for the hot
-	// protocol and stream paths (write-backs, stream kernels, spawned
-	// pointer-chase and stream tasks). The two modes are proven
-	// event-for-event identical by TestStepEquivalence; Steps exists so the
-	// A/B test and perf comparisons can flip back to goroutines.
-	//knl:nostate execution-strategy switch: both settings produce identical state
-	Steps bool
-
 	// OnChunkStart and OnTopUp observe the overlapped-chunk latency model
 	// of the stream kernels: chunkStart stamps where a chunk's latency
 	// bound is anchored, topUp reports the bound itself before waiting out
@@ -154,7 +146,6 @@ func NewSeededWithParams(cfg knl.Config, p Params, seed uint64) *Machine {
 		Alloc:  memmode.NewAllocator(cfg),
 		P:      p,
 		rng:    stats.NewRNG(seed ^ 0x6a17),
-		Steps:  true,
 	}
 	m.lines[knl.DDR].init(knl.DDR, cache.LineOf(memmode.DDRBase))
 	m.lines[knl.MCDRAM].init(knl.MCDRAM, cache.LineOf(memmode.MCDRAMBase))
@@ -218,7 +209,6 @@ func (m *Machine) Reset(p Params, seed uint64) {
 	m.lines[knl.MCDRAM].reset()
 	m.P = p
 	m.rng = stats.NewRNG(seed ^ 0x6a17)
-	m.Steps = true
 	m.tracer = nil
 	m.OnChunkStart = nil
 	m.OnTopUp = nil
@@ -240,9 +230,9 @@ func (m *Machine) jitter(d float64) float64 {
 }
 
 // Jitter implements sim.Jitterer, letting step-process micro-ops draw
-// their timing perturbation at op entry — the simulated instant a
-// goroutine would evaluate the duration argument — which keeps the RNG
-// stream bit-identical between the two execution modes.
+// their timing perturbation at op entry — the simulated instant the wait
+// begins — so concurrent processes consume the shared RNG stream in
+// simulated-time order.
 func (m *Machine) Jitter(d sim.Time) sim.Time { return m.jitter(d) }
 
 // meshHopOps routes a protocol request packet between two mesh positions:
@@ -351,18 +341,6 @@ func (m *Machine) installL2Tags(tile int, l cache.Line, st cache.State) (victim 
 		m.cores[tile*knl.CoresPerTile+c].l1.Invalidate(v.Line)
 	}
 	return v.Line, v.State == cache.Modified
-}
-
-// writeBack charges the memory-system cost of writing a dirty line back.
-// In cache/hybrid mode for DDR lines, write-backs land in the MCDRAM cache
-// ("write-backs are made directly to MCDRAM", paper Section II-C).
-func (m *Machine) writeBack(p *sim.Proc, l cache.Line) {
-	var wb wbState
-	wb.start(l)
-	c := sim.BlockingCtx(p)
-	for wb.pc != wbDone {
-		wb.step(m, &c)
-	}
 }
 
 // --- zero-time setup helpers ------------------------------------------------

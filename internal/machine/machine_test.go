@@ -5,6 +5,7 @@ import (
 
 	"knlcap/internal/cache"
 	"knlcap/internal/knl"
+	"knlcap/internal/memmode"
 )
 
 // noJitter returns a machine with jitter disabled for exact-cost assertions.
@@ -14,15 +15,63 @@ func noJitter(cfg knl.Config) *Machine {
 	return NewWithParams(cfg, p)
 }
 
-// runOne spawns a single thread at the given place and runs to completion.
-func runOne(t *testing.T, m *Machine, place knl.Place, fn func(th *Thread)) float64 {
+// runOne spawns the kernel script built by build at the given place and
+// runs the machine to completion, returning the end time.
+func runOne(t *testing.T, m *Machine, place knl.Place, build func(s *Script)) float64 {
 	t.Helper()
-	m.Spawn(place, fn)
+	spawnScript(m, place, build)
 	end, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return end
+}
+
+// spawnScript spawns the kernel script built by build at the given place.
+func spawnScript(m *Machine, place knl.Place, build func(s *Script)) {
+	s := &Script{}
+	build(s)
+	m.SpawnKernel(place, s.Program())
+}
+
+// timed appends the ops added by add to s and passes their elapsed
+// simulated time to record.
+func timed(m *Machine, s *Script, add func(), record func(d float64)) {
+	var start float64
+	s.Do(func() { start = m.Env.Now() })
+	add()
+	s.Do(func() { record(m.Env.Now() - start) })
+}
+
+// atEnd appends a host action recording the script's completion time into
+// *latest when it is the latest seen so far.
+func atEnd(m *Machine, s *Script, latest *float64) {
+	s.Do(func() {
+		if at := m.Env.Now(); at > *latest {
+			*latest = at
+		}
+	})
+}
+
+// readOp is a vectorized read stream over the whole buffer.
+func readOp(b memmode.Buffer) KernelOp {
+	return KernelOp{Kind: StreamRead, Src: b, N: b.NumLines(), Vector: true}
+}
+
+// writeOp is a write stream over the whole buffer.
+func writeOp(b memmode.Buffer, nt bool) KernelOp {
+	return KernelOp{Kind: StreamWrite, Dst: b, N: b.NumLines(), NT: nt}
+}
+
+// copyOp copies the common line count of src into dst.
+func copyOp(dst, src memmode.Buffer, nt bool) KernelOp {
+	return KernelOp{Kind: StreamCopy, Dst: dst, Src: src, N: min(dst.NumLines(), src.NumLines()), NT: nt}
+}
+
+// triadOp computes dst[i] = b[i] + s*c[i] over the common line count.
+func triadOp(dst, b, c memmode.Buffer, nt bool) KernelOp {
+	n := min(dst.NumLines(), b.NumLines(), c.NumLines())
+	return KernelOp{Kind: StreamTriad, Dst: dst, Src: b, Src2: c, N: n, NT: nt}
 }
 
 func place(core int) knl.Place {
@@ -34,10 +83,8 @@ func TestL1HitCost(t *testing.T) {
 	b := m.Alloc.MustAlloc(knl.DDR, 0, 64)
 	m.Prime(b, 0, cache.Exclusive)
 	var d float64
-	runOne(t, m, place(0), func(th *Thread) {
-		start := th.Now()
-		th.Load(b, 0)
-		d = th.Now() - start
+	runOne(t, m, place(0), func(s *Script) {
+		timed(m, s, func() { s.Load(b, 0) }, func(e float64) { d = e })
 	})
 	if d != m.P.L1HitNs {
 		t.Errorf("L1 hit = %v ns, want %v", d, m.P.L1HitNs)
@@ -59,10 +106,8 @@ func TestTileHitCostsByState(t *testing.T) {
 		b := m.Alloc.MustAlloc(knl.DDR, 0, 64)
 		m.Prime(b, 1, tc.st) // sibling core of core 0 (same tile 0)
 		var d float64
-		runOne(t, m, place(0), func(th *Thread) {
-			start := th.Now()
-			th.Load(b, 0)
-			d = th.Now() - start
+		runOne(t, m, place(0), func(s *Script) {
+			timed(m, s, func() { s.Load(b, 0) }, func(e float64) { d = e })
 		})
 		if d != tc.want {
 			t.Errorf("tile hit %v = %v ns, want %v", tc.st, d, tc.want)
@@ -83,10 +128,8 @@ func TestRemoteLatencyBands(t *testing.T) {
 			owner := 20 // a core on a distinct tile (tile 10)
 			m.Prime(b, owner, st)
 			var d float64
-			runOne(t, m, place(0), func(th *Thread) {
-				start := th.Now()
-				th.Load(b, 0)
-				d = th.Now() - start
+			runOne(t, m, place(0), func(s *Script) {
+				timed(m, s, func() { s.Load(b, 0) }, func(e float64) { d = e })
 			})
 			results[st] = d
 			if d < 90 || d > 135 {
@@ -108,7 +151,7 @@ func TestRemoteReadSharesLine(t *testing.T) {
 	m := noJitter(knl.DefaultConfig())
 	b := m.Alloc.MustAlloc(knl.DDR, 0, 64)
 	m.Prime(b, 20, cache.Modified)
-	runOne(t, m, place(0), func(th *Thread) { th.Load(b, 0) })
+	runOne(t, m, place(0), func(s *Script) { s.Load(b, 0) })
 	if st := m.LineState(10, b.Line(0)); st != cache.Shared {
 		t.Errorf("owner tile state after forward = %v, want S", st)
 	}
@@ -122,13 +165,9 @@ func TestSecondLoadIsL1Hit(t *testing.T) {
 	b := m.Alloc.MustAlloc(knl.DDR, 0, 64)
 	m.Prime(b, 20, cache.Exclusive)
 	var d1, d2 float64
-	runOne(t, m, place(0), func(th *Thread) {
-		s := th.Now()
-		th.Load(b, 0)
-		d1 = th.Now() - s
-		s = th.Now()
-		th.Load(b, 0)
-		d2 = th.Now() - s
+	runOne(t, m, place(0), func(s *Script) {
+		timed(m, s, func() { s.Load(b, 0) }, func(e float64) { d1 = e })
+		timed(m, s, func() { s.Load(b, 0) }, func(e float64) { d2 = e })
 	})
 	if diff := d2 - m.P.L1HitNs; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("second load = %v, want L1 hit %v (first was %v)", d2, m.P.L1HitNs, d1)
@@ -148,11 +187,9 @@ func TestMemoryLatencyBands(t *testing.T) {
 		m := noJitter(cfg)
 		b := m.Alloc.MustAlloc(tc.kind, 0, 64*256)
 		var sum float64
-		runOne(t, m, place(0), func(th *Thread) {
+		runOne(t, m, place(0), func(s *Script) {
 			for i := 0; i < 256; i++ {
-				s := th.Now()
-				th.Load(b, i)
-				sum += th.Now() - s
+				timed(m, s, func() { s.Load(b, i) }, func(e float64) { sum += e })
 			}
 		})
 		avg := sum / 256
@@ -169,11 +206,9 @@ func TestMCDRAMSlowerLatencyThanDDR(t *testing.T) {
 		m := noJitter(cfg)
 		b := m.Alloc.MustAlloc(kind, 0, 64*128)
 		var sum float64
-		runOne(t, m, place(0), func(th *Thread) {
+		runOne(t, m, place(0), func(s *Script) {
 			for i := 0; i < 128; i++ {
-				s := th.Now()
-				th.Load(b, i)
-				sum += th.Now() - s
+				timed(m, s, func() { s.Load(b, i) }, func(e float64) { sum += e })
 			}
 		})
 		return sum / 128
@@ -193,17 +228,15 @@ func TestCacheModeLatency(t *testing.T) {
 	nl := b.NumLines()
 	var sum float64
 	const samples = 400
-	runOne(t, m, place(0), func(th *Thread) {
+	runOne(t, m, place(0), func(s *Script) {
 		// Touch a spread of lines twice: first pass fills, second measures
 		// the hit/miss mix.
 		stride := nl / samples
 		for pass := 0; pass < 2; pass++ {
-			sum = 0
+			s.Do(func() { sum = 0 })
 			for i := 0; i < samples; i++ {
-				m.FlushLine(b.Line(i * stride)) // keep it out of L1/L2
-				s := th.Now()
-				th.Load(b, i*stride)
-				sum += th.Now() - s
+				s.Do(func() { m.FlushLine(b.Line(i * stride)) }) // keep it out of L1/L2
+				timed(m, s, func() { s.Load(b, i*stride) }, func(e float64) { sum += e })
 			}
 		}
 	})
@@ -226,12 +259,10 @@ func TestContentionLinear(t *testing.T) {
 		for i := 0; i < n; i++ {
 			core := 2 + i*2%(knl.NumCores-2) // distinct tiles, avoiding owner
 			local := m.Alloc.MustAlloc(knl.DDR, 0, 64)
-			m.Spawn(place(core), func(th *Thread) {
-				th.Load(shared, 0)
-				th.Store(local, 0)
-				if at := th.Now(); at > done {
-					done = at
-				}
+			spawnScript(m, place(core), func(s *Script) {
+				s.Load(shared, 0)
+				s.Store(local, 0)
+				atEnd(m, s, &done)
 			})
 		}
 		if _, err := m.Run(); err != nil {
@@ -273,15 +304,11 @@ func TestSingleThreadRemoteCopyBandwidth(t *testing.T) {
 		m.Prime(src, 20, tc.st)
 		m.Prime(dst, 0, cache.Modified) // local destination, writable
 		var dur float64
-		runOne(t, m, place(0), func(th *Thread) {
-			s := th.Now()
-			if tc.copyOp {
-				th.CopyStream(dst, src, false)
-			} else {
-				th.ReadStream(src, true)
-			}
-			dur = th.Now() - s
-		})
+		op := readOp(src)
+		if tc.copyOp {
+			op = copyOp(dst, src, false)
+		}
+		dur = runOne(t, m, place(0), func(s *Script) { s.Op(op, nil) })
 		gbs := float64(lines*64) / dur
 		if gbs < tc.lo || gbs > tc.hi {
 			t.Errorf("%s = %.2f GB/s, want in [%v,%v]", tc.comment, gbs, tc.lo, tc.hi)
@@ -305,11 +332,7 @@ func TestSameTileCopyBandwidth(t *testing.T) {
 		m.Prime(src, 1, tc.st) // sibling core, same tile
 		m.Prime(dst, 0, cache.Modified)
 		var dur float64
-		runOne(t, m, place(0), func(th *Thread) {
-			s := th.Now()
-			th.CopyStream(dst, src, false)
-			dur = th.Now() - s
-		})
+		dur = runOne(t, m, place(0), func(s *Script) { s.Op(copyOp(dst, src, false), nil) })
 		gbs := float64(lines*64) / dur
 		if gbs < tc.lo || gbs > tc.hi {
 			t.Errorf("tile copy %v = %.2f GB/s, want in [%v,%v]", tc.st, gbs, tc.lo, tc.hi)
@@ -322,13 +345,15 @@ func TestWordsAndPolling(t *testing.T) {
 	flag := m.Alloc.MustAlloc(knl.DDR, 0, 64)
 	var observed uint64
 	var wakeAt float64
-	m.Spawn(place(10), func(th *Thread) {
-		observed = th.WaitWordGE(flag, 0, 7)
-		wakeAt = th.Now()
+	spawnScript(m, place(10), func(s *Script) {
+		s.WaitWordGE(flag, 0, 7, func(got uint64) {
+			observed = got
+			wakeAt = m.Env.Now()
+		})
 	})
-	m.Spawn(place(0), func(th *Thread) {
-		th.Compute(500)
-		th.StoreWord(flag, 0, 7)
+	spawnScript(m, place(0), func(s *Script) {
+		s.Compute(500)
+		s.StoreWord(flag, 0, 7)
 	})
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -348,7 +373,7 @@ func TestAddWordAccumulates(t *testing.T) {
 	m := noJitter(knl.DefaultConfig())
 	acc := m.Alloc.MustAlloc(knl.DDR, 0, 64)
 	for i := 0; i < 8; i++ {
-		m.Spawn(place(i*2), func(th *Thread) { th.AddWord(acc, 0, 1) })
+		spawnScript(m, place(i*2), func(s *Script) { s.AddWord(acc, 0, 1, nil) })
 	}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -362,7 +387,7 @@ func TestStoreInvalidatesSharers(t *testing.T) {
 	m := noJitter(knl.DefaultConfig())
 	b := m.Alloc.MustAlloc(knl.DDR, 0, 64)
 	m.Prime(b, 20, cache.Shared) // tile 10 S + tile 11 F
-	runOne(t, m, place(0), func(th *Thread) { th.Store(b, 0) })
+	runOne(t, m, place(0), func(s *Script) { s.Store(b, 0) })
 	if st := m.LineState(10, b.Line(0)); st != cache.Invalid {
 		t.Errorf("sharer tile 10 state = %v, want I", st)
 	}
@@ -375,7 +400,7 @@ func TestStoreNTBypassesCaches(t *testing.T) {
 	m := noJitter(knl.DefaultConfig())
 	b := m.Alloc.MustAlloc(knl.DDR, 0, 64)
 	m.Prime(b, 20, cache.Modified)
-	runOne(t, m, place(0), func(th *Thread) { th.StoreNT(b, 0) })
+	runOne(t, m, place(0), func(s *Script) { s.StoreNT(b, 0) })
 	for tile := 0; tile < m.NumTiles(); tile++ {
 		if st := m.LineState(tile, b.Line(0)); st != cache.Invalid {
 			t.Errorf("tile %d caches NT-written line in %v", tile, st)
@@ -410,13 +435,11 @@ func TestFigure4DistanceSpread(t *testing.T) {
 	m := noJitter(knl.DefaultConfig())
 	var lats []float64
 	b := m.Alloc.MustAlloc(knl.DDR, 0, 64)
-	m.Spawn(place(0), func(th *Thread) {
+	spawnScript(m, place(0), func(s *Script) {
 		for owner := 2; owner < knl.NumCores; owner += 2 {
-			m.Prime(b, owner, cache.Exclusive)
-			s := th.Now()
-			th.Load(b, 0)
-			lats = append(lats, th.Now()-s)
-			m.FlushLine(b.Line(0))
+			s.Do(func() { m.Prime(b, owner, cache.Exclusive) })
+			timed(m, s, func() { s.Load(b, 0) }, func(e float64) { lats = append(lats, e) })
+			s.Do(func() { m.FlushLine(b.Line(0)) })
 		}
 	})
 	if _, err := m.Run(); err != nil {
@@ -443,15 +466,7 @@ func TestDeterministicRuns(t *testing.T) {
 	run := func() float64 {
 		m := New(knl.DefaultConfig()) // jitter on: still deterministic
 		b := m.Alloc.MustAlloc(knl.DDR, 0, 64*256)
-		var end float64
-		m.Spawn(place(0), func(th *Thread) {
-			th.ReadStream(b, true)
-			end = th.Now()
-		})
-		if _, err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return end
+		return runOne(t, m, place(0), func(s *Script) { s.Op(readOp(b), nil) })
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("jittered runs differ: %v vs %v", a, b)
@@ -463,9 +478,9 @@ func TestL2EvictionWritesBack(t *testing.T) {
 	// Write-allocate more than one L2 way set worth of conflicting lines.
 	// L2 is 1 MB 16-way: lines mapping to the same set are 1024 lines apart.
 	b := m.Alloc.MustAlloc(knl.DDR, 0, 64*1024*20) // 20 conflicting lines per set
-	runOne(t, m, place(0), func(th *Thread) {
+	runOne(t, m, place(0), func(s *Script) {
 		for i := 0; i < 20; i++ {
-			th.Store(b, i*1024)
+			s.Store(b, i*1024)
 		}
 	})
 	var written uint64
@@ -491,16 +506,16 @@ func TestCongestionPairsIndependent(t *testing.T) {
 				reader += 2
 			}
 			m.Prime(b, owner, cache.Exclusive)
-			m.Spawn(place(reader), func(th *Thread) {
-				s := th.Now()
-				for k := 0; k < 50; k++ {
-					th.Load(b, 0)
-					m.FlushLine(b.Line(0))
-					m.Prime(b, owner, cache.Exclusive)
-				}
-				if d := th.Now() - s; d > worst {
-					worst = d
-				}
+			spawnScript(m, place(reader), func(s *Script) {
+				timed(m, s, func() {
+					for k := 0; k < 50; k++ {
+						s.Load(b, 0)
+						s.Do(func() {
+							m.FlushLine(b.Line(0))
+							m.Prime(b, owner, cache.Exclusive)
+						})
+					}
+				}, func(d float64) { worst = max(worst, d) })
 			})
 		}
 		if _, err := m.Run(); err != nil {

@@ -5,8 +5,6 @@ import (
 
 	"knlcap/internal/cache"
 	"knlcap/internal/knl"
-	"knlcap/internal/memmode"
-	"knlcap/internal/sim"
 )
 
 // srcClass classifies where a load found its data; streams use it to pick
@@ -33,38 +31,14 @@ func (s srcClass) String() string {
 	}
 }
 
-// loadLine performs a single-line read with full protocol latency for the
-// given core and returns where the data came from. It is the building block
-// of the pointer-chasing benchmarks and the first access of every stream
-// chunk. The walk itself lives in loadStep (step_load.go); the CHA blocks
-// conflicting requests to the line until the forwarding tile has accepted
-// the transaction — this serialization (CHASvc + owner port) is what the
-// paper measures as the contention slope beta ~ 34 ns.
-//
-//knl:hotpath one simulated memory access; BenchmarkLoadLineHotPath pins 0 allocs/op
-func (m *Machine) loadLine(p *sim.Proc, core int, b memmode.Buffer, l cache.Line) srcClass {
-	var k loadStep
-	k.init(m, core, b, l)
-	c := sim.BlockingCtx(p)
-	for k.pc != ldDone {
-		k.step(&c)
-	}
-	return k.cls
-}
-
 // asyncWriteBack charges the memory ports for a posted write-back without
 // delaying the requesting thread (the data return and the write-back travel
-// independently).
+// independently): the walk runs as its own step process.
 func (m *Machine) asyncWriteBack(l cache.Line) {
-	if m.Steps {
-		//lint:ignore hotalloc spawning the posted-write-back process is the allocation; only dirty-forward misses take this path (BenchmarkLoadLineHotPath stays at 0 allocs/op)
-		w := &wbStep{m: m}
-		w.wb.start(l)
-		m.Env.GoSteps("wb", w)
-		return
-	}
 	//lint:ignore hotalloc spawning the posted-write-back process is the allocation; only dirty-forward misses take this path (BenchmarkLoadLineHotPath stays at 0 allocs/op)
-	m.Env.Go("wb", func(p *sim.Proc) { m.writeBack(p, l) })
+	w := &wbStep{m: m}
+	w.wb.start(l)
+	m.Env.GoSteps("wb", w)
 }
 
 // downgradeSiblingL1 moves any sibling-core L1 copy to Shared.
@@ -78,34 +52,6 @@ func (m *Machine) downgradeSiblingL1(tile, exceptCore int, l cache.Line) {
 		if l1.Peek(l) != cache.Invalid {
 			l1.SetState(l, cache.Shared)
 		}
-	}
-}
-
-// storeLine performs a single-line store with full RFO protocol timing.
-// The walk itself lives in storeStep (step_store.go); the home CHA is held
-// until the Modified state is installed, so conflicting requests block at
-// the directory exactly as the loads do.
-//
-//knl:hotpath one simulated store; BenchmarkStoreLineHotPath pins 0 allocs/op
-func (m *Machine) storeLine(p *sim.Proc, core int, b memmode.Buffer, l cache.Line) {
-	var k storeStep
-	k.init(m, core, b, l)
-	c := sim.BlockingCtx(p)
-	for k.pc != ssDone {
-		k.step(&c)
-	}
-}
-
-// storeLineNT performs a non-temporal (streaming) store: cached copies are
-// invalidated and the line goes straight to memory without read-for-
-// ownership. The core-visible cost is small (the store is posted); the
-// memory ports are charged for the write. The walk lives in storeStep.
-func (m *Machine) storeLineNT(p *sim.Proc, core int, b memmode.Buffer, l cache.Line) {
-	var k storeStep
-	k.initNT(m, core, b, l)
-	c := sim.BlockingCtx(p)
-	for k.pc != ssDone {
-		k.step(&c)
 	}
 }
 

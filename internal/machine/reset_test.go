@@ -41,7 +41,7 @@ func TestResetReplayDigest(t *testing.T) {
 func TestResetRejectsNonQuiescent(t *testing.T) {
 	m := noJitter(knl.DefaultConfig())
 	b := m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)
-	m.Spawn(place(0), func(th *Thread) { th.Load(b, 0) })
+	spawnScript(m, place(0), func(s *Script) { s.Load(b, 0) })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Reset of a machine with a pending process did not panic")

@@ -9,18 +9,19 @@ import (
 )
 
 // loadStep is the single-line load protocol walk — the hot path of the
-// simulator — as a resumable state machine. It is the single source of
-// truth behind Machine.loadLine (driven inline on a blocking context) and
-// the spawned kernels (kernelStep), replacing the goroutine
-// walk that cost one channel handoff per blocking primitive.
+// simulator — as a resumable state machine: the building block of the
+// pointer-chasing benchmarks and of the flag polls (waitWordStep), driven
+// by the spawned kernels (kernelStep). The CHA blocks conflicting requests
+// to the line until the forwarding tile has accepted the transaction —
+// this serialization (CHASvc + owner port) is what the paper measures as
+// the contention slope beta ~ 34 ns.
 //
 // Each step call runs one juncture: the state reads/writes between two
-// blocking points of the original goroutine text, followed by that
-// juncture's micro-op chain. A chain may span several primitives only
-// where the goroutine code had no observable state access between them
-// (placeOf and the controller-position math are pure); jittered durations
-// use WaitJit/UseJit so every RNG draw lands at the same simulated instant
-// — and in the same stream order — as the goroutine's argument evaluation.
+// blocking points, followed by that juncture's micro-op chain. A chain
+// spans several primitives only where no observable state access lies
+// between them (placeOf and the controller-position math are pure);
+// jittered durations use WaitJit/UseJit so every RNG draw lands at the
+// simulated instant its wait begins.
 type loadStep struct {
 	m    *Machine
 	b    memmode.Buffer
@@ -69,6 +70,8 @@ func (k *loadStep) init(m *Machine, core int, b memmode.Buffer, l cache.Line) {
 // step advances the walk by one juncture. States that commit without
 // queueing ops fall through to the next state within the same call, so a
 // juncture's work is never split across scheduler rounds.
+//
+//knl:hotpath one simulated memory access; BenchmarkLoadLineHotPath pins 0 allocs/op
 func (k *loadStep) step(c *sim.StepCtx) {
 	m := k.m
 	for {
@@ -187,8 +190,8 @@ func (k *loadStep) step(c *sim.StepCtx) {
 			k.pc = ldMemTail
 
 		case ldMemTail:
-			// The transaction commit: the tail jitter draws here — the
-			// instant the goroutine's memReadPorts return was evaluated.
+			// The transaction commit: the tail jitter draws here, once the
+			// memory ports have served the read.
 			k.tail = m.jitter(k.base)
 			k.newSt = cache.Exclusive
 			if m.owners(k.l) != 0 {

@@ -12,21 +12,20 @@ import (
 
 // storeStep is the single-line store protocol walk — the RFO path
 // (init) and the non-temporal streaming variant (initNT) — as a
-// resumable state machine. Like loadStep it is the single source of
-// truth for both execution modes: Machine.storeLine/storeLineNT drive
-// it inline on a blocking context, the spawned kernels (kernelStep)
-// advance it from the scheduler with zero goroutine handoffs.
+// resumable state machine driven by the spawned kernels (kernelStep). The
+// home CHA is held until the Modified state is installed, so conflicting
+// requests block at the directory exactly as the loads do; an NT store
+// invalidates cached copies and goes straight to memory without
+// read-for-ownership, so its core-visible cost is small (the store is
+// posted) while the memory ports are charged for the write.
 //
-// Juncture boundaries mirror the old goroutine text of storeLine and
-// storeLineNT exactly. The directory-dependent waits force junctures the
-// load walk doesn't have: the CHA service time scales with the owner
-// count read under the directory lock, so the Acquire cannot co-queue
-// its service wait (ssDir), and the NT walk re-reads the owner set after
-// acquiring (ntDir). Jittered durations use WaitJit/UseJit so every RNG
-// draw lands at the same simulated instant — and in the same stream
-// order — as the goroutine's argument evaluation; the memory tail draws
-// both its jitters eagerly at the commit juncture (ssMemTail), where the
-// goroutine evaluated memReadPorts' return plus the DeliverNs term.
+// The directory-dependent waits force junctures the load walk doesn't
+// have: the CHA service time scales with the owner count read under the
+// directory lock, so the Acquire cannot co-queue its service wait (ssDir),
+// and the NT walk re-reads the owner set after acquiring (ntDir).
+// Jittered durations use WaitJit/UseJit so every RNG draw lands at the
+// simulated instant its wait begins; the memory tail draws both its
+// jitters eagerly at the commit juncture (ssMemTail).
 type storeStep struct {
 	m    *Machine
 	b    memmode.Buffer
@@ -88,6 +87,8 @@ func (k *storeStep) initNT(m *Machine, core int, b memmode.Buffer, l cache.Line)
 
 // step advances the walk by one juncture. States that commit without
 // queueing ops fall through to the next state within the same call.
+//
+//knl:hotpath one simulated store; BenchmarkStoreLineHotPath pins 0 allocs/op
 func (k *storeStep) step(c *sim.StepCtx) {
 	m := k.m
 	for {
@@ -212,9 +213,9 @@ func (k *storeStep) step(c *sim.StepCtx) {
 			k.pc = ssMemTail
 
 		case ssMemTail:
-			// The goroutine text drew both tail jitters here — the instant
-			// memReadPorts returned — not at the final wait (the load walk
-			// defers its DeliverNs draw; the store must not).
+			// Both tail jitters draw here, once the memory ports have served
+			// the read — not at the final wait (the load walk defers its
+			// DeliverNs draw; the store must not).
 			k.tail = m.jitter(k.base) + m.jitter(m.P.DeliverNs)
 			k.pc = ssInv
 
@@ -252,8 +253,7 @@ func (k *storeStep) step(c *sim.StepCtx) {
 
 		case ssCommit:
 			// Invalidations land and the Modified state installs; a dirty
-			// L2 victim drives its write-back while the CHA is still held,
-			// exactly like the goroutine's blocking installL2.
+			// L2 victim drives its write-back while the CHA is still held.
 			m.invalidateOthers(k.tile, k.l)
 			if victim, dirty := m.installL2Tags(k.tile, k.l, cache.Modified); dirty {
 				k.wb.start(victim)
@@ -280,8 +280,7 @@ func (k *storeStep) step(c *sim.StepCtx) {
 			return
 
 		case ssNotify:
-			// The goroutine walk ran notify in a defer — after the final
-			// wait completed.
+			// Pollers are notified after the final wait completes.
 			m.notify(k.l)
 			k.pc = ssDone
 			return
@@ -289,7 +288,7 @@ func (k *storeStep) step(c *sim.StepCtx) {
 		case ntStart:
 			// Non-temporal: invalidate cached copies (if any), then write
 			// straight to memory. The owner set is re-read under the
-			// directory lock (ntDir), like the goroutine text.
+			// directory lock (ntDir).
 			k.place = m.placeOf(k.b, k.l)
 			if m.owners(k.l) != 0 {
 				k.home = k.place.HomeTile
@@ -347,8 +346,7 @@ func (k *storeStep) step(c *sim.StepCtx) {
 			return
 
 		case ntNotify:
-			// The goroutine walk's deferred notify, after the posted-store
-			// wait completed.
+			// Pollers are notified after the posted-store wait completes.
 			m.notify(k.l)
 			k.pc = ssDone
 			return

@@ -9,20 +9,18 @@ import (
 
 // This file holds the stream kernels as resumable state machines: the
 // per-line serialized cost (serialStep), the batched channel flush
-// (flushOps and its helper processes), and the chunk loop (streamStep).
-// They are the single source of truth for both execution modes — a
-// goroutine thread drives them inline through a blocking context
-// (Machine.streamRead and friends), a spawned stream task advances them
-// from the scheduler with zero handoffs (streamTaskStep in kernel.go).
+// (flushOps and its helper processes), and the chunk loop (streamStep),
+// which a spawned kernel (kernelStep in kernel.go) advances from the
+// scheduler.
 //
-// Juncture boundaries follow the old goroutine text exactly: bookkeeping
-// commits before the primitive it precedes, the pending flush observes
-// policy state at the booking instant, and every spawn (posted write-backs,
-// per-channel flush helpers) consumes one seq number in the original
-// order, so the two modes are event-for-event identical.
+// Bookkeeping commits before the primitive it precedes, the pending flush
+// observes policy state at the booking instant, and every helper spawn
+// (posted write-backs, per-channel flush helpers) consumes one seq number
+// in a fixed order, so a stream's event history is a function of the
+// machine state alone.
 
 // serialStep charges the non-overlappable cost of one pipelined line
-// access — the step form of the old serialRead/serialWrite/serialWriteNT.
+// access: a read, a cached (write-allocate) write, or an NT write.
 type serialStep struct {
 	m    *Machine
 	b    memmode.Buffer
@@ -194,8 +192,7 @@ func (s *serialStep) step(c *sim.StepCtx) {
 			return
 
 		case srNotify:
-			// The old serial writes ran notify in a defer — after the final
-			// wait completed.
+			// Pollers are notified after the final wait completes.
 			m.notify(s.l)
 			s.pc = srDone
 
@@ -222,8 +219,8 @@ type flushJoin struct {
 	done      *sim.Signal
 }
 
-// memJobStep serves one flush job and joins: the step form of the old
-// per-channel "mem" helper goroutine.
+// memJobStep is the per-channel "mem" helper process of a multi-channel
+// flush: it serves one flush job and joins.
 type memJobStep struct {
 	m    *Machine
 	j    flushJob
@@ -266,8 +263,8 @@ func (m *Machine) newMemJob() *memJobStep {
 	return &memJobStep{}
 }
 
-// drainStep fires the booked async write-backs, one channel per juncture:
-// the step form of the old fire-and-forget "wb" helper goroutine.
+// drainStep is the fire-and-forget "wb" helper process of a flush: it
+// serves the booked async write-backs, one channel per juncture.
 type drainStep struct {
 	m     *Machine
 	async [2][maxChans]int32
@@ -304,8 +301,8 @@ func (m *Machine) newDrain() *drainStep {
 	return &drainStep{}
 }
 
-// streamStep runs one stream op (read/write/copy/triad) as the old chunk
-// loops did: per chunk, the latency bound and MLP depth from the leading
+// streamStep runs one stream op (read/write/copy/triad) chunk by chunk: per
+// chunk, the latency bound and MLP depth from the leading
 // line, the serialized per-line costs, the batched channel flush, and the
 // top-up to the latency bound.
 type streamStep struct {
@@ -337,7 +334,7 @@ const (
 
 // startSerial points sr at the j-th serial access of the current chunk.
 // Copy issues the chunk's reads then its writes; triad interleaves the two
-// source reads then issues the writes — the exact orders of the old loops.
+// source reads then issues the writes.
 func (s *streamStep) startSerial() {
 	m, op := s.m, &s.op
 	switch op.Kind {
@@ -376,15 +373,14 @@ func (s *streamStep) startSerial() {
 	}
 }
 
-// flushOps serves the accumulated lines, mirroring the old pending.flush:
-// the async write-backs spawn first, then the per-channel batches — inline
+// flushOps serves the accumulated lines: the async write-backs spawn first, then the per-channel batches — inline
 // on c for a single channel, as joined helper processes otherwise. The
 // helpers are spawned at the current instant, so their first events ride
 // the engine's same-instant lane rather than the heap, and their frames
 // come from the machine's free lists (freeMemJobs, freeDrains), so a
 // steady stream of flushes allocates none. It reports true when nothing
 // was queued (the caller may fall through to the top-up in the same
-// juncture, like the old flush returning immediately).
+// juncture).
 func (s *streamStep) flushOps(c *sim.StepCtx) bool {
 	m, pd := s.m, &s.pd
 	var jobs [2 * 2 * maxChans]flushJob
@@ -408,23 +404,9 @@ func (s *streamStep) flushOps(c *sim.StepCtx) bool {
 		}
 	}
 	if pd.nAsync != 0 {
-		if m.Steps {
-			w := m.newDrain()
-			w.m, w.async = m, pd.async
-			m.Env.GoSteps("wb", w)
-		} else {
-			async := pd.async
-			//lint:ignore hotalloc one helper process per flush with async write-backs (goroutine A/B mode)
-			m.Env.Go("wb", func(wp *sim.Proc) {
-				for k := range async {
-					for ch := range async[k] {
-						if n := async[k][ch]; n != 0 {
-							m.Mem.Channel(knl.MemKind(k), ch).ServeWrite(wp, int(n))
-						}
-					}
-				}
-			})
-		}
+		w := m.newDrain()
+		w.m, w.async = m, pd.async
+		m.Env.GoSteps("wb", w)
 		pd.async = [2][maxChans]int32{}
 		pd.nAsync = 0
 	}
@@ -448,26 +430,9 @@ func (s *streamStep) flushOps(c *sim.StepCtx) bool {
 		join := s.join
 		join.remaining = nj
 		for ji := 0; ji < nj; ji++ {
-			if m.Steps {
-				w := m.newMemJob()
-				w.m, w.j, w.join = m, jobs[ji], join
-				m.Env.GoSteps("mem", w)
-			} else {
-				j := jobs[ji]
-				//lint:ignore hotalloc one helper process per flushed channel (goroutine A/B mode)
-				m.Env.Go("mem", func(wp *sim.Proc) {
-					ch := m.Mem.Channel(j.kind, j.idx)
-					if j.write {
-						ch.ServeWrite(wp, j.n)
-					} else {
-						ch.ServeRead(wp, j.n)
-					}
-					join.remaining--
-					if join.remaining == 0 {
-						join.done.Broadcast()
-					}
-				})
-			}
+			w := m.newMemJob()
+			w.m, w.j, w.join = m, jobs[ji], join
+			m.Env.GoSteps("mem", w)
 		}
 		c.WaitSignal(join.done)
 		return false
@@ -566,18 +531,5 @@ func (s *streamStep) run(c *sim.StepCtx) {
 		default: // stDone
 			return
 		}
-	}
-}
-
-// runStreamOp drives one stream op to completion on the goroutine process
-// p — the blocking-mode entry the Thread stream methods use.
-func (m *Machine) runStreamOp(p *sim.Proc, core int, op StreamOp) {
-	var s streamStep
-	s.m = m
-	s.core = core
-	s.op = op
-	c := sim.BlockingCtx(p)
-	for s.pc != stDone {
-		s.run(&c)
 	}
 }

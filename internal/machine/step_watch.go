@@ -6,7 +6,7 @@ import (
 	"knlcap/internal/sim"
 )
 
-// waitWordStep is the flag-poll loop of Thread.WaitWordGE as a resumable
+// waitWordStep is the flag-poll loop of KernelWaitWordGE as a resumable
 // state machine: load the line (hit while our cached copy is intact, a
 // coherence miss after an invalidation), sample the payload word, and if
 // it has not reached the threshold sleep on the line's watch signal until
@@ -73,8 +73,8 @@ func (k *waitWordStep) step(c *sim.StepCtx) {
 			k.pc = wwWait
 
 		case wwWait:
-			// waitWatch's loop body: the slot pointer is only valid until
-			// the next blocking point, so re-resolve after every wake-up.
+			// The slot pointer is only valid until the next blocking
+			// point, so re-resolve after every wake-up.
 			_, s, _ := m.lineState(k.l)
 			if s.watchVer > k.ver {
 				k.pc = wwPoll

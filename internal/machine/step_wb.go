@@ -6,17 +6,17 @@ import (
 	"knlcap/internal/sim"
 )
 
-// wbState is the write-back protocol walk as a resumable state machine: the
-// single source of truth behind both Machine.writeBack (driven inline on a
-// blocking context) and the posted write-back step process (wbStep). Each
-// step call runs one juncture — the state reads and writes between two
-// blocking points — and queues that juncture's channel occupancies on c.
+// wbState is the write-back protocol walk as a resumable state machine,
+// run inside the load, store and stream walks (victim write-backs) and as
+// the posted write-back step process (wbStep). In cache/hybrid mode, DDR
+// write-backs land in the MCDRAM cache ("write-backs are made directly to
+// MCDRAM", paper Section II-C). Each step call runs one juncture — the
+// state reads and writes between two blocking points — and queues that
+// juncture's channel occupancies on c.
 //
-// The juncture boundaries mirror the goroutine text of the old writeBack
-// exactly: the side-cache probe happens after the MCDRAM write completes
-// (wbFill), and MarkDirty after a dirty victim's DDR flush (wbMark), so a
-// concurrent process observes policy state at the same instants in both
-// execution modes.
+// The side-cache probe happens after the MCDRAM write completes (wbFill),
+// and MarkDirty after a dirty victim's DDR flush (wbMark), so a concurrent
+// process observes policy state at those instants.
 type wbState struct {
 	pc  uint8
 	edc int

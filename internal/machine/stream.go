@@ -208,19 +208,10 @@ func (m *Machine) chunkStart(p *sim.Proc) float64 {
 	return m.Env.Now()
 }
 
-// streamRead reads n lines of b starting at line index from.
-func (m *Machine) streamRead(p *sim.Proc, core int, b memmode.Buffer, from, n int, vector bool) {
-	m.runStreamOp(p, core, StreamOp{Kind: StreamRead, Src: b, SrcFrom: from, N: n, Vector: vector})
-}
-
-// streamWrite writes n lines of b starting at from. NT stores bypass the
-// cache hierarchy; cached stores write-allocate (read-for-ownership plus an
-// eventual write-back), which is why the paper needs NT hints to approach
-// peak bandwidth.
-func (m *Machine) streamWrite(p *sim.Proc, core int, b memmode.Buffer, from, n int, nt bool) {
-	m.runStreamOp(p, core, StreamOp{Kind: StreamWrite, Dst: b, DstFrom: from, N: n, NT: nt})
-}
-
+// writeDrainLatency is the retirement bound of an NT write chunk: the
+// write-combining buffers drain to the device. Cached (write-allocate)
+// writes additionally wait for the RFO fetch (see streamStep), which is
+// why the paper needs NT hints to approach peak bandwidth.
 func (m *Machine) writeDrainLatency(b memmode.Buffer) float64 {
 	kind := b.Kind
 	if m.Policy.Enabled() && kind == knl.DDR {
@@ -233,15 +224,4 @@ func (m *Machine) writeDrainLatency(b memmode.Buffer) float64 {
 		dev = m.Mem.MCDRAM[0].DeviceLatencyNs()
 	}
 	return dev + 20 // device plus average mesh traversal
-}
-
-// streamCopy copies n lines from src (starting srcFrom) to dst (dstFrom).
-func (m *Machine) streamCopy(p *sim.Proc, core int, dst, src memmode.Buffer, dstFrom, srcFrom, n int, nt bool) {
-	m.runStreamOp(p, core, StreamOp{Kind: StreamCopy, Dst: dst, Src: src,
-		DstFrom: dstFrom, SrcFrom: srcFrom, N: n, NT: nt})
-}
-
-// streamTriad performs dst[i] = b[i] + s*c[i] over n lines of each operand.
-func (m *Machine) streamTriad(p *sim.Proc, core int, dst, b, c memmode.Buffer, n int, nt bool) {
-	m.runStreamOp(p, core, StreamOp{Kind: StreamTriad, Dst: dst, Src: b, Src2: c, N: n, NT: nt})
 }

@@ -23,12 +23,9 @@ func TestSharedForwarderPortHalvesBandwidth(t *testing.T) {
 			m.Prime(src, 20, cache.Modified) // all sources in owner tile 10
 			core := r * 4                    // distinct reader tiles 0, 2, 4...
 			m.Prime(dst, core, cache.Modified)
-			m.Spawn(place(core), func(th *Thread) {
-				start := th.Now()
-				th.CopyStream(dst, src, false)
-				if d := th.Now() - start; d > worst {
-					worst = d
-				}
+			spawnScript(m, place(core), func(s *Script) {
+				timed(m, s, func() { s.Op(copyOp(dst, src, false), nil) },
+					func(d float64) { worst = max(worst, d) })
 			})
 		}
 		if _, err := m.Run(); err != nil {
@@ -51,8 +48,8 @@ func TestSharedForwarderPortHalvesBandwidth(t *testing.T) {
 func TestStreamRangesCompose(t *testing.T) {
 	m := noJitter(knl.DefaultConfig())
 	b := m.Alloc.MustAlloc(knl.DDR, 0, 64*knl.LineSize)
-	runOne(t, m, place(0), func(th *Thread) {
-		th.ReadStreamRange(b, 16, 8, true)
+	runOne(t, m, place(0), func(s *Script) {
+		s.ReadStreamRange(b, 16, 8, true)
 	})
 	for li := 0; li < 64; li++ {
 		st := m.LineState(0, b.Line(li))
@@ -71,8 +68,8 @@ func TestStreamRangesCompose(t *testing.T) {
 func TestWriteStreamRangeDirtiesExactly(t *testing.T) {
 	m := noJitter(knl.DefaultConfig())
 	b := m.Alloc.MustAlloc(knl.DDR, 0, 32*knl.LineSize)
-	runOne(t, m, place(0), func(th *Thread) {
-		th.WriteStreamRange(b, 4, 4, false)
+	runOne(t, m, place(0), func(s *Script) {
+		s.Op(KernelOp{Kind: StreamWrite, Dst: b, DstFrom: 4, N: 4}, nil)
 	})
 	for li := 0; li < 32; li++ {
 		st := m.LineState(0, b.Line(li))
@@ -92,8 +89,8 @@ func TestNTWriteStreamLeavesNothingCached(t *testing.T) {
 	m := noJitter(knl.DefaultConfig())
 	b := m.Alloc.MustAlloc(knl.DDR, 0, 32*knl.LineSize)
 	m.Prime(b, 10, cache.Shared) // pre-cached somewhere
-	runOne(t, m, place(0), func(th *Thread) {
-		th.WriteStream(b, true)
+	runOne(t, m, place(0), func(s *Script) {
+		s.Op(writeOp(b, true), nil)
 	})
 	for tile := 0; tile < m.NumTiles(); tile++ {
 		for li := 0; li < 32; li++ {
@@ -121,14 +118,12 @@ func TestHyperthreadsShareIssuePort(t *testing.T) {
 			}
 			m.Prime(buf, core, cache.Exclusive)
 			pl := knl.Place{Tile: core / knl.CoresPerTile, Core: core, HT: ht}
-			m.Spawn(pl, func(th *Thread) {
-				start := th.Now()
-				for it := 0; it < 8; it++ {
-					th.ReadStream(buf, true) // L1 hits after warm-up
-				}
-				if d := th.Now() - start; d > worst {
-					worst = d
-				}
+			spawnScript(m, pl, func(s *Script) {
+				timed(m, s, func() {
+					for it := 0; it < 8; it++ {
+						s.Op(readOp(buf), nil) // L1 hits after warm-up
+					}
+				}, func(d float64) { worst = max(worst, d) })
 			})
 		}
 		if _, err := m.Run(); err != nil {
@@ -157,12 +152,9 @@ func TestKNLBeatsKNCSingleThread(t *testing.T) {
 		var worst float64
 		for h := 0; h < hts; h++ {
 			buf := m.Alloc.MustAlloc(knl.DDR, 0, lines*knl.LineSize)
-			m.Spawn(knl.Place{Tile: 0, Core: 0, HT: h}, func(th *Thread) {
-				start := th.Now()
-				th.ReadStream(buf, true)
-				if d := th.Now() - start; d > worst {
-					worst = d
-				}
+			spawnScript(m, knl.Place{Tile: 0, Core: 0, HT: h}, func(s *Script) {
+				timed(m, s, func() { s.Op(readOp(buf), nil) },
+					func(d float64) { worst = max(worst, d) })
 			})
 		}
 		if _, err := m.Run(); err != nil {
@@ -197,7 +189,7 @@ func TestStatsReport(t *testing.T) {
 	shared := m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)
 	m.Prime(shared, 0, cache.Modified)
 	for i := 1; i <= 16; i++ {
-		m.Spawn(place(i*2), func(th *Thread) { th.Load(shared, 0) })
+		spawnScript(m, place(i*2), func(s *Script) { s.Load(shared, 0) })
 	}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -214,7 +206,7 @@ func TestStatsReport(t *testing.T) {
 	}
 	m2 := noJitter(knl.DefaultConfig())
 	b := m2.Alloc.MustAlloc(knl.MCDRAM, 0, 64*knl.LineSize)
-	runOne(t, m2, place(0), func(th *Thread) { th.ReadStream(b, true) })
+	runOne(t, m2, place(0), func(s *Script) { s.Op(readOp(b), nil) })
 	traffic := m2.ChannelTraffic()
 	if traffic[knl.MCDRAM][0] != 64 {
 		t.Errorf("MCDRAM reads = %d, want 64", traffic[knl.MCDRAM][0])

@@ -180,19 +180,12 @@ func (c *Channel) Params() DeviceParams { return c.params }
 // DeviceLatencyNs returns the unloaded in-device latency.
 func (c *Channel) DeviceLatencyNs() float64 { return c.params.DeviceLatencyNs }
 
-// ServeRead occupies the command and read ports for n lines.
-// The caller pays DeviceLatencyNs separately (it pipelines with other
-// requests; port time does not).
-func (c *Channel) ServeRead(p *sim.Proc, n int) {
-	x := sim.BlockingCtx(p)
-	c.ServeReadCtx(&x, n)
-}
-
-// ServeReadCtx is ServeRead on a step context: a step process queues the
-// two port occupancies as micro-ops, a blocking context serves them
-// inline. The line counter moves when the serve is issued — counters feed
-// post-run reporting and the digest at quiescent points only, so issue
-// time vs completion time is unobservable.
+// ServeReadCtx occupies the command and read ports for n lines: the step
+// process behind x queues the two port occupancies as micro-ops. The
+// caller pays DeviceLatencyNs separately (it pipelines with other
+// requests; port time does not). The line counter moves when the serve is
+// issued — counters feed post-run reporting and the digest at quiescent
+// points only, so issue time vs completion time is unobservable.
 func (c *Channel) ServeReadCtx(x *sim.StepCtx, n int) {
 	if n <= 0 {
 		return
@@ -202,13 +195,8 @@ func (c *Channel) ServeReadCtx(x *sim.StepCtx, n int) {
 	x.Use(c.read, c.params.ReadSvcNs*float64(n))
 }
 
-// ServeWrite occupies the command and write ports for n lines.
-func (c *Channel) ServeWrite(p *sim.Proc, n int) {
-	x := sim.BlockingCtx(p)
-	c.ServeWriteCtx(&x, n)
-}
-
-// ServeWriteCtx is ServeWrite on a step context (see ServeReadCtx).
+// ServeWriteCtx occupies the command and write ports for n lines (see
+// ServeReadCtx).
 func (c *Channel) ServeWriteCtx(x *sim.StepCtx, n int) {
 	if n <= 0 {
 		return

@@ -72,7 +72,7 @@ func TestChannelReadThroughput(t *testing.T) {
 	env := sim.NewEnv()
 	c := NewChannel(env, DDRParams(), 0, 1.0)
 	const lines = 1000
-	env.Go("reader", func(p *sim.Proc) { c.ServeRead(p, lines) })
+	env.GoSteps("reader", &stepLoop{n: 1, body: func(x *sim.StepCtx) { c.ServeReadCtx(x, lines) }})
 	end, err := env.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -93,16 +93,8 @@ func TestChannelFullDuplexOverlap(t *testing.T) {
 	env := sim.NewEnv()
 	c := NewChannel(env, MCDRAMParams(), 0, 1.0)
 	const lines = 2000
-	env.Go("reader", func(p *sim.Proc) {
-		for i := 0; i < lines; i++ {
-			c.ServeRead(p, 1)
-		}
-	})
-	env.Go("writer", func(p *sim.Proc) {
-		for i := 0; i < lines; i++ {
-			c.ServeWrite(p, 1)
-		}
-	})
+	env.GoSteps("reader", &stepLoop{n: lines, body: func(x *sim.StepCtx) { c.ServeReadCtx(x, 1) }})
+	env.GoSteps("writer", &stepLoop{n: lines, body: func(x *sim.StepCtx) { c.ServeWriteCtx(x, 1) }})
 	end, err := env.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -130,16 +122,8 @@ func TestDDRCopyIsWriteBound(t *testing.T) {
 	const workers, per = 4, 250
 	const lines = workers * per
 	for w := 0; w < workers; w++ {
-		env.Go("rd", func(p *sim.Proc) {
-			for i := 0; i < per; i++ {
-				c.ServeRead(p, 1)
-			}
-		})
-		env.Go("wr", func(p *sim.Proc) {
-			for i := 0; i < per; i++ {
-				c.ServeWrite(p, 1)
-			}
-		})
+		env.GoSteps("rd", &stepLoop{n: per, body: func(x *sim.StepCtx) { c.ServeReadCtx(x, 1) }})
+		env.GoSteps("wr", &stepLoop{n: per, body: func(x *sim.StepCtx) { c.ServeWriteCtx(x, 1) }})
 	}
 	end, err := env.Run()
 	if err != nil {
@@ -160,10 +144,10 @@ func TestDDRCopyIsWriteBound(t *testing.T) {
 func TestServeZeroLinesIsNoop(t *testing.T) {
 	env := sim.NewEnv()
 	c := NewChannel(env, DDRParams(), 0, 1.0)
-	env.Go("t", func(p *sim.Proc) {
-		c.ServeRead(p, 0)
-		c.ServeWrite(p, -3)
-	})
+	env.GoSteps("t", &stepLoop{n: 1, body: func(x *sim.StepCtx) {
+		c.ServeReadCtx(x, 0)
+		c.ServeWriteCtx(x, -3)
+	}})
 	end, err := env.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -186,4 +170,22 @@ func TestNewSystemShape(t *testing.T) {
 	if s.MCDRAM[0].Params().ReadSvcNs <= MCDRAMParams().ReadSvcNs {
 		t.Error("Quadrant MCDRAM should be scaled above baseline SNC4 service")
 	}
+}
+
+// stepLoop is a step process body that runs body as n successive
+// junctures and then ends; a juncture that queues nothing falls through.
+type stepLoop struct {
+	n    int
+	body func(x *sim.StepCtx)
+}
+
+func (s *stepLoop) Step(x *sim.StepCtx) {
+	for s.n > 0 {
+		s.n--
+		s.body(x)
+		if x.Blocked() {
+			return
+		}
+	}
+	x.End()
 }

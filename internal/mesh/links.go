@@ -71,17 +71,10 @@ func (f *LinkFabric) Reset() {
 // X-ring array, which has two extra rows for them.
 func ringIndexY(y int) int { return y + 1 }
 
-// Occupy routes one packet from a to b (Y first, then X, as the paper
-// describes), holding each ring segment for FlitNs per hop. Latency is the
-// caller's concern; this models only the ring occupancy that congestion
-// would come from.
-func (f *LinkFabric) Occupy(p *sim.Proc, a, b knl.Pos) {
-	x := sim.BlockingCtx(p)
-	f.OccupyCtx(&x, a, b)
-}
-
-// OccupyCtx is Occupy on a step context: a step process queues the ring
-// occupancies as micro-ops, a blocking context holds them inline.
+// OccupyCtx routes one packet from a to b (Y first, then X, as the paper
+// describes), queueing on x a hold of each ring segment for FlitNs per
+// hop. Latency is the caller's concern; this models only the ring
+// occupancy that congestion would come from.
 func (f *LinkFabric) OccupyCtx(x *sim.StepCtx, a, b knl.Pos) {
 	if a == b {
 		return

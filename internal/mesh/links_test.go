@@ -12,7 +12,7 @@ func TestOccupyHoldsRings(t *testing.T) {
 	f := NewLinkFabric(env, DefaultParams())
 	a := knl.Pos{X: 0, Y: 0}
 	b := knl.Pos{X: 3, Y: 4}
-	env.Go("pkt", func(p *sim.Proc) { f.Occupy(p, a, b) })
+	env.GoSteps("pkt", &stepLoop{n: 1, body: func(x *sim.StepCtx) { f.OccupyCtx(x, a, b) }})
 	end, err := env.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func TestOccupySamePositionFree(t *testing.T) {
 	env := sim.NewEnv()
 	f := NewLinkFabric(env, DefaultParams())
 	p := knl.Pos{X: 2, Y: 2}
-	env.Go("pkt", func(pr *sim.Proc) { f.Occupy(pr, p, p) })
+	env.GoSteps("pkt", &stepLoop{n: 1, body: func(x *sim.StepCtx) { f.OccupyCtx(x, p, p) }})
 	if end, err := env.Run(); err != nil || end != 0 {
 		t.Errorf("same-position occupy: end=%v err=%v", end, err)
 	}
@@ -40,13 +40,13 @@ func TestOppositeDirectionsDoNotContend(t *testing.T) {
 	// discrete rings each stop sees (paper Section II-B).
 	for i := 0; i < 2; i++ {
 		i := i
-		env.Go("pkt", func(p *sim.Proc) {
+		env.GoSteps("pkt", &stepLoop{n: 1, body: func(x *sim.StepCtx) {
 			if i == 0 {
-				f.Occupy(p, knl.Pos{X: 0, Y: 2}, knl.Pos{X: 5, Y: 2})
+				f.OccupyCtx(x, knl.Pos{X: 0, Y: 2}, knl.Pos{X: 5, Y: 2})
 			} else {
-				f.Occupy(p, knl.Pos{X: 5, Y: 2}, knl.Pos{X: 0, Y: 2})
+				f.OccupyCtx(x, knl.Pos{X: 5, Y: 2}, knl.Pos{X: 0, Y: 2})
 			}
-		})
+		}})
 	}
 	end, err := env.Run()
 	if err != nil {
@@ -61,9 +61,9 @@ func TestSameDirectionSerializes(t *testing.T) {
 	env := sim.NewEnv()
 	f := NewLinkFabric(env, DefaultParams())
 	for i := 0; i < 2; i++ {
-		env.Go("pkt", func(p *sim.Proc) {
-			f.Occupy(p, knl.Pos{X: 0, Y: 2}, knl.Pos{X: 5, Y: 2})
-		})
+		env.GoSteps("pkt", &stepLoop{n: 1, body: func(x *sim.StepCtx) {
+			f.OccupyCtx(x, knl.Pos{X: 0, Y: 2}, knl.Pos{X: 5, Y: 2})
+		}})
 	}
 	end, err := env.Run()
 	if err != nil {
@@ -77,14 +77,32 @@ func TestSameDirectionSerializes(t *testing.T) {
 func TestEDCRowsReachable(t *testing.T) {
 	env := sim.NewEnv()
 	f := NewLinkFabric(env, DefaultParams())
-	env.Go("pkt", func(p *sim.Proc) {
-		f.Occupy(p, knl.Pos{X: 2, Y: 3}, knl.Pos{X: 0, Y: -1})           // to a top EDC
-		f.Occupy(p, knl.Pos{X: 2, Y: 3}, knl.Pos{X: 5, Y: knl.GridRows}) // to a bottom EDC
-	})
+	env.GoSteps("pkt", &stepLoop{n: 1, body: func(x *sim.StepCtx) {
+		f.OccupyCtx(x, knl.Pos{X: 2, Y: 3}, knl.Pos{X: 0, Y: -1})           // to a top EDC
+		f.OccupyCtx(x, knl.Pos{X: 2, Y: 3}, knl.Pos{X: 5, Y: knl.GridRows}) // to a bottom EDC
+	}})
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if f.Utilization() <= 0 {
 		t.Error("no ring utilization recorded")
 	}
+}
+
+// stepLoop is a step process body that runs body as n successive
+// junctures and then ends; a juncture that queues nothing falls through.
+type stepLoop struct {
+	n    int
+	body func(x *sim.StepCtx)
+}
+
+func (s *stepLoop) Step(x *sim.StepCtx) {
+	for s.n > 0 {
+		s.n--
+		s.body(x)
+		if x.Blocked() {
+			return
+		}
+	}
+	x.End()
 }

@@ -3,8 +3,7 @@ package sim
 import "testing"
 
 // waitLoop is the benchmark step process: one Wait(1) per juncture for n
-// junctures. It is the step-process equivalent of the goroutine body
-// `for i := 0; i < n; i++ { p.Wait(1) }`.
+// junctures.
 type waitLoop struct{ n int }
 
 func (w *waitLoop) Step(c *StepCtx) {
@@ -44,33 +43,6 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineGoroutineHandoff is the same workload on goroutine
-// processes: every event costs a channel park/unpark in the direct-handoff
-// scheduler. The gap to BenchmarkEngineEventThroughput is the price of the
-// coroutine mechanism, i.e. what converting a process to a step process
-// saves.
-func BenchmarkEngineGoroutineHandoff(b *testing.B) {
-	env := NewEnv()
-	const procs = 4
-	for w := 0; w < procs; w++ {
-		env.Go("w", func(p *Proc) {
-			for i := 0; i < b.N; i++ {
-				p.Wait(1)
-			}
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, err := env.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	if s := b.Elapsed().Seconds(); s > 0 {
-		b.ReportMetric(float64(b.N*procs)/s, "events/s")
-		b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N*procs), "ns/event")
-	}
-}
-
 // BenchmarkStepHandoff pins the minimal step-to-step dispatch: two step
 // processes alternate Wait(1) junctures, so every event pops the heap and
 // advances a different frame than the one that scheduled it. Like the
@@ -93,36 +65,17 @@ func BenchmarkStepHandoff(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSpawnChurn measures process creation and retirement: each
-// op spawns a short-lived process, exercising the resume-channel free list
-// (without it every spawn allocates a fresh channel).
-func BenchmarkEngineSpawnChurn(b *testing.B) {
-	env := NewEnv()
-	env.Go("spawner", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			env.Go("child", func(c *Proc) { c.Wait(1) })
-			p.Wait(2)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, err := env.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkStepSpawnChurn is the step-process counterpart: each op spawns a
-// short-lived step process, exercising the step-frame free list.
+// BenchmarkStepSpawnChurn measures process creation and retirement: each
+// op spawns a short-lived step process, exercising the step-frame free
+// list (without it every spawn allocates a fresh frame).
 func BenchmarkStepSpawnChurn(b *testing.B) {
 	env := NewEnv()
-	env.Go("spawner", func(p *Proc) {
-		var child waitLoop
-		for i := 0; i < b.N; i++ {
-			child.n = 1
-			env.GoSteps("child", &child)
-			p.Wait(2)
-		}
-	})
+	var child waitLoop
+	env.GoSteps("spawner", repeat(b.N, func(c *StepCtx) {
+		child.n = 1
+		env.GoSteps("child", &child)
+		c.Wait(2)
+	}))
 	b.ReportAllocs()
 	b.ResetTimer()
 	if _, err := env.Run(); err != nil {

@@ -177,10 +177,9 @@ func (w *mixedWorker) Step(c *StepCtx) {
 	}
 }
 
-// TestEnvSameInstantOrderPinned runs mixedWorker programs — step processes
-// and goroutine processes driving the same stepper through RunSteps — with
-// a goroutine ticker that broadcasts the shared Signal every 2 ns until all
-// workers finish. The log digest, its length and the final Seq/Now are
+// TestEnvSameInstantOrderPinned runs mixedWorker programs with a ticker
+// process that broadcasts the shared Signal every 2 ns until all workers
+// finish. The log digest, its length and the final Seq/Now are
 // pinned to the values the single-heap engine produced, so routing
 // same-instant events through the ring moved no event.
 func TestEnvSameInstantOrderPinned(t *testing.T) {
@@ -204,18 +203,16 @@ func TestEnvSameInstantOrderPinned(t *testing.T) {
 		for i := 0; i < workers; i++ {
 			w := &mixedWorker{name: fmt.Sprintf("w%d", i), rng: tc.seed*100 + uint64(i),
 				left: 60, res: res, sig: sig, log: &log, done: &done}
-			if i%3 == 2 {
-				env.Go(w.name, func(p *Proc) { RunSteps(p, w) })
-			} else {
-				env.GoSteps(w.name, w)
-			}
+			env.GoSteps(w.name, w)
 		}
-		env.Go("tick", func(p *Proc) {
-			for done < workers {
-				sig.Broadcast()
-				p.Wait(2)
+		env.GoSteps("tick", stepFunc(func(c *StepCtx) {
+			if done >= workers {
+				c.End()
+				return
 			}
-		})
+			sig.Broadcast()
+			c.Wait(2)
+		}))
 		now, err := env.Run()
 		if err != nil {
 			t.Fatalf("seed %d: %v", tc.seed, err)

@@ -2,8 +2,9 @@ package sim
 
 // Resource is a FIFO-queued resource with integer capacity, used to model
 // serializing hardware structures: a CHA tag-directory pipeline, a tile's L2
-// port, a memory-channel slot. Acquire blocks when the resource is full;
-// Release hands the slot to the longest-waiting process.
+// port, a memory-channel slot. A process queues on it with StepCtx.Acquire
+// or StepCtx.Use when it is full; Release hands the slot to the
+// longest-waiting process.
 //
 // The 1:N contention behaviour the paper measures (T_C(N) = α + β·N) emerges
 // from FIFO queueing on these resources, not from an explicit formula.
@@ -42,10 +43,9 @@ func (r *Resource) Name() string { return r.name }
 
 // acquireOrPark takes a slot when one is free, or queues p as a FIFO waiter
 // and accounts it as blocked. It reports whether the slot was obtained; on
-// a false return, Release will later transfer the slot and reschedule p.
-// Shared by both process kinds: a goroutine process parks its goroutine
-// afterwards, a step process records the pending op and returns to the
-// scheduler (see step.go).
+// a false return, Release will later transfer the slot and reschedule p
+// (the step process records the pending op and returns to the scheduler;
+// see step.go).
 func (r *Resource) acquireOrPark(p *Proc) bool {
 	r.acquires++
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
@@ -59,16 +59,6 @@ func (r *Resource) acquireOrPark(p *Proc) bool {
 	}
 	p.env.blocked++
 	return false
-}
-
-// Acquire obtains one slot, blocking the calling process in FIFO order while
-// the resource is full.
-func (r *Resource) Acquire(p *Proc) {
-	if r.acquireOrPark(p) {
-		return
-	}
-	p.park()
-	// When resumed, the slot has already been transferred by Release.
 }
 
 // TryAcquire obtains a slot without blocking; it reports whether it succeeded.
@@ -99,20 +89,14 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
-// Use acquires the resource, advances simulated time by d, and releases it.
-func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p)
-	p.Wait(d)
-	r.Release()
-}
-
 // InUse returns the number of slots currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes currently waiting.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
-// Acquires returns the total number of Acquire/TryAcquire-success calls.
+// Acquires returns the number of Acquire and Use ops entered so far,
+// whether or not they had to queue.
 func (r *Resource) Acquires() uint64 { return r.acquires }
 
 // MaxQueue returns the maximum observed queue length.

@@ -1,8 +1,9 @@
 package sim
 
-// Signal is a broadcast condition: processes Wait on it and a later
-// Broadcast resumes all of them at the current simulated time. The machine
-// model uses one Signal per watched cache line so that a thread polling a
+// Signal is a broadcast condition: processes wait on it with
+// StepCtx.WaitSignal and a later Broadcast resumes all of them at the
+// current simulated time. The machine model uses one Signal per watched
+// cache line so that a thread polling a
 // locally cached flag consumes no simulated traffic (and no host CPU) until
 // an invalidation arrives — exactly the behaviour of polling on a coherent
 // cache.
@@ -21,28 +22,12 @@ func NewSignal(env *Env) *Signal {
 	return &Signal{env: env}
 }
 
-// Wait blocks the calling process until the next Broadcast.
-func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
-	p.block()
-}
-
-// waitStep queues the step process p as a waiter: the step half of Wait.
-// The caller (StepCtx.WaitSignal) marks its frame parked; Broadcast wakes
-// both kinds identically through unblock.
-func (s *Signal) waitStep(p *Proc) {
+// wait queues p as a waiter and accounts it as blocked; the caller
+// (StepCtx.WaitSignal) marks its frame parked, and Broadcast wakes it
+// through unblock.
+func (s *Signal) wait(p *Proc) {
 	s.waiters = append(s.waiters, p)
 	p.env.blocked++
-}
-
-// WaitVersion blocks until the Signal's version exceeds v. It returns the
-// version observed on wake-up. Use Version before inspecting guarded state
-// to avoid lost wake-ups.
-func (s *Signal) WaitVersion(p *Proc, v uint64) uint64 {
-	for s.version <= v {
-		s.Wait(p)
-	}
-	return s.version
 }
 
 // Version returns the number of Broadcasts so far.

@@ -2,19 +2,48 @@ package sim
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
+// junctures returns a step process body that runs fns as successive
+// junctures — a function that queues no primitive falls through to the
+// next one in the same juncture — and ends after the last.
+func junctures(fns ...func(c *StepCtx)) stepFunc {
+	i := 0
+	return func(c *StepCtx) {
+		for i < len(fns) {
+			i++
+			fns[i-1](c)
+			if c.Blocked() {
+				return
+			}
+		}
+		c.End()
+	}
+}
+
+// repeat returns a step process body that runs fn as n successive
+// junctures and then ends.
+func repeat(n int, fn func(c *StepCtx)) stepFunc {
+	return func(c *StepCtx) {
+		if n == 0 {
+			c.End()
+			return
+		}
+		n--
+		fn(c)
+	}
+}
+
 func TestWaitAdvancesTime(t *testing.T) {
 	env := NewEnv()
 	var at Time
-	env.Go("a", func(p *Proc) {
-		p.Wait(10)
-		p.Wait(5.5)
-		at = env.Now()
-	})
+	env.GoSteps("a", junctures(
+		func(c *StepCtx) { c.Wait(10) },
+		func(c *StepCtx) { c.Wait(5.5) },
+		func(c *StepCtx) { at = c.Now() },
+	))
 	end, err := env.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -29,10 +58,10 @@ func TestFIFOOrderAtSameTime(t *testing.T) {
 	var order []string
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
-		env.Go(name, func(p *Proc) {
-			p.Wait(7)
-			order = append(order, name)
-		})
+		env.GoSteps(name, junctures(
+			func(c *StepCtx) { c.Wait(7) },
+			func(c *StepCtx) { order = append(order, name) },
+		))
 	}
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -42,49 +71,76 @@ func TestFIFOOrderAtSameTime(t *testing.T) {
 	}
 }
 
+// TestGoAtAndWaitUntil covers the absolute-time edges of GoStepsAt and
+// WaitUntil: a WaitUntil to the current instant costs no time, and a spawn
+// or a WaitUntil in the past panics.
 func TestGoAtAndWaitUntil(t *testing.T) {
 	env := NewEnv()
-	var times []Time
-	env.GoAt(100, "late", func(p *Proc) { times = append(times, env.Now()) })
-	env.Go("early", func(p *Proc) {
-		p.WaitUntil(50)
-		times = append(times, env.Now())
-	})
+	var at Time = -1
+	env.GoStepsAt(20, "p", junctures(
+		func(c *StepCtx) { c.WaitUntil(20) },
+		func(c *StepCtx) { at = c.Now() },
+	))
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(times) != 2 || times[0] != 50 || times[1] != 100 {
-		t.Errorf("times = %v, want [50 100]", times)
+	if at != 20 {
+		t.Errorf("WaitUntil(now) resumed at %v, want 20", at)
 	}
+
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("GoStepsAt in the past", func() {
+		env.GoStepsAt(10, "late", stepFunc(func(c *StepCtx) { c.End() }))
+	})
+	mustPanic("WaitUntil in the past", func() {
+		env.GoSteps("back", stepFunc(func(c *StepCtx) { c.WaitUntil(5) }))
+		_, _ = env.Run()
+	})
 }
 
 func TestNegativeWaitPanics(t *testing.T) {
-	env := NewEnv()
-	env.Go("bad", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("Wait(-1) did not panic")
-			}
-			// Re-panic replacement: finish cleanly so Run terminates.
+	for _, tc := range []struct {
+		name string
+		bad  func(c *StepCtx, r *Resource)
+	}{
+		{"Wait", func(c *StepCtx, r *Resource) { c.Wait(-1) }},
+		{"Use", func(c *StepCtx, r *Resource) { c.Use(r, -1) }},
+	} {
+		env := NewEnv()
+		r := NewResource(env, "r", 1)
+		env.GoSteps("bad", stepFunc(func(c *StepCtx) { tc.bad(c, r) }))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(-1) did not panic", tc.name)
+				}
+			}()
+			_, _ = env.Run()
 		}()
-		p.Wait(-1)
-	})
-	if _, err := env.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestSpawnFromProcess(t *testing.T) {
 	env := NewEnv()
 	var childTime Time
-	env.Go("parent", func(p *Proc) {
-		p.Wait(10)
-		env.Go("child", func(c *Proc) {
-			c.Wait(5)
-			childTime = env.Now()
-		})
-		p.Wait(100)
-	})
+	env.GoSteps("parent", junctures(
+		func(c *StepCtx) { c.Wait(10) },
+		func(c *StepCtx) {
+			env.GoSteps("child", junctures(
+				func(c *StepCtx) { c.Wait(5) },
+				func(c *StepCtx) { childTime = c.Now() },
+			))
+			c.Wait(100)
+		},
+	))
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -93,44 +149,43 @@ func TestSpawnFromProcess(t *testing.T) {
 	}
 }
 
+// useThenRecord spawns n processes that each hold res for d and then
+// record their finish time.
+func useThenRecord(env *Env, res *Resource, n int, d Time) *[]Time {
+	var finish []Time
+	for i := 0; i < n; i++ {
+		env.GoSteps("t", junctures(
+			func(c *StepCtx) { c.Use(res, d) },
+			func(c *StepCtx) { finish = append(finish, c.Now()) },
+		))
+	}
+	return &finish
+}
+
 func TestResourceSerializes(t *testing.T) {
 	env := NewEnv()
-	res := NewResource(env, "cha", 1)
-	var finish []Time
-	for i := 0; i < 4; i++ {
-		env.Go("t", func(p *Proc) {
-			res.Use(p, 10)
-			finish = append(finish, env.Now())
-		})
-	}
+	finish := useThenRecord(env, NewResource(env, "cha", 1), 4, 10)
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []Time{10, 20, 30, 40}
 	for i, w := range want {
-		if finish[i] != w {
-			t.Errorf("finish[%d] = %v, want %v", i, finish[i], w)
+		if (*finish)[i] != w {
+			t.Errorf("finish[%d] = %v, want %v", i, (*finish)[i], w)
 		}
 	}
 }
 
 func TestResourceCapacity2(t *testing.T) {
 	env := NewEnv()
-	res := NewResource(env, "port", 2)
-	var finish []Time
-	for i := 0; i < 4; i++ {
-		env.Go("t", func(p *Proc) {
-			res.Use(p, 10)
-			finish = append(finish, env.Now())
-		})
-	}
+	finish := useThenRecord(env, NewResource(env, "port", 2), 4, 10)
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []Time{10, 10, 20, 20}
 	for i, w := range want {
-		if finish[i] != w {
-			t.Errorf("finish[%d] = %v, want %v", i, finish[i], w)
+		if (*finish)[i] != w {
+			t.Errorf("finish[%d] = %v, want %v", i, (*finish)[i], w)
 		}
 	}
 }
@@ -141,12 +196,16 @@ func TestResourceFIFOFairness(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		env.GoAt(Time(i), "t", func(p *Proc) {
-			res.Acquire(p)
-			p.Wait(100)
-			order = append(order, i)
-			res.Release()
-		})
+		env.GoStepsAt(Time(i), "t", junctures(
+			func(c *StepCtx) {
+				c.Acquire(res)
+				c.Wait(100)
+			},
+			func(c *StepCtx) {
+				order = append(order, i)
+				res.Release()
+			},
+		))
 	}
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -162,7 +221,7 @@ func TestResourceFIFOFairness(t *testing.T) {
 func TestTryAcquire(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, "r", 1)
-	env.Go("t", func(p *Proc) {
+	env.GoSteps("t", junctures(func(c *StepCtx) {
 		if !res.TryAcquire() {
 			t.Error("first TryAcquire failed")
 		}
@@ -174,7 +233,7 @@ func TestTryAcquire(t *testing.T) {
 			t.Error("TryAcquire after release failed")
 		}
 		res.Release()
-	})
+	}))
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +253,10 @@ func TestReleaseIdlePanics(t *testing.T) {
 func TestResourceUtilization(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, "r", 1)
-	env.Go("t", func(p *Proc) {
-		p.Wait(50)
-		res.Use(p, 50)
-	})
+	env.GoSteps("t", junctures(func(c *StepCtx) {
+		c.Wait(50)
+		c.Use(res, 50)
+	}))
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -211,15 +270,15 @@ func TestSignalBroadcast(t *testing.T) {
 	sig := NewSignal(env)
 	var woke []Time
 	for i := 0; i < 3; i++ {
-		env.Go("waiter", func(p *Proc) {
-			sig.Wait(p)
-			woke = append(woke, env.Now())
-		})
+		env.GoSteps("waiter", junctures(
+			func(c *StepCtx) { c.WaitSignal(sig) },
+			func(c *StepCtx) { woke = append(woke, c.Now()) },
+		))
 	}
-	env.Go("setter", func(p *Proc) {
-		p.Wait(42)
-		sig.Broadcast()
-	})
+	env.GoSteps("setter", junctures(
+		func(c *StepCtx) { c.Wait(42) },
+		func(c *StepCtx) { sig.Broadcast() },
+	))
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,31 +292,40 @@ func TestSignalBroadcast(t *testing.T) {
 	}
 }
 
+// TestSignalVersioning: a waiter that samples Version before sleeping
+// keeps waiting until the version it needs, seeing no lost wake-up.
 func TestSignalVersioning(t *testing.T) {
 	env := NewEnv()
 	sig := NewSignal(env)
 	var got uint64
-	env.Go("waiter", func(p *Proc) {
-		got = sig.WaitVersion(p, 1) // must see at least version 2
-	})
-	env.Go("setter", func(p *Proc) {
-		p.Wait(1)
-		sig.Broadcast()
-		p.Wait(1)
-		sig.Broadcast()
-	})
+	env.GoSteps("waiter", stepFunc(func(c *StepCtx) {
+		if sig.Version() <= 1 { // must see at least version 2
+			c.WaitSignal(sig)
+			return
+		}
+		got = sig.Version()
+		c.End()
+	}))
+	env.GoSteps("setter", junctures(
+		func(c *StepCtx) { c.Wait(1) },
+		func(c *StepCtx) {
+			sig.Broadcast()
+			c.Wait(1)
+		},
+		func(c *StepCtx) { sig.Broadcast() },
+	))
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got != 2 {
-		t.Errorf("WaitVersion returned %d, want 2", got)
+		t.Errorf("waiter saw version %d, want 2", got)
 	}
 }
 
 func TestDeadlockDetection(t *testing.T) {
 	env := NewEnv()
 	sig := NewSignal(env)
-	env.Go("stuck", func(p *Proc) { sig.Wait(p) })
+	env.GoSteps("stuck", stepFunc(func(c *StepCtx) { c.WaitSignal(sig) }))
 	_, err := env.Run()
 	if !errors.Is(err, ErrDeadlock) {
 		t.Errorf("err = %v, want ErrDeadlock", err)
@@ -275,16 +343,22 @@ func TestDeterminism(t *testing.T) {
 		var log []Time
 		for i := 0; i < 8; i++ {
 			i := i
-			env.GoAt(Time(i%3), "w", func(p *Proc) {
-				res.Use(p, Time(5+i))
-				log = append(log, env.Now())
-				if i == 7 {
-					sig.Broadcast()
-				} else if i < 3 {
-					sig.Wait(p)
-					log = append(log, env.Now())
-				}
-			})
+			env.GoStepsAt(Time(i%3), "w", junctures(
+				func(c *StepCtx) { c.Use(res, Time(5+i)) },
+				func(c *StepCtx) {
+					log = append(log, c.Now())
+					if i == 7 {
+						sig.Broadcast()
+					} else if i < 3 {
+						c.WaitSignal(sig)
+					}
+				},
+				func(c *StepCtx) {
+					if i < 3 {
+						log = append(log, c.Now())
+					}
+				},
+			))
 		}
 		// The scenario deliberately strands one waiter past the final
 		// broadcast; Run reports that as a deadlock. Only the identical
@@ -311,7 +385,7 @@ func TestResourceWorkConservation(t *testing.T) {
 		env := NewEnv()
 		res := NewResource(env, "r", 1)
 		for i := 0; i < n; i++ {
-			env.GoAt(Time(seed%3), "t", func(p *Proc) { res.Use(p, 10) })
+			env.GoStepsAt(Time(seed%3), "t", junctures(func(c *StepCtx) { c.Use(res, 10) }))
 		}
 		end, err := env.Run()
 		return err == nil && end == Time(seed%3)+Time(n)*10
@@ -324,21 +398,25 @@ func TestResourceWorkConservation(t *testing.T) {
 func TestManyProcessesStress(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, "r", 4)
-	var count atomic.Int64
+	count := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		env.Go("t", func(p *Proc) {
-			for j := 0; j < 5; j++ {
-				res.Use(p, 1)
+		uses := 0
+		env.GoSteps("t", stepFunc(func(c *StepCtx) {
+			if uses == 5 {
+				count++
+				c.End()
+				return
 			}
-			count.Add(1)
-		})
+			uses++
+			c.Use(res, 1)
+		}))
 	}
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if count.Load() != n {
-		t.Errorf("finished %d, want %d", count.Load(), n)
+	if count != n {
+		t.Errorf("finished %d, want %d", count, n)
 	}
 	if env.Live() != 0 {
 		t.Errorf("Live = %d, want 0", env.Live())
@@ -349,29 +427,12 @@ func TestManyProcessesStress(t *testing.T) {
 	}
 }
 
-// Engine micro-benchmarks: the scheduler handoff and resource costs bound
-// how large a simulated experiment can be.
-func BenchmarkProcessHandoff(b *testing.B) {
-	env := NewEnv()
-	env.Go("w", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Wait(1)
-		}
-	})
-	b.ResetTimer()
-	if _, err := env.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
+// Engine micro-benchmarks: the resource costs bound how large a simulated
+// experiment can be.
 func BenchmarkResourceUse(b *testing.B) {
 	env := NewEnv()
 	res := NewResource(env, "r", 1)
-	env.Go("w", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			res.Use(p, 1)
-		}
-	})
+	env.GoSteps("w", repeat(b.N, func(c *StepCtx) { c.Use(res, 1) }))
 	b.ResetTimer()
 	if _, err := env.Run(); err != nil {
 		b.Fatal(err)
@@ -383,11 +444,7 @@ func BenchmarkContendedResource(b *testing.B) {
 	res := NewResource(env, "r", 1)
 	const workers = 8
 	for w := 0; w < workers; w++ {
-		env.Go("w", func(p *Proc) {
-			for i := 0; i < b.N/workers; i++ {
-				res.Use(p, 1)
-			}
-		})
+		env.GoSteps("w", repeat(b.N/workers, func(c *StepCtx) { c.Use(res, 1) }))
 	}
 	b.ResetTimer()
 	if _, err := env.Run(); err != nil {

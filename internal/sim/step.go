@@ -2,28 +2,17 @@ package sim
 
 import "fmt"
 
-// This file adds a second process kind to the engine: the stackless step
-// process. A goroutine Proc costs one channel transfer per event (the
-// direct-handoff park/unpark); a StepProc is a resumable state machine the
-// scheduler invokes inline — zero channel operations, zero goroutine
-// scheduling. Both kinds share the event heap, the seq ordering, the
-// Resource/Signal wait queues, and the OnWait hook, so converting a process
-// from one kind to the other must not move a single event.
+// This file holds the engine's process kind: the stackless step process.
+// A StepProc is a resumable state machine the scheduler invokes inline —
+// no goroutine, no channel operation per event.
 //
 // A step process describes each blocking primitive (Wait, Use, Acquire,
-// Signal.Wait) as a micro-op pushed onto a small per-process queue instead
-// of executing it on a goroutine stack. The scheduler executes queued ops
-// exactly as the goroutine primitives would — same hook firings, same
-// schedule calls, same waiter-queue entries — and calls Step again when the
-// queue drains. Step therefore advances from one blocking point (a
-// "juncture") to the next; all state between junctures lives in the Stepper
-// value, not on a stack.
-//
-// The StepCtx passed to Step doubles as a blocking executor: with no step
-// process attached, its methods run the goroutine primitives immediately.
-// One state machine can therefore serve both as a spawned step process and
-// as the body of an ordinary goroutine process (see RunSteps), which is how
-// the machine layer keeps a single source of truth per protocol walk.
+// WaitSignal) as a micro-op pushed onto a small per-process queue instead
+// of executing it on a stack. The scheduler executes queued ops in order —
+// hook firings, schedule calls, waiter-queue entries — and calls Step
+// again when the queue drains. Step therefore advances from one blocking
+// point (a "juncture") to the next; all state between junctures lives in
+// the Stepper value, not on a stack.
 
 // Stepper is the body of a step process. Step is called with the op queue
 // empty and advances the machine to its next blocking point by pushing ops
@@ -36,10 +25,9 @@ type Stepper interface {
 // Jitterer draws a deterministic timing perturbation for a base duration.
 // The machine layer implements it with its seeded RNG. Ops queued with a
 // Jitterer (WaitJit, UseJit, WaitPlusJit) resolve the draw when the op is
-// *entered* by the scheduler, not when it is pushed: a goroutine process
-// evaluates `p.Wait(m.jitter(d))` at the instant the wait begins, so a step
-// process queuing several jittered ops in one Step call must defer each
-// draw to the same instant to consume the shared RNG stream in the same
+// *entered* by the scheduler, not when it is pushed: a Step call may queue
+// several jittered ops, and each draw must land at the instant its wait
+// begins so that processes sharing the RNG consume it in simulated-time
 // order. The draw happens exactly once per op — an op that parks at a
 // resource does not redraw on resume.
 type Jitterer interface {
@@ -48,10 +36,10 @@ type Jitterer interface {
 
 // Op kinds of the step-process micro-op queue.
 const (
-	sopWait      = uint8(iota + 1) // Proc.Wait: OnWait hook + schedule(now+d)
-	sopWaitUntil                   // Proc.WaitUntil: schedule(d), no hook
-	sopUse                         // Resource.Use: acquire, hold, release
-	sopAcquire                     // Resource.Acquire: take a slot or queue
+	sopWait      = uint8(iota + 1) // Wait: OnWait hook + schedule(now+d)
+	sopWaitUntil                   // WaitUntil: schedule(d), no hook
+	sopUse                         // Use: acquire, hold, release
+	sopAcquire                     // Acquire: take a slot or queue
 )
 
 // stepOp is one queued blocking primitive. phase tracks multi-event ops:
@@ -71,8 +59,7 @@ type stepOp struct {
 
 // StepProc is the scheduler-side frame of a step process. Its embedded Proc
 // is the process's identity everywhere the engine tracks processes — event
-// queue entries, Resource and Signal waiter lists, OnWait hook calls — so
-// the rest of the engine needs no second process type.
+// queue entries, Resource and Signal waiter lists, OnWait hook calls.
 type StepProc struct {
 	proc Proc
 	fn   Stepper
@@ -85,33 +72,14 @@ type StepProc struct {
 	ended  bool // End called: retire once the op queue drains
 }
 
-// StepCtx is the execution context handed to Stepper.Step. When sp is set,
-// primitives queue micro-ops for the scheduler; when sp is nil (a
-// BlockingCtx), they run the goroutine primitives immediately, so the same
-// Stepper code drives both process kinds.
+// StepCtx is the execution context handed to Stepper.Step: its primitives
+// queue micro-ops for the scheduler.
 type StepCtx struct {
-	p    *Proc
-	sp   *StepProc
-	done bool // blocking-mode End marker (step mode uses sp.ended)
+	p  *Proc
+	sp *StepProc
 }
 
-// BlockingCtx returns a context that executes step primitives immediately
-// on the goroutine process p. It lets a goroutine process run a Stepper
-// state machine inline (see RunSteps).
-func BlockingCtx(p *Proc) StepCtx { return StepCtx{p: p} }
-
-// RunSteps drives s to completion on the goroutine process p: every
-// primitive blocks inline, and the loop exits when s calls End.
-func RunSteps(p *Proc, s Stepper) {
-	c := BlockingCtx(p)
-	for !c.done {
-		s.Step(&c)
-	}
-}
-
-// Proc returns the process identity: the spawned step process's embedded
-// Proc, or the goroutine process of a BlockingCtx. It is valid as a waiter
-// or hook argument anywhere a goroutine *Proc is.
+// Proc returns the process identity, valid as a waiter or hook argument.
 func (c *StepCtx) Proc() *Proc { return c.p }
 
 // Env returns the environment the process runs in.
@@ -123,20 +91,15 @@ func (c *StepCtx) Now() Time { return c.p.env.now }
 // Blocked reports whether queued ops or a Signal park are pending, i.e.
 // whether simulated time may pass before the next Step call. Sub-machines
 // are driven as `sub.Step(c); if c.Blocked() { return }` so the parent only
-// advances once the sub-machine's primitives have drained. In blocking mode
-// primitives complete inline, so Blocked is always false.
+// advances once the sub-machine's primitives have drained.
 func (c *StepCtx) Blocked() bool {
-	return c.sp != nil && (c.sp.opLen > 0 || c.sp.parked)
+	return c.sp.opLen > 0 || c.sp.parked
 }
 
-// End marks the process finished. In step mode the process retires once the
-// already-queued ops drain; in blocking mode it stops RunSteps.
+// End marks the process finished: it retires once the already-queued ops
+// drain.
 func (c *StepCtx) End() {
-	if c.sp != nil {
-		c.sp.ended = true
-		return
-	}
-	c.done = true
+	c.sp.ended = true
 }
 
 func (c *StepCtx) push(op stepOp) {
@@ -148,100 +111,71 @@ func (c *StepCtx) push(op stepOp) {
 	sp.opLen++
 }
 
-// Wait advances the process by d nanoseconds, like Proc.Wait.
+// Wait advances the process by d nanoseconds. Negative d panics. Wait(0)
+// yields to other processes scheduled at the same instant that were
+// enqueued earlier.
+//
+//knl:hotpath the event-engine inner loop; BenchmarkEngineEventThroughput pins 0 allocs/op
 func (c *StepCtx) Wait(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Wait(%v) negative", d))
 	}
-	if c.sp == nil {
-		c.p.Wait(d)
-		return
-	}
 	c.push(stepOp{kind: sopWait, d: d})
 }
 
-// WaitJit waits j.Jitter(base), drawing the jitter when the wait begins —
-// the step-mode equivalent of `p.Wait(m.jitter(base))`.
+// WaitJit waits j.Jitter(base), drawing the jitter when the wait begins.
 func (c *StepCtx) WaitJit(j Jitterer, base Time) {
-	if c.sp == nil {
-		c.p.Wait(j.Jitter(base))
-		return
-	}
 	c.push(stepOp{kind: sopWait, jd: base, jit: j})
 }
 
 // WaitPlusJit waits d + j.Jitter(jd): a pre-computed part plus a part whose
-// jitter is drawn when the wait begins — the step-mode equivalent of
-// `p.Wait(tail + m.jitter(base))`.
+// jitter is drawn when the wait begins.
 func (c *StepCtx) WaitPlusJit(d Time, j Jitterer, jd Time) {
-	if c.sp == nil {
-		c.p.Wait(d + j.Jitter(jd))
-		return
-	}
 	c.push(stepOp{kind: sopWait, d: d, jd: jd, jit: j})
 }
 
 // UseJit uses r for j.Jitter(base), drawing the jitter when the acquire
-// begins — the step-mode equivalent of `r.Use(p, m.jitter(base))`.
+// begins.
 func (c *StepCtx) UseJit(r *Resource, j Jitterer, base Time) {
-	if c.sp == nil {
-		r.Use(c.p, j.Jitter(base))
-		return
-	}
 	c.push(stepOp{kind: sopUse, r: r, jd: base, jit: j})
 }
 
-// WaitUntil advances the process to absolute time t, like Proc.WaitUntil.
+// WaitUntil advances the process to absolute time t (>= Now at the instant
+// the op is reached).
 func (c *StepCtx) WaitUntil(t Time) {
-	if c.sp == nil {
-		c.p.WaitUntil(t)
-		return
-	}
 	c.push(stepOp{kind: sopWaitUntil, d: t})
 }
 
-// Use acquires r, holds it for d, and releases it, like Resource.Use.
+// Use acquires r in FIFO order, holds it for d, and releases it.
 func (c *StepCtx) Use(r *Resource, d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Wait(%v) negative", d))
 	}
-	if c.sp == nil {
-		r.Use(c.p, d)
-		return
-	}
 	c.push(stepOp{kind: sopUse, r: r, d: d})
 }
 
-// Acquire obtains one slot of r in FIFO order, like Resource.Acquire.
+// Acquire obtains one slot of r in FIFO order, queueing while r is full.
 // Release is synchronous and needs no proc: steppers call r.Release()
 // directly at a juncture where the slot is held (i.e. before pushing the
 // ops of that juncture, so the release lands at the correct instant).
 func (c *StepCtx) Acquire(r *Resource) {
-	if c.sp == nil {
-		r.Acquire(c.p)
-		return
-	}
 	c.push(stepOp{kind: sopAcquire, r: r})
 }
 
-// WaitSignal blocks until the next Broadcast of s, like Signal.Wait. In
-// step mode it must be the juncture's only primitive (the process becomes a
-// waiter immediately, which cannot be sequenced after queued ops).
+// WaitSignal blocks until the next Broadcast of s. It must be the
+// juncture's only primitive (the process becomes a waiter immediately,
+// which cannot be sequenced after queued ops).
 func (c *StepCtx) WaitSignal(s *Signal) {
-	if c.sp == nil {
-		s.Wait(c.p)
-		return
-	}
 	if c.sp.opLen != 0 {
 		panic("sim: WaitSignal after queued step ops")
 	}
-	s.waitStep(c.p)
+	s.wait(c.p)
 	c.sp.parked = true
 }
 
 // GoSteps spawns s as a step process starting at the current simulated
-// time. The process identity it returns behaves like any goroutine Proc for
-// waiter queues and hooks, but is advanced inline by the scheduler.
+// time. It may be called before Run or from within a running process. The
+// returned identity can be used to filter observation hooks.
 func (e *Env) GoSteps(name string, s Stepper) *Proc {
 	return e.GoStepsAt(e.now, name, s)
 }
@@ -262,9 +196,7 @@ func (e *Env) GoStepsAt(at Time, name string, s Stepper) *Proc {
 }
 
 // newStep takes a recycled step frame from the free list, or allocates one
-// when the list is empty. The step free list is separate from the
-// resume-channel free list: a retired step process never owned a resume
-// channel and must not feed one back into that pool.
+// when the list is empty.
 func (e *Env) newStep() *StepProc {
 	if n := len(e.freeStep); n > 0 {
 		sp := e.freeStep[n-1]
@@ -287,8 +219,9 @@ func (e *Env) retireStep(sp *StepProc) {
 // advance runs a step process from a fired event (or waiter wake-up): it
 // executes queued ops until one blocks, and calls Step for the next
 // juncture whenever the queue drains, until the process blocks again or
-// ends. It is the step-process half of the scheduler, called inline from
-// cede and Run where a goroutine process would be resumed over its channel.
+// ends. Run calls it for every event it pops.
+//
+//knl:hotpath the scheduler's dispatch of every event; BenchmarkStepHandoff pins 0 allocs/op
 func (e *Env) advance(sp *StepProc) {
 	sp.parked = false
 	for {
@@ -311,18 +244,20 @@ func (e *Env) advance(sp *StepProc) {
 	}
 }
 
-// execHead executes the head op, mirroring the goroutine primitive exactly
-// (hook firings, schedule calls, waiter-queue entries, slot transfers). It
-// reports whether the op completed; false means the process is now waiting
-// for an event or a Release/Broadcast wake-up, and the next advance call
-// resumes at the recorded phase.
+// execHead executes the head op (hook firings, schedule calls,
+// waiter-queue entries, slot transfers). It reports whether the op
+// completed; false means the process is now waiting for an event or a
+// Release/Broadcast wake-up, and the next advance call resumes at the
+// recorded phase.
+//
+//knl:hotpath the step wait path of every primitive; BenchmarkEngineEventThroughput pins 0 allocs/op
 func (sp *StepProc) execHead() bool {
 	op := &sp.ops[sp.opHead]
 	p := &sp.proc
 	e := p.env
-	// Deferred jitter resolves at op entry — the instant a goroutine would
-	// evaluate the primitive's duration argument — and exactly once (a Use
-	// that parks at its acquire must not redraw on resume).
+	// Deferred jitter resolves at op entry — the instant the primitive
+	// begins — and exactly once (a Use that parks at its acquire must not
+	// redraw on resume).
 	if op.jit != nil {
 		op.d += op.jit.Jitter(op.jd)
 		op.jit = nil

@@ -1,138 +1,25 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// scriptOp is one primitive of a scripted process body, used to run the
-// identical workload as goroutine and as step processes.
-type scriptOp struct {
-	kind byte // 'w' Wait, 'u' Use, 'a' Acquire+Wait (Release next juncture), 's' Signal wait, 'b' Broadcast
-	d    Time
-	r    *Resource
-	sig  *Signal
-}
-
-// scriptStep executes a scriptOp sequence one juncture at a time. The same
-// Step method drives a spawned step process and (via RunSteps) a goroutine
-// process, so any engine asymmetry between the kinds shows up as a log
-// difference.
-type scriptStep struct {
-	name string
-	ops  []scriptOp
-	i    int
-	rel  *Resource // held slot to release at the next juncture
-	log  *[]string
-}
-
-func (s *scriptStep) Step(c *StepCtx) {
-	//lint:ignore hotalloc test-only stepper; the formatted log is the point of the script harness
-	*s.log = append(*s.log, fmt.Sprintf("%s@%v/%d", s.name, c.Now(), c.Env().Seq()))
-	if s.rel != nil {
-		s.rel.Release()
-		s.rel = nil
-	}
-	for s.i < len(s.ops) {
-		op := s.ops[s.i]
-		s.i++
-		switch op.kind {
-		case 'b':
-			op.sig.Broadcast()
-			continue // synchronous: stay in this juncture
-		case 'w':
-			c.Wait(op.d)
-		case 'u':
-			c.Use(op.r, op.d)
-		case 'a':
-			c.Acquire(op.r)
-			c.Wait(op.d)
-			s.rel = op.r
-		case 's':
-			c.WaitSignal(op.sig)
-		}
-		return
-	}
-	c.End()
-}
-
-// runScripted runs a fixed contended workload — three processes sharing a
-// capacity-1 resource and a signal — spawning each process as a step or
-// goroutine process according to kinds. It returns the per-juncture log
-// (name@time/seq at every juncture start) plus the final seq and end time.
-func runScripted(t *testing.T, kinds [3]bool) ([]string, uint64, Time) {
-	t.Helper()
-	env := NewEnv()
-	r := NewResource(env, "r", 1)
-	sig := NewSignal(env)
-	scripts := [3][]scriptOp{
-		{{kind: 'w', d: 5}, {kind: 'u', r: r, d: 10}, {kind: 's', sig: sig}, {kind: 'w', d: 1}},
-		{{kind: 'u', r: r, d: 10}, {kind: 'a', r: r, d: 4}, {kind: 'w', d: 2}, {kind: 's', sig: sig}},
-		{{kind: 'w', d: 3}, {kind: 'u', r: r, d: 10}, {kind: 'w', d: 30}, {kind: 'b', sig: sig}, {kind: 'w', d: 1}},
-	}
-	var log []string
-	for i, ops := range scripts {
-		s := &scriptStep{name: fmt.Sprintf("p%d", i), ops: ops, log: &log}
-		if kinds[i] {
-			env.GoSteps(s.name, s)
-		} else {
-			s := s
-			env.Go(s.name, func(p *Proc) { RunSteps(p, s) })
-		}
-	}
-	end, err := env.Run()
-	if err != nil {
-		t.Fatalf("scripted run (kinds %v): %v", kinds, err)
-	}
-	if env.Live() != 0 {
-		t.Fatalf("scripted run (kinds %v): %d live processes after Run", kinds, env.Live())
-	}
-	return log, env.Seq(), end
-}
-
-// TestStepGoroutineScriptEquivalence runs the same contended workload in
-// every process-kind combination and asserts the juncture-by-juncture
-// timeline — time and event sequence number at every blocking point — is
-// identical. This is the engine-level half of the step-vs-goroutine
-// equivalence contract (the machine layer pins the full StateDigest).
-func TestStepGoroutineScriptEquivalence(t *testing.T) {
-	refLog, refSeq, refEnd := runScripted(t, [3]bool{false, false, false})
-	for _, kinds := range [][3]bool{
-		{true, true, true},
-		{true, false, true},
-		{false, true, false},
-		{true, true, false},
-	} {
-		log, seq, end := runScripted(t, kinds)
-		if seq != refSeq || end != refEnd {
-			t.Errorf("kinds %v: seq/end = %d/%v, want %d/%v", kinds, seq, end, refSeq, refEnd)
-		}
-		if len(log) != len(refLog) {
-			t.Fatalf("kinds %v: %d junctures, want %d\n got %v\nwant %v",
-				kinds, len(log), len(refLog), log, refLog)
-		}
-		for i := range log {
-			if log[i] != refLog[i] {
-				t.Errorf("kinds %v: juncture %d = %q, want %q", kinds, i, log[i], refLog[i])
-			}
-		}
-	}
-}
-
+// TestStepWaitAdvancesTime: several primitives queued in one juncture run
+// back to back before the next Step call.
 func TestStepWaitAdvancesTime(t *testing.T) {
 	env := NewEnv()
 	var at Time
-	done := &scriptStep{name: "a", ops: []scriptOp{{kind: 'w', d: 10}, {kind: 'w', d: 5.5}}}
-	var log []string
-	done.log = &log
-	env.GoSteps("a", done)
+	env.GoSteps("a", junctures(
+		func(c *StepCtx) {
+			c.Wait(10)
+			c.Wait(5.5)
+		},
+		func(c *StepCtx) { at = c.Now() },
+	))
 	end, err := env.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	at = end
-	if at != 15.5 {
-		t.Errorf("end = %v, want 15.5", at)
+	if at != 15.5 || end != 15.5 {
+		t.Errorf("time = %v / end %v, want 15.5", at, end)
 	}
 }
 
@@ -166,47 +53,6 @@ type stepFunc func(c *StepCtx)
 
 func (f stepFunc) Step(c *StepCtx) { f(c) }
 
-// TestStepResourceFIFOWithGoroutines interleaves step and goroutine
-// processes on one capacity-1 resource and asserts strict FIFO service in
-// arrival order across kinds.
-func TestStepResourceFIFOWithGoroutines(t *testing.T) {
-	env := NewEnv()
-	res := NewResource(env, "r", 1)
-	var order []int
-	for i := 0; i < 6; i++ {
-		i := i
-		if i%2 == 0 {
-			done := false
-			env.GoStepsAt(Time(i), "s", stepFunc(func(c *StepCtx) {
-				if !done {
-					done = true
-					c.Acquire(res)
-					c.Wait(100)
-					return
-				}
-				order = append(order, i)
-				res.Release()
-				c.End()
-			}))
-		} else {
-			env.GoAt(Time(i), "g", func(p *Proc) {
-				res.Acquire(p)
-				p.Wait(100)
-				order = append(order, i)
-				res.Release()
-			})
-		}
-	}
-	if _, err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("service order %v not FIFO across process kinds", order)
-		}
-	}
-}
-
 // TestSignalZeroWaiterBroadcast: a Broadcast with no waiters must only bump
 // the version — before anyone ever waited, and again after all waiters have
 // been woken and retired.
@@ -214,13 +60,17 @@ func TestSignalZeroWaiterBroadcast(t *testing.T) {
 	env := NewEnv()
 	sig := NewSignal(env)
 	var woke []Time
-	env.Go("driver", func(p *Proc) {
-		sig.Broadcast() // no waiters ever: version bump only
-		p.Wait(10)
-		sig.Broadcast() // waiter present: wakes it
-		p.Wait(10)
-		sig.Broadcast() // waiter already retired: no-op again
-	})
+	env.GoSteps("driver", junctures(
+		func(c *StepCtx) {
+			sig.Broadcast() // no waiters ever: version bump only
+			c.Wait(10)
+		},
+		func(c *StepCtx) {
+			sig.Broadcast() // waiter present: wakes it
+			c.Wait(10)
+		},
+		func(c *StepCtx) { sig.Broadcast() }, // waiter already retired: no-op again
+	))
 	env.GoSteps("waiter", stepFunc(func(c *StepCtx) {
 		if len(woke) == 0 && c.Now() == 0 {
 			c.WaitSignal(sig)
@@ -259,23 +109,27 @@ func TestSignalWakeAfterWaiterRetired(t *testing.T) {
 		wokeA = c.Now()
 		c.End() // retires; its frame goes to the step free list
 	}))
-	env.Go("driver", func(p *Proc) {
-		p.Wait(10)
-		sig.Broadcast()
-		p.Wait(10)
-		sig.Broadcast() // a already retired: must wake nobody
-		// A new step process recycles a's frame and must wait cleanly.
-		env.GoSteps("b", stepFunc(func(c *StepCtx) {
-			if wokeB == 0 && c.Now() == 20 {
-				c.WaitSignal(sig)
-				return
-			}
-			wokeB = c.Now()
-			c.End()
-		}))
-		p.Wait(10)
-		sig.Broadcast()
-	})
+	env.GoSteps("driver", junctures(
+		func(c *StepCtx) { c.Wait(10) },
+		func(c *StepCtx) {
+			sig.Broadcast()
+			c.Wait(10)
+		},
+		func(c *StepCtx) {
+			sig.Broadcast() // a already retired: must wake nobody
+			// A new step process recycles a's frame and must wait cleanly.
+			env.GoSteps("b", stepFunc(func(c *StepCtx) {
+				if wokeB == 0 && c.Now() == 20 {
+					c.WaitSignal(sig)
+					return
+				}
+				wokeB = c.Now()
+				c.End()
+			}))
+			c.Wait(10)
+		},
+		func(c *StepCtx) { sig.Broadcast() },
+	))
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,107 +141,9 @@ func TestSignalWakeAfterWaiterRetired(t *testing.T) {
 	}
 }
 
-// TestSignalMixedKindWaiters parks step and goroutine waiters on one Signal
-// in interleaved arrival order and asserts a single Broadcast wakes all of
-// them at the same instant, in arrival order. ci.sh runs this package under
-// -race, which doubles as the mixed-kind data-race check of the satellite.
-func TestSignalMixedKindWaiters(t *testing.T) {
-	env := NewEnv()
-	sig := NewSignal(env)
-	var order []int
-	var woke []Time
-	for i := 0; i < 6; i++ {
-		i := i
-		if i%2 == 0 {
-			waited := false
-			env.GoStepsAt(Time(i), "s", stepFunc(func(c *StepCtx) {
-				if !waited {
-					waited = true
-					c.WaitSignal(sig)
-					return
-				}
-				order = append(order, i)
-				woke = append(woke, c.Now())
-				c.End()
-			}))
-		} else {
-			env.GoAt(Time(i), "g", func(p *Proc) {
-				sig.Wait(p)
-				order = append(order, i)
-				woke = append(woke, env.Now())
-			})
-		}
-	}
-	env.GoAt(50, "driver", func(p *Proc) { sig.Broadcast() })
-	if _, err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 6 {
-		t.Fatalf("woke %d waiters, want 6 (order %v)", len(order), order)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("wake order %v not arrival order", order)
-		}
-		if woke[i] != 50 {
-			t.Errorf("waiter %d woke at %v, want 50", v, woke[i])
-		}
-	}
-}
-
-// TestStepRetireKeepsFreeListsSeparate is the Reset/free-list regression
-// test: retired step processes must never push anything into the
-// resume-channel free list (a step process has no resume channel — a nil
-// channel there would deadlock the next goroutine spawn), and Env.Reset
-// must drop the recycled step frames while keeping the resume channels.
-func TestStepRetireKeepsFreeListsSeparate(t *testing.T) {
-	env := NewEnv()
-	for i := 0; i < 2; i++ {
-		env.Go("g", func(p *Proc) { p.Wait(1) })
-	}
-	for i := 0; i < 3; i++ {
-		env.GoSteps("s", &waitLoop{n: 2})
-	}
-	if _, err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(env.free) != 2 {
-		t.Errorf("resume free list has %d channels, want 2 (one per goroutine process)", len(env.free))
-	}
-	for i, ch := range env.free {
-		if ch == nil {
-			t.Errorf("free[%d] is nil: a step process leaked into the resume-channel free list", i)
-		}
-	}
-	if len(env.freeStep) != 3 {
-		t.Errorf("step free list has %d frames, want 3", len(env.freeStep))
-	}
-
-	env.Reset()
-	if env.freeStep != nil {
-		t.Errorf("Reset kept %d step frames, want none", len(env.freeStep))
-	}
-	if len(env.free) != 2 {
-		t.Errorf("Reset changed the resume-channel free list to %d entries, want 2", len(env.free))
-	}
-
-	// The recycled environment must still run both process kinds.
-	env.Go("g", func(p *Proc) { p.Wait(5) })
-	env.GoSteps("s", &waitLoop{n: 7})
-	end, err := env.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if end != 7 {
-		t.Errorf("end = %v, want 7", end)
-	}
-	if env.Live() != 0 || env.Blocked() != 0 {
-		t.Errorf("Live/Blocked = %d/%d after Run, want 0/0", env.Live(), env.Blocked())
-	}
-}
-
 // TestStepFrameRecycled asserts retirement actually feeds the spawn pool:
-// sequential step processes reuse one frame instead of allocating.
+// sequential step processes reuse one frame instead of allocating, and
+// Env.Reset drops the recycled frames without breaking the next run.
 func TestStepFrameRecycled(t *testing.T) {
 	env := NewEnv()
 	env.GoSteps("a", &waitLoop{n: 1})
@@ -405,10 +161,24 @@ func TestStepFrameRecycled(t *testing.T) {
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
+
+	env.Reset()
+	if env.freeStep != nil {
+		t.Errorf("Reset kept %d step frames, want none", len(env.freeStep))
+	}
+	env.GoSteps("c", &waitLoop{n: 7})
+	end, err := env.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end != 7 || env.Live() != 0 || env.Blocked() != 0 {
+		t.Errorf("end/Live/Blocked = %v/%d/%d after Reset and Run, want 7/0/0",
+			end, env.Live(), env.Blocked())
+	}
 }
 
-// TestStepDeadlockDetection: a step process stuck on a Signal must be
-// reported by Run exactly like a goroutine process.
+// TestStepDeadlockDetection: a step process stuck on a Signal is reported
+// by Run, and stays counted as blocked.
 func TestStepDeadlockDetection(t *testing.T) {
 	env := NewEnv()
 	sig := NewSignal(env)
@@ -467,46 +237,4 @@ func TestStepOpOverflowPanics(t *testing.T) {
 		}
 	}()
 	_, _ = env.Run()
-}
-
-// TestStepSpawnFromGoroutineAndBack: processes of each kind spawning the
-// other kind mid-run, sharing one resource.
-func TestStepSpawnFromGoroutineAndBack(t *testing.T) {
-	env := NewEnv()
-	res := NewResource(env, "r", 1)
-	var finish []Time
-	env.Go("parent", func(p *Proc) {
-		res.Use(p, 10)
-		started := false
-		env.GoSteps("child", stepFunc(func(c *StepCtx) {
-			if !started {
-				started = true
-				c.Use(res, 10)
-				return
-			}
-			finish = append(finish, c.Now())
-			env.Go("grandchild", func(g *Proc) {
-				res.Use(g, 10)
-				finish = append(finish, env.Now())
-			})
-			c.End()
-		}))
-		res.Use(p, 10)
-		finish = append(finish, env.Now())
-	})
-	if _, err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// parent holds [0,10) and re-acquires at 10 before the child's first
-	// event fires; the child queues and holds [20,30); the grandchild it
-	// spawns at 30 holds [30,40).
-	want := []Time{20, 30, 40}
-	if len(finish) != len(want) {
-		t.Fatalf("finish = %v, want %v", finish, want)
-	}
-	for i, w := range want {
-		if finish[i] != w {
-			t.Errorf("finish[%d] = %v, want %v", i, finish[i], w)
-		}
-	}
 }

@@ -20,13 +20,13 @@ func runTraced(t *testing.T, c *Collector) {
 	mem := m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)
 	m.Prime(local, 0, cache.Exclusive)
 	m.Prime(remote, 20, cache.Exclusive)
-	m.Spawn(knl.Place{Tile: 0, Core: 0}, func(th *machine.Thread) {
-		th.Load(local, 0)
-		th.Load(remote, 0)
-		th.Load(mem, 0)
-		th.Store(local, 0)
-		th.StoreNT(mem, 0)
-	})
+	s := &machine.Script{}
+	s.Load(local, 0)
+	s.Load(remote, 0)
+	s.Load(mem, 0)
+	s.Store(local, 0)
+	s.StoreNT(mem, 0)
+	m.SpawnKernel(knl.Place{Tile: 0, Core: 0}, s.Program())
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,9 @@ func TestUntracedMachineUnaffected(t *testing.T) {
 	m := machine.New(knl.DefaultConfig())
 	m.SetTracer(nil)
 	b := m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)
-	m.Spawn(knl.Place{}, func(th *machine.Thread) { th.Load(b, 0) })
+	s := &machine.Script{}
+	s.Load(b, 0)
+	m.SpawnKernel(knl.Place{}, s.Program())
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,18 +147,15 @@ func TestTraceCollective(t *testing.T) {
 	m.SetTracer(c)
 	// A minimal 2-thread flag ping-pong (the barrier's building block).
 	flag := m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)
-	m.Spawn(knl.Place{Tile: 0, Core: 0}, func(th *machine.Thread) {
-		for r := 1; r <= 8; r += 2 {
-			th.StoreWord(flag, 0, uint64(r))
-			th.WaitWordGE(flag, 0, uint64(r+1))
-		}
-	})
-	m.Spawn(knl.Place{Tile: 5, Core: 10}, func(th *machine.Thread) {
-		for r := 1; r <= 8; r += 2 {
-			th.WaitWordGE(flag, 0, uint64(r))
-			th.StoreWord(flag, 0, uint64(r+1))
-		}
-	})
+	ping, pong := &machine.Script{}, &machine.Script{}
+	for r := 1; r <= 8; r += 2 {
+		ping.StoreWord(flag, 0, uint64(r))
+		ping.WaitWordGE(flag, 0, uint64(r+1), nil)
+		pong.WaitWordGE(flag, 0, uint64(r), nil)
+		pong.StoreWord(flag, 0, uint64(r+1))
+	}
+	m.SpawnKernel(knl.Place{Tile: 0, Core: 0}, ping.Program())
+	m.SpawnKernel(knl.Place{Tile: 5, Core: 10}, pong.Program())
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 #                triad sweep wall-clock at -parallel 1 vs GOMAXPROCS, the
 #                Table I latency sweep wall-clock cold vs converged
 #                (ConvergeAfter) vs cache-warm (memo), and the contention+
-#                congestion sweep on the step engine vs NoSteps;
+#                congestion sweep wall-clock;
 #   trajectory — append-only history, one record per run: git SHA, UTC
 #                date, ns/event, ns_per_line_access and allocs/op.
 #                Earlier records are preserved across runs, so the file
@@ -92,13 +92,9 @@ warm_ns=$(echo "$latency"      | awk '/LatencySweep\/warm/      { for (i=1;i<=NF
 converge_speedup=$(awk -v c="$cold_ns" -v g="$converged_ns" 'BEGIN { printf "%.2f", c / g }')
 warm_speedup=$(awk -v c="$cold_ns" -v w="$warm_ns" 'BEGIN { printf "%.2f", c / w }')
 
-# Contention + congestion sweep (store walk + signal-watch juncture) on the
-# step engine vs the same sweeps forced onto goroutine processes; the
-# nosteps side is what the pre-port simulator ran, so steps_speedup is the
-# wall-clock win of porting the store path.
-steps_ns=$(echo "$contention"   | awk '/ContentionSweep\/steps/   { for (i=1;i<=NF;i++) if ($i=="ns/op") print $(i-1) }')
-nosteps_ns=$(echo "$contention" | awk '/ContentionSweep\/nosteps/ { for (i=1;i<=NF;i++) if ($i=="ns/op") print $(i-1) }')
-steps_speedup=$(awk -v s="$steps_ns" -v g="$nosteps_ns" 'BEGIN { printf "%.2f", g / s }')
+# Contention + congestion sweep wall-clock (store walk + signal-watch
+# juncture).
+steps_ns=$(echo "$contention" | awk '/^BenchmarkContentionSweep/ { for (i=1;i<=NF;i++) if ($i=="ns/op") print $(i-1) }')
 
 # Carry the trajectory forward before overwriting the file.
 traj='[]'
@@ -127,7 +123,7 @@ cat > "$tmp" <<EOF
     "sweep": "serial only (no -parallel)"
   },
   "current": {
-    "engine": "4-ary slice heap + stackless step processes on the hot path + direct goroutine handoff with resume-channel free list for the rest",
+    "engine": "4-ary slice heap with a same-instant FIFO lane + stackless step processes (the only process kind)",
     "gomaxprocs": $cores,
     "event_throughput": {
       "ns_per_op": $ns_op,
@@ -155,9 +151,7 @@ cat > "$tmp" <<EOF
       "cache_warm_speedup": $warm_speedup
     },
     "contention_congestion_sweep": {
-      "steps_ns_per_op": $steps_ns,
-      "nosteps_ns_per_op": $nosteps_ns,
-      "steps_speedup": $steps_speedup
+      "steps_ns_per_op": $steps_ns
     }
   }
 }
