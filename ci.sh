@@ -57,6 +57,13 @@ if [ "$quick" = 0 ]; then
     step "tier-2: bench smoke (machine hot path + construction, 1 iteration)"
     go test -bench='LoadLineHotPath|PrimeFlush|NewMachine|StreamFlushHelpers' -benchtime=1x -run '^$' ./internal/machine
 
+    # Tier 2: a bounded coverage-guided run of the coherence fuzzer. Each
+    # input runs loads, stores, NT stores and short streams from eight
+    # cores, then checks MESIF, directory presence and inclusion
+    # (Machine.CheckPresence) and the flush and Reset replays.
+    step "tier-2: FuzzCoherence (10 s)"
+    go test -run '^$' -fuzz '^FuzzCoherence$' -fuzztime 10s ./internal/machine
+
     # Tier 2: the benchmark module's own tests. perfbench is a separate Go
     # module, so the root go test ./... skips it, yet its pinned exact
     # counts (cache.hit_base, sim.events_per_run, the walk event counts)

@@ -158,6 +158,11 @@ func (c *SetAssoc) Lookup(l Line) State {
 	return Invalid
 }
 
+// Miss counts a lookup miss without scanning the set: the caller already
+// knows the line is absent (the directory rules it out), so Stats and
+// Digest end up exactly as after a Lookup of the absent line.
+func (c *SetAssoc) Miss() { c.misses++ }
+
 // Peek returns the state of the line without touching LRU or counters.
 func (c *SetAssoc) Peek(l Line) State {
 	row := c.row(l)
@@ -289,15 +294,21 @@ func (c *SetAssoc) Stats() (hits, misses, evictions uint64) {
 	return c.hits, c.misses, c.evictions
 }
 
-// Occupancy returns the number of valid lines currently cached.
-func (c *SetAssoc) Occupancy() int {
-	n := 0
+// Each calls fn for every valid line in set-major order (consistency
+// checks; not for hot paths).
+func (c *SetAssoc) Each(fn func(l Line, s State)) {
 	for _, b := range c.blocks {
 		for i := range b {
-			if c.live(&b[i]) {
-				n++
+			if e := &b[i]; c.live(e) {
+				fn(e.line, e.state)
 			}
 		}
 	}
+}
+
+// Occupancy returns the number of valid lines currently cached.
+func (c *SetAssoc) Occupancy() int {
+	n := 0
+	c.Each(func(Line, State) { n++ })
 	return n
 }

@@ -55,9 +55,22 @@ func diffRun(t *testing.T, name string, capBytes, ways int, seed uint64, n int) 
 			if g, w := got.Insert(l, s), want.Insert(l, s); g != w {
 				fail(i, "Insert victim", g, w)
 			}
-		case r < 60:
+		case r < 55:
 			if g, w := got.Lookup(l), want.Lookup(l); g != w {
 				fail(i, "Lookup", g, w)
+			}
+		case r < 60:
+			// Miss stands in for a Lookup the caller knows will miss: it
+			// must leave the same counters and digest.
+			if got.Peek(l) != Invalid {
+				continue
+			}
+			got.Miss()
+			if w := want.Lookup(l); w != Invalid {
+				fail(i, "Lookup after Miss", Invalid, w)
+			}
+			if g, w := got.Digest(), want.Digest(); g != w {
+				fail(i, "Digest after Miss", g, w)
 			}
 		case r < 70:
 			if g, w := got.Peek(l), want.Peek(l); g != w {
@@ -86,6 +99,16 @@ func diffRun(t *testing.T, name string, capBytes, ways int, seed uint64, n int) 
 		if i%64 == 0 || i == n-1 {
 			if g, w := got.Occupancy(), want.Occupancy(); g != w {
 				fail(i, "Occupancy", g, w)
+			}
+			each := 0
+			got.Each(func(l Line, s State) {
+				if w := want.Peek(l); s != w {
+					fail(i, "Each state", s, w)
+				}
+				each++
+			})
+			if w := want.Occupancy(); each != w {
+				fail(i, "Each count", each, w)
 			}
 			if g, w := got.Digest(), want.Digest(); g != w {
 				fail(i, "Digest", g, w)

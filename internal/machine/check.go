@@ -1,0 +1,60 @@
+package machine
+
+import (
+	"fmt"
+	"math/bits"
+
+	"knlcap/internal/cache"
+	"knlcap/internal/knl"
+)
+
+// CheckPresence verifies that the directory is authoritative for
+// presence: a tile's bit in a line's owner word is set exactly when that
+// tile's L2 holds the line, and every line in a core's L1 is also in its
+// tile's L2 (L1 ⊆ L2 = directory). The load, store and stream walks skip
+// the requester's L1 and L2 scans when its tile bit is clear, so a
+// violation would change what they simulate. It walks every tag array and
+// both line tables without changing any state, and returns the first
+// violation found.
+func (m *Machine) CheckPresence() error {
+	for tile, ts := range m.tiles {
+		var err error
+		ts.l2.Each(func(l cache.Line, st cache.State) {
+			if err == nil && !tileBit(m.owners(l), tile) {
+				err = fmt.Errorf("machine: line %#x is %v in tile %d's L2 but its directory bit is clear", uint64(l), st, tile)
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	for core, cs := range m.cores {
+		tile := core / knl.CoresPerTile
+		var err error
+		cs.l1.Each(func(l cache.Line, st cache.State) {
+			if err == nil && m.tiles[tile].l2.Peek(l) == cache.Invalid {
+				err = fmt.Errorf("machine: line %#x is %v in core %d's L1 but absent from tile %d's L2", uint64(l), st, core, tile)
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	for k := range m.lines {
+		t := &m.lines[k]
+		for i := range t.slots {
+			s := &t.slots[i]
+			if s.owners == 0 || s.gen != t.bufGen[t.lineBuf[i]] {
+				continue
+			}
+			l := t.base + cache.Line(i)
+			for o := s.owners; o != 0; o &= o - 1 {
+				tile := bits.TrailingZeros64(o)
+				if tile >= len(m.tiles) || m.tiles[tile].l2.Peek(l) == cache.Invalid {
+					return fmt.Errorf("machine: line %#x has tile %d's directory bit set but is absent from its L2", uint64(l), tile)
+				}
+			}
+		}
+	}
+	return nil
+}

@@ -52,6 +52,9 @@ func runDigestOps(t *testing.T, m *Machine, seed uint64) (digest, events uint64,
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("workload (seed %d): %v", seed, err)
 	}
+	if err := m.CheckPresence(); err != nil {
+		t.Fatalf("workload (seed %d): %v", seed, err)
+	}
 	return m.StateDigest(), m.Env.Seq(), m.Env.Now()
 }
 

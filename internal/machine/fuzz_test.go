@@ -9,7 +9,10 @@ import (
 
 // runFuzzProgram partitions a byte-encoded program across 8 actors and
 // runs it to completion over buf. Each input byte encodes (op, actor,
-// line): op = b>>6, actor = (b>>2)&7, line = b&3.
+// line): op = b>>6, actor = (b>>2)&7, line = b&3. Ops 0-2 are a load, a
+// store and an NT store of the line; op 3 is a short stream over the
+// buffer chosen by the line bits (a scalar or vector read, or a copy of
+// lines 0-1 onto 2-3 with cached or NT stores).
 func runFuzzProgram(m *Machine, buf memmode.Buffer, program []byte) error {
 	perActor := make([][]byte, 8)
 	for _, b := range program {
@@ -33,8 +36,14 @@ func runFuzzProgram(m *Machine, buf memmode.Buffer, program []byte) error {
 				case 2:
 					s.StoreNT(buf, li)
 				default:
-					s.Load(buf, li)
-					s.Store(buf, li)
+					switch li {
+					case 0:
+						s.ReadStreamRange(buf, 0, 4, false)
+					case 1:
+						s.ReadStreamRange(buf, 1, 2, true)
+					default:
+						s.CopyStreamRange(buf, buf, 2, 0, 2, li == 3)
+					}
 				}
 			}
 		})
@@ -91,6 +100,7 @@ func FuzzCoherence(f *testing.F) {
 			if d := m.StateDigest(); d != freshDigest {
 				t.Fatalf("%s: reset replay digest %#x, fresh %#x", cfg.Name(), d, freshDigest)
 			}
+			checkCoherence(t, m, []memmode.Buffer{buf2})
 		}
 	})
 }

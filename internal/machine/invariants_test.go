@@ -9,22 +9,20 @@ import (
 	"knlcap/internal/stats"
 )
 
-// checkCoherence verifies the MESIF single-writer/multi-reader invariants
-// and directory consistency for every line of the given buffers.
+// checkCoherence verifies directory presence and inclusion for the whole
+// machine (CheckPresence), then the MESIF single-writer/multi-reader
+// invariants for every line of the given buffers.
 func checkCoherence(t *testing.T, m *Machine, bufs []memmode.Buffer) {
 	t.Helper()
+	if err := m.CheckPresence(); err != nil {
+		t.Fatal(err)
+	}
 	for _, b := range bufs {
 		for li := 0; li < b.NumLines(); li++ {
 			l := b.Line(li)
-			owners := m.owners(l)
 			var holders, exclusive, forwarders int
 			for tile := 0; tile < m.NumTiles(); tile++ {
-				st := m.LineState(tile, l)
-				bit := owners&(1<<uint(tile)) != 0
-				if (st != cache.Invalid) != bit {
-					t.Fatalf("line %d tile %d: L2 state %v but directory bit %v", l, tile, st, bit)
-				}
-				switch st {
+				switch m.LineState(tile, l) {
 				case cache.Modified, cache.Exclusive:
 					exclusive++
 					holders++
@@ -33,13 +31,6 @@ func checkCoherence(t *testing.T, m *Machine, bufs []memmode.Buffer) {
 					holders++
 				case cache.Shared:
 					holders++
-				}
-				// L1 copies must be backed by the tile's L2 (inclusion).
-				for c := 0; c < knl.CoresPerTile; c++ {
-					if m.L1State(tile*knl.CoresPerTile+c, l) != cache.Invalid &&
-						st == cache.Invalid {
-						t.Fatalf("line %d: L1 of tile %d holds line absent from L2", l, tile)
-					}
 				}
 			}
 			if exclusive > 1 {
@@ -153,6 +144,31 @@ func TestFlushedThenReprimedBehavesFresh(t *testing.T) {
 	})
 	if lat != freshLat {
 		t.Errorf("re-primed load = %v ns, fresh prime = %v ns", lat, freshLat)
+	}
+}
+
+// TestPrimeEvictionKeepsPresence primes one more line than an L2 set has
+// ways, all mapping to one set of one tile: the last install evicts the
+// first, which must clear its directory bit and its L1 copy (held by the
+// sibling core) as any other L2 eviction does.
+func TestPrimeEvictionKeepsPresence(t *testing.T) {
+	m := noJitter(knl.DefaultConfig())
+	const tile = 3
+	stride := int64(knl.L2Bytes / knl.L2Ways) // bytes between lines of one set
+	b := m.Alloc.MustAlloc(knl.DDR, 0, (knl.L2Ways+1)*stride)
+	for i := int64(0); i <= knl.L2Ways; i++ {
+		core := tile*knl.CoresPerTile + 1
+		if i == 0 {
+			core--
+		}
+		m.Prime(b.Slice(i*stride, knl.LineSize), core, cache.Exclusive)
+	}
+	first := b.Line(0)
+	if st := m.LineState(tile, first); st != cache.Invalid {
+		t.Fatalf("first line still %v in the L2 after %d installs into its set", st, knl.L2Ways+1)
+	}
+	if err := m.CheckPresence(); err != nil {
+		t.Fatal(err)
 	}
 }
 

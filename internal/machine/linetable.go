@@ -192,13 +192,18 @@ func (m *Machine) dirRemove(l cache.Line, tile int) {
 	}
 }
 
-// owners returns the tile bitset holding the line.
+// owners returns the tile bitset holding the line. It never grows the
+// table: a line beyond it has no directory entry.
 func (m *Machine) owners(l cache.Line) uint64 {
-	t, s, i := m.lineState(l)
-	if s.gen != t.bufGen[t.lineBuf[i]] {
+	t := &m.lines[memmode.KindOfAddr(l.Addr())]
+	i := uint64(l) - uint64(t.base)
+	if i >= uint64(len(t.slots)) {
 		return 0
 	}
-	return s.owners
+	if s := &t.slots[i]; s.gen == t.bufGen[t.lineBuf[i]] {
+		return s.owners
+	}
+	return 0
 }
 
 // --- payload words --------------------------------------------------------

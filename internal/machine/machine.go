@@ -296,10 +296,12 @@ func (m *Machine) bufferOfLine(l cache.Line) (memmode.Buffer, bool) {
 
 // forwarder picks the tile that will source a cache-to-cache transfer for
 // the line, preferring M > E > F (Shared copies cannot forward in MESIF).
-func (m *Machine) forwarder(l cache.Line) (tile int, st cache.State, ok bool) {
+// owners is the line's directory word, read by the caller in the same
+// juncture.
+func (m *Machine) forwarder(l cache.Line, owners uint64) (tile int, st cache.State, ok bool) {
 	best := cache.Invalid
 	bestTile := -1
-	for o := m.owners(l); o != 0; o &= o - 1 {
+	for o := owners; o != 0; o &= o - 1 {
 		t := bits.TrailingZeros64(o)
 		s := m.tiles[t].l2.Peek(l)
 		if s.CanForward() && rankState(s) > rankState(best) {
@@ -337,9 +339,7 @@ func (m *Machine) installL2Tags(tile int, l cache.Line, st cache.State) (victim 
 		return 0, false
 	}
 	m.dirRemove(v.Line, tile)
-	for c := 0; c < knl.CoresPerTile; c++ {
-		m.cores[tile*knl.CoresPerTile+c].l1.Invalidate(v.Line)
-	}
+	m.invalidateTileL1s(tile, v.Line)
 	return v.Line, v.State == cache.Modified
 }
 
@@ -351,9 +351,7 @@ func (m *Machine) invalidateTags(l cache.Line, owners uint64) {
 	for o := owners; o != 0; o &= o - 1 {
 		t := bits.TrailingZeros64(o)
 		m.tiles[t].l2.Invalidate(l)
-		for c := 0; c < knl.CoresPerTile; c++ {
-			m.cores[t*knl.CoresPerTile+c].l1.Invalidate(l)
-		}
+		m.invalidateTileL1s(t, l)
 	}
 }
 
@@ -452,10 +450,12 @@ func (m *Machine) neighborTile(tile int) int {
 	return nb
 }
 
+// primeOne installs the line in one tile's L2 and one core's L1. An L2
+// victim leaves the directory and the tile's L1s as on any install;
+// priming is setup, so a dirty victim is discarded, not written back.
 func (m *Machine) primeOne(l cache.Line, tile, core int, st cache.State) {
-	m.tiles[tile].l2.Insert(l, st)
+	m.installL2Tags(tile, l, st)
 	m.cores[core].l1.Insert(l, st)
-	m.dirAdd(l, tile)
 }
 
 // LineState reports where a line is cached: the state in the given tile's

@@ -78,9 +78,12 @@ func (k *loadStep) step(c *sim.StepCtx) {
 		switch k.pc {
 		case ldStart:
 			cs := m.cores[k.core]
+			// The directory rules out both local probes when the tile's
+			// bit is clear.
+			local := tileBit(m.owners(k.l), k.tile)
 
 			// 1. Local L1.
-			if cs.l1.Lookup(k.l).Readable() {
+			if lookup(cs.l1, k.l, local).Readable() {
 				k.cls = srcL1
 				k.pc = ldDone
 				c.WaitJit(m, m.P.L1HitNs)
@@ -90,7 +93,7 @@ func (k *loadStep) step(c *sim.StepCtx) {
 			// 2. Same-tile L2 (including the sibling core's modified data).
 			// State commits before the timing wait so a concurrent
 			// invalidation cannot interleave between the two.
-			if st := m.tiles[k.tile].l2.Lookup(k.l); st.Readable() {
+			if st := lookup(m.tiles[k.tile].l2, k.l, local); st.Readable() {
 				var cost float64
 				switch st {
 				case cache.Modified:
@@ -122,7 +125,7 @@ func (k *loadStep) step(c *sim.StepCtx) {
 
 		case ldDir:
 			// Holding the home CHA, after its service time.
-			if fwd, st, ok := m.forwarder(k.l); ok {
+			if fwd, st, ok := m.forwarder(k.l, m.owners(k.l)); ok {
 				k.fwd, k.fwdSt = fwd, st
 				svc := m.P.OwnerPortSvcNs
 				if st == cache.Modified {
@@ -196,6 +199,7 @@ func (k *loadStep) step(c *sim.StepCtx) {
 			k.newSt = cache.Exclusive
 			if m.owners(k.l) != 0 {
 				k.newSt = cache.Forward // stale sharers exist; we become the forwarder
+				m.demoteOthers(k.l, 1<<uint(k.tile))
 			}
 			if victim, dirty := m.installL2Tags(k.tile, k.l, k.newSt); dirty {
 				k.wb.start(victim)
@@ -223,27 +227,9 @@ func (k *loadStep) step(c *sim.StepCtx) {
 
 		case ldFwdCommit:
 			// The forwarder accepted the transaction (its L2 port served
-			// us): MESIF downgrades take effect, a Modified source posts
-			// its write-back, and the data-return tail is drawn — the same
-			// two draws, in the same order, as forwardGrant's return.
-			m.tiles[k.fwd].l2.SetState(k.l, cache.Shared)
-			for ci := 0; ci < knl.CoresPerTile; ci++ {
-				l1 := m.cores[k.fwd*knl.CoresPerTile+ci].l1
-				if l1.Peek(k.l) != cache.Invalid {
-					l1.SetState(k.l, cache.Shared)
-				}
-			}
-			extra := m.P.OwnerExtraSFNs
-			switch k.fwdSt {
-			case cache.Modified:
-				extra = m.P.OwnerExtraMNs
-			case cache.Exclusive:
-				extra = m.P.OwnerExtraENs
-			}
-			if k.fwdSt == cache.Modified {
-				m.asyncWriteBack(k.l)
-			}
-			k.tail = m.jitter(extra) + m.jitter(m.Router.TileToTile(k.fwd, k.tile)+m.P.DeliverNs)
+			// us): the downgrades and the data-return tail commit.
+			k.tail = m.forwardCommit(k.l, k.fwd, k.tile, k.fwdSt)
+			m.demoteOthers(k.l, 1<<uint(k.tile)|1<<uint(k.fwd))
 			if victim, dirty := m.installL2Tags(k.tile, k.l, cache.Forward); dirty {
 				k.wb.start(victim)
 				k.pc = ldFwdVictim

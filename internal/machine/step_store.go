@@ -95,10 +95,13 @@ func (k *storeStep) step(c *sim.StepCtx) {
 		switch k.pc {
 		case ssStart:
 			cs := m.cores[k.core]
+			// The directory rules out both local probes when the tile's
+			// bit is clear.
+			local := tileBit(m.owners(k.l), k.tile)
 
 			// 1. Writable in own L1: silent upgrade E->M or plain M hit.
 			// State commits before the timing wait, as in the load walk.
-			if cs.l1.Lookup(k.l).Writable() {
+			if lookup(cs.l1, k.l, local).Writable() {
 				cs.l1.SetState(k.l, cache.Modified)
 				m.tiles[k.tile].l2.SetState(k.l, cache.Modified)
 				k.pc = ssNotify
@@ -107,7 +110,7 @@ func (k *storeStep) step(c *sim.StepCtx) {
 			}
 
 			// 2. Writable in own tile's L2 (sibling snoop stays on-tile).
-			if st := m.tiles[k.tile].l2.Lookup(k.l); st.Writable() {
+			if lookup(m.tiles[k.tile].l2, k.l, local).Writable() {
 				m.tiles[k.tile].l2.SetState(k.l, cache.Modified)
 				m.invalidateTileL1s(k.tile, k.l)
 				cs.l1.Insert(k.l, cache.Modified)
@@ -139,7 +142,7 @@ func (k *storeStep) step(c *sim.StepCtx) {
 		case ssOwn:
 			// After the CHA service: pick the data source.
 			hadCopy := m.tiles[k.tile].l2.Peek(k.l).Readable()
-			if fwd, st, ok := m.forwarder(k.l); ok && fwd != k.tile {
+			if fwd, st, ok := m.forwarder(k.l, m.owners(k.l)); ok && fwd != k.tile {
 				// Fetch the data with the invalidation (RFO forward).
 				k.fwd, k.fwdSt = fwd, st
 				svc := m.P.OwnerPortSvcNs
@@ -220,27 +223,9 @@ func (k *storeStep) step(c *sim.StepCtx) {
 			k.pc = ssInv
 
 		case ssFwdCommit:
-			// The forwarder accepted the transaction: MESIF downgrades take
-			// effect, a Modified source posts its write-back, and the
-			// data-return tail draws — forwardGrant's commit half.
-			m.tiles[k.fwd].l2.SetState(k.l, cache.Shared)
-			for ci := 0; ci < knl.CoresPerTile; ci++ {
-				l1 := m.cores[k.fwd*knl.CoresPerTile+ci].l1
-				if l1.Peek(k.l) != cache.Invalid {
-					l1.SetState(k.l, cache.Shared)
-				}
-			}
-			extra := m.P.OwnerExtraSFNs
-			switch k.fwdSt {
-			case cache.Modified:
-				extra = m.P.OwnerExtraMNs
-			case cache.Exclusive:
-				extra = m.P.OwnerExtraENs
-			}
-			if k.fwdSt == cache.Modified {
-				m.asyncWriteBack(k.l)
-			}
-			k.tail = m.jitter(extra) + m.jitter(m.Router.TileToTile(k.fwd, k.tile)+m.P.DeliverNs)
+			// The forwarder accepted the transaction: the downgrades and
+			// the data-return tail commit.
+			k.tail = m.forwardCommit(k.l, k.fwd, k.tile, k.fwdSt)
 			k.pc = ssInv
 
 		case ssInv:

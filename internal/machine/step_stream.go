@@ -86,14 +86,18 @@ func (s *serialStep) step(c *sim.StepCtx) {
 		switch s.pc {
 		case srBegin:
 			cs := m.cores[s.core]
+			// One directory read serves the whole juncture: with the
+			// tile's bit clear it rules out both local probes.
+			owners := m.owners(s.l)
+			local := tileBit(owners, s.tile)
 			switch s.kind {
 			case skRead:
-				if cs.l1.Lookup(s.l).Readable() {
+				if lookup(cs.l1, s.l, local).Readable() {
 					s.pc = srDone
 					c.Use(cs.issue, m.P.L1VecNs)
 					return
 				}
-				if st := m.tiles[s.tile].l2.Lookup(s.l); st.Readable() {
+				if st := lookup(m.tiles[s.tile].l2, s.l, local); st.Readable() {
 					svc := m.P.OwnerPortSvcNs
 					if st == cache.Modified {
 						svc = m.P.OwnerPortSvcMNs
@@ -106,13 +110,14 @@ func (s *serialStep) step(c *sim.StepCtx) {
 					c.Use(m.tiles[s.tile].port, svc)
 					return
 				}
-				if fwd, st, ok := m.forwarder(s.l); ok {
+				if fwd, st, ok := m.forwarder(s.l, owners); ok {
 					s.fwd = fwd
 					s.svc = m.P.OwnerPortSvcNs
 					if st == cache.Modified {
 						s.svc = m.P.OwnerPortSvcMNs
 					}
 					m.tiles[fwd].l2.SetState(s.l, cache.Shared)
+					m.downgradeSiblingL1(fwd, -1, s.l)
 					if st == cache.Modified {
 						m.pendWriteBack(s.pd, s.l)
 					}
@@ -121,21 +126,21 @@ func (s *serialStep) step(c *sim.StepCtx) {
 				}
 				m.pendMemRead(s.pd, s.b, s.l)
 				s.newSt = cache.Exclusive
-				if m.owners(s.l) != 0 {
+				if owners != 0 {
 					s.newSt = cache.Forward
 				}
 				s.enterInstall(s.newSt, srMemFinish)
 				continue
 
 			case skWrite:
-				if cs.l1.Lookup(s.l).Writable() {
+				if lookup(cs.l1, s.l, local).Writable() {
 					cs.l1.SetState(s.l, cache.Modified)
 					m.tiles[s.tile].l2.SetState(s.l, cache.Modified)
 					s.pc = srNotify
 					c.Use(cs.issue, m.P.StoreSerialNs)
 					return
 				}
-				if m.tiles[s.tile].l2.Lookup(s.l).Writable() {
+				if lookup(m.tiles[s.tile].l2, s.l, local).Writable() {
 					m.tiles[s.tile].l2.SetState(s.l, cache.Modified)
 					m.invalidateTileL1s(s.tile, s.l)
 					cs.l1.Insert(s.l, cache.Modified)
@@ -147,7 +152,7 @@ func (s *serialStep) step(c *sim.StepCtx) {
 					return
 				}
 				// RFO in a stream: fetch-for-ownership batched on the channels.
-				if owners := m.owners(s.l) &^ (1 << uint(s.tile)); owners != 0 {
+				if owners&^(1<<uint(s.tile)) != 0 {
 					m.invalidateOthers(s.tile, s.l)
 				} else {
 					m.pendMemRead(s.pd, s.b, s.l)
@@ -156,7 +161,7 @@ func (s *serialStep) step(c *sim.StepCtx) {
 				continue
 
 			default: // skWriteNT: invalidate any copies, book the posted write
-				if m.owners(s.l) != 0 {
+				if owners != 0 {
 					m.invalidateOthers(-1, s.l)
 				}
 				m.pendMemWrite(s.pd, s.b, s.l)
@@ -454,8 +459,8 @@ func (s *streamStep) run(c *sim.StepCtx) {
 			switch op.Kind {
 			case StreamRead:
 				first := op.Src.Line(op.SrcFrom + s.i)
-				cls := m.classify(s.core, first)
-				s.lat = m.loadLatencyEstimate(s.core, op.Src, first)
+				var cls srcClass
+				s.lat, cls = m.loadLatencyEstimate(s.core, op.Src, first, m.owners(first))
 				s.chunk = m.mlpFor(cls, op.Vector, false)
 			case StreamWrite:
 				s.chunk = m.P.MLPMem
@@ -465,14 +470,15 @@ func (s *streamStep) run(c *sim.StepCtx) {
 				// NT hints to approach peak.
 				s.lat = m.writeDrainLatency(op.Dst)
 				if !op.NT {
-					if rfo := m.loadLatencyEstimate(s.core, op.Dst, op.Dst.Line(op.DstFrom+s.i)); rfo > s.lat {
+					first := op.Dst.Line(op.DstFrom + s.i)
+					if rfo, _ := m.loadLatencyEstimate(s.core, op.Dst, first, m.owners(first)); rfo > s.lat {
 						s.lat = rfo
 					}
 				}
 			default: // StreamCopy, StreamTriad
 				first := op.Src.Line(op.SrcFrom + s.i)
-				cls := m.classify(s.core, first)
-				s.lat = m.loadLatencyEstimate(s.core, op.Src, first)
+				var cls srcClass
+				s.lat, cls = m.loadLatencyEstimate(s.core, op.Src, first, m.owners(first))
 				s.chunk = m.mlpFor(cls, true, true)
 			}
 			if s.chunk > op.N-s.i {

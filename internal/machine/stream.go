@@ -105,51 +105,50 @@ func (m *Machine) pendMemWrite(pd *pending, b memmode.Buffer, l cache.Line) {
 }
 
 // classify peeks where a line would be found, with no side effects.
-func (m *Machine) classify(core int, l cache.Line) srcClass {
-	if m.cores[core].l1.Peek(l).Readable() {
-		return srcL1
-	}
+// owners is the line's directory word, read by the caller in the same
+// juncture; with the core's tile bit clear it rules out the local probes.
+func (m *Machine) classify(core int, l cache.Line, owners uint64) srcClass {
 	tile := core / knl.CoresPerTile
-	if m.tiles[tile].l2.Peek(l).Readable() {
-		return srcTile
+	if tileBit(owners, tile) {
+		if m.cores[core].l1.Peek(l).Readable() {
+			return srcL1
+		}
+		if m.tiles[tile].l2.Peek(l).Readable() {
+			return srcTile
+		}
 	}
-	if _, _, ok := m.forwarder(l); ok {
+	if _, _, ok := m.forwarder(l, owners); ok {
 		return srcRemote
 	}
 	return srcMem
 }
 
 // loadLatencyEstimate computes the full protocol latency a single pipelined
-// load of line l would see, without executing the walk. Streams use it as
-// the chunk's latency bound.
-func (m *Machine) loadLatencyEstimate(core int, b memmode.Buffer, l cache.Line) float64 {
+// load of line l would see, without executing the walk, and the class of
+// the source it would find the line in. Streams use the latency as the
+// chunk's bound and the class to pick its depth. owners is as in classify.
+func (m *Machine) loadLatencyEstimate(core int, b memmode.Buffer, l cache.Line, owners uint64) (float64, srcClass) {
 	tile := core / knl.CoresPerTile
-	switch m.classify(core, l) {
+	cls := m.classify(core, l, owners)
+	switch cls {
 	case srcL1:
-		return m.P.L1HitNs
+		return m.P.L1HitNs, cls
 	case srcTile:
 		switch m.tiles[tile].l2.Peek(l) {
 		case cache.Modified:
-			return m.P.L2HitMNs
+			return m.P.L2HitMNs, cls
 		case cache.Exclusive:
-			return m.P.L2HitENs
+			return m.P.L2HitENs, cls
 		default:
-			return m.P.L2HitSFNs
+			return m.P.L2HitSFNs, cls
 		}
 	case srcRemote:
 		place := m.placeOf(b, l)
-		fwd, st, _ := m.forwarder(l)
-		extra := m.P.OwnerExtraSFNs
-		switch st {
-		case cache.Modified:
-			extra = m.P.OwnerExtraMNs
-		case cache.Exclusive:
-			extra = m.P.OwnerExtraENs
-		}
+		fwd, st, _ := m.forwarder(l, owners)
 		return m.P.L2MissDetectNs +
 			m.Router.TileToTile(tile, place.HomeTile) + m.P.CHASvcNs +
-			m.Router.TileToTile(place.HomeTile, fwd) + extra +
-			m.Router.TileToTile(fwd, tile) + m.P.DeliverNs
+			m.Router.TileToTile(place.HomeTile, fwd) + m.ownerExtra(st) +
+			m.Router.TileToTile(fwd, tile) + m.P.DeliverNs, cls
 	default:
 		place := m.placeOf(b, l)
 		base := m.P.L2MissDetectNs +
@@ -160,20 +159,20 @@ func (m *Machine) loadLatencyEstimate(core int, b memmode.Buffer, l cache.Line) 
 			base += m.Router.TileToEDC(place.HomeTile, edc) + m.P.MCDRAMCacheTagNs
 			if m.Policy.Peek(edc, l) {
 				return base + m.Mem.MCDRAM[edc].DeviceLatencyNs() +
-					m.Router.TileToEDC(tile, edc)
+					m.Router.TileToEDC(tile, edc), cls
 			}
 			return base + m.Router.EDCToIMC(edc, place.Channel) +
 				m.Mem.DDR[place.Channel].DeviceLatencyNs() +
-				m.Router.TileToIMC(tile, place.Channel)
+				m.Router.TileToIMC(tile, place.Channel), cls
 		}
 		if place.Kind == knl.DDR {
 			return base + m.Router.TileToIMC(place.HomeTile, place.Channel) +
 				m.Mem.DDR[place.Channel].DeviceLatencyNs() +
-				m.Router.TileToIMC(tile, place.Channel)
+				m.Router.TileToIMC(tile, place.Channel), cls
 		}
 		return base + m.Router.TileToEDC(place.HomeTile, place.Channel) +
 			m.Mem.MCDRAM[place.Channel].DeviceLatencyNs() +
-			m.Router.TileToEDC(tile, place.Channel)
+			m.Router.TileToEDC(tile, place.Channel), cls
 	}
 }
 
