@@ -25,6 +25,21 @@ go vet ./...
 step "go build ./..."
 go build ./...
 
+# Every binary parses its flags through internal/cli, whose contract is
+# -h exits 0 and a usage error exits 2; a binary that bypasses it fails here.
+step "CLI contract (-h exits 0, -nosuch exits 2, every cmd/ binary)"
+bindir=$(mktemp -d)
+trap 'rm -rf "$bindir"' EXIT
+go build -o "$bindir/" ./cmd/...
+for bin in "$bindir"/*; do
+    help=0; "$bin" -h > /dev/null 2>&1 || help=$?
+    bad=0; "$bin" -nosuch > /dev/null 2>&1 || bad=$?
+    if [ "$help" != 0 ] || [ "$bad" != 2 ]; then
+        echo "ci.sh: $(basename "$bin"): -h exited $help (want 0), -nosuch exited $bad (want 2)" >&2
+        exit 1
+    fi
+done
+
 step "knl-lint -tests ./... (archiving lint.json)"
 # Archive the machine-readable findings even on a clean run ([]): CI
 # consumers diff lint.json across runs. -tests extends coverage to
@@ -87,12 +102,11 @@ if [ "$quick" = 0 ]; then
     # the second entirely from the cache: its memo summary must show zero
     # misses and zero stores, proving the simulator was never invoked.
     step "tier-2: memo determinism gate (two -cache runs, second must not simulate)"
-    memodir=$(mktemp -d)
-    trap 'rm -rf "$memodir"' EXIT
-    go build -o "$memodir/knl-sweep" ./cmd/knl-sweep
-    "$memodir/knl-sweep" -fig 4 -quick -nojitter -converge 3 \
+    memodir="$bindir/memo"
+    mkdir "$memodir"
+    "$bindir/knl-sweep" -fig 4 -quick -nojitter -converge 3 \
         -cache -cache-dir "$memodir/cache" > "$memodir/run1.out" 2> "$memodir/run1.err"
-    "$memodir/knl-sweep" -fig 4 -quick -nojitter -converge 3 \
+    "$bindir/knl-sweep" -fig 4 -quick -nojitter -converge 3 \
         -cache -cache-dir "$memodir/cache" > "$memodir/run2.out" 2> "$memodir/run2.err"
     if ! cmp -s "$memodir/run1.out" "$memodir/run2.out"; then
         echo "ci.sh: cached rerun output differs from the cold run" >&2

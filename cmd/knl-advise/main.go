@@ -17,13 +17,14 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"knlcap/internal/advisor"
+	"knlcap/internal/cli"
 	"knlcap/internal/core"
 )
 
@@ -35,19 +36,19 @@ func (a *arrayFlags) Set(v string) error {
 	return nil
 }
 
-func main() {
-	var specs arrayFlags
-	flag.Var(&specs, "array", "array spec name:bytes:pattern:threads[:touches]; repeatable")
-	budget := flag.String("budget", "16g", "MCDRAM budget (k/m/g suffixes)")
-	modelFile := flag.String("model", "", "capability model JSON (default: the paper's numbers)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	model := core.Default()
-	if *modelFile != "" {
-		var err error
-		if model, err = core.LoadFile(*modelFile); err != nil {
-			fatal(err)
-		}
+// run is the whole command behind an argument list and two writers; it
+// returns the exit code (see internal/cli): 1 if the model file cannot be
+// loaded. Every advisor error is a rejected input, so it exits 2.
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("knl-advise", stderr, 0)
+	var specs arrayFlags
+	c.Var(&specs, "array", "array spec name:bytes:pattern:threads[:touches]; repeatable")
+	budget := c.String("budget", "16g", "MCDRAM budget (k/m/g suffixes)")
+	modelFile := c.String("model", "", "capability model JSON (default: the paper's numbers)")
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
 	arrays := demoWorkload()
 	if len(specs) > 0 {
@@ -55,27 +56,33 @@ func main() {
 		for _, s := range specs {
 			a, err := parseArray(s)
 			if err != nil {
-				fatal(err)
+				return c.Usagef("%v", err)
 			}
 			arrays = append(arrays, a)
 		}
-	} else {
-		fmt.Println("(no -array given: using the built-in demo workload)")
 	}
 	budgetBytes, err := parseBytes(*budget)
 	if err != nil {
-		fatal(err)
+		return c.Usagef("%v", err)
+	}
+	if budgetBytes <= 0 {
+		return c.Usagef("-budget must be positive (got %q)", *budget)
+	}
+	model := core.Default()
+	if *modelFile != "" {
+		if model, err = core.LoadFile(*modelFile); err != nil {
+			return c.Fail(err)
+		}
 	}
 	plan, err := advisor.Advise(model, arrays, budgetBytes)
 	if err != nil {
-		fatal(err)
+		return c.Usagef("%v", err)
 	}
-	fmt.Print(plan)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "knl-advise:", err)
-	os.Exit(1)
+	if len(specs) == 0 {
+		cli.Fprintln(stdout, "(no -array given: using the built-in demo workload)")
+	}
+	cli.Fprintf(stdout, "%v", plan)
+	return 0
 }
 
 func demoWorkload() []advisor.Array {

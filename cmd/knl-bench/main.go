@@ -12,109 +12,52 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 
 	"knlcap/internal/bench"
 	"knlcap/internal/cache"
+	"knlcap/internal/cli"
 	"knlcap/internal/knl"
-	"knlcap/internal/memo"
-	"knlcap/internal/prof"
 	"knlcap/internal/report"
 )
 
 // cacheE names the source state of the multi-line row.
 func cacheE() cache.State { return cache.Exclusive }
 
-func main() {
-	table := flag.Int("table", 1, "which table to regenerate (1 or 2)")
-	memmode := flag.String("memmode", "flat", "memory mode for table 2: flat, cache or hybrid")
-	quick := flag.Bool("quick", false, "reduced measurement effort")
-	csv := flag.Bool("csv", false, "emit CSV")
-	iterations := flag.Int("iterations", 0, "override bandwidth iterations")
-	experiments := flag.Bool("experiments", false, "list the experiment registry and exit")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker-pool size for independent measurement points (1 = serial; results are identical at every setting)")
-	useCache := flag.Bool("cache", false, "memoize measurement results on disk (see -cache-dir)")
-	cacheDir := flag.String("cache-dir", "results/.memocache", "directory of the result cache")
-	converge := flag.Int("converge", 0,
-		"stop deterministic measurement loops after N bit-identical passes and extrapolate (0 = exact; needs -nojitter to fire)")
-	nojitter := flag.Bool("nojitter", false, "disable the simulated timing jitter")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "knl-bench:", err)
-		os.Exit(2)
+// run is the whole command behind an argument list and two writers; it
+// returns the exit code (see internal/cli).
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("knl-bench", stderr, cli.Quick|cli.CSV|cli.Iterations|cli.Parallel|
+		cli.Cache|cli.Converge|cli.Profile|cli.MemMode)
+	table := c.Int("table", 1, "which table to regenerate (1 or 2)")
+	experiments := c.Bool("experiments", false, "list the experiment registry and exit")
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
-	defer stopProf()
-
+	defer c.Close()
 	if *experiments {
-		report.ExperimentsTable().Write(os.Stdout)
-		return
+		report.ExperimentsTable().Write(stdout)
+		return 0
 	}
-
-	o := bench.DefaultOptions()
-	if *quick {
-		o = o.Quick()
-	}
-	if *iterations > 0 {
-		o.Iterations = *iterations
-	}
-	o.Parallel = *parallel
-	o.ConvergeAfter = *converge
-	o.NoJitter = *nojitter
-	mc := openMemo("knl-bench", *useCache, *cacheDir)
-	o.Memo = mc
-	defer memoReport(mc)
-
+	var t *report.Table
 	switch *table {
 	case 1:
-		emit(tableI(o), *csv)
+		t = tableI(c.Options(), stderr)
 	case 2:
-		mm, err := knl.ParseMemoryMode(*memmode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "knl-bench:", err)
-			os.Exit(2)
-		}
-		emit(tableII(o, mm), *csv)
+		t = tableII(c.Options(), c.Config().Memory, stderr)
 	default:
-		fmt.Fprintln(os.Stderr, "knl-bench: -table must be 1 or 2")
-		os.Exit(2)
+		return c.Usagef("-table must be 1 or 2")
 	}
-}
-
-// openMemo opens the on-disk result cache when enabled; a nil cache
-// disables memoization throughout the measurement layers.
-func openMemo(prog string, enabled bool, dir string) *memo.Cache {
-	if !enabled {
-		return nil
+	if c.CSV {
+		t.CSV(stdout)
+	} else {
+		t.Write(stdout)
 	}
-	c, err := memo.New(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, prog+":", err)
-		os.Exit(2)
-	}
-	return c
-}
-
-// memoReport prints the cache traffic counters to stderr.
-func memoReport(c *memo.Cache) {
-	if c != nil {
-		fmt.Fprintln(os.Stderr, "memo:", c.Stats())
-	}
-}
-
-func emit(t *report.Table, csv bool) {
-	if csv {
-		t.CSV(os.Stdout)
-		return
-	}
-	t.Write(os.Stdout)
+	return 0
 }
 
 func rangeStr(r bench.Range) string {
@@ -124,14 +67,14 @@ func rangeStr(r bench.Range) string {
 	return fmt.Sprintf("%s-%s", report.FormatFloat(r.Lo), report.FormatFloat(r.Hi))
 }
 
-func tableI(o bench.Options) *report.Table {
+func tableI(o bench.Options, stderr io.Writer) *report.Table {
 	t := &report.Table{
 		Title:   "Table I: cache-to-cache benchmark results (simulated KNL)",
 		Headers: []string{"Metric"},
 	}
 	var cols []bench.TableI
 	for _, cfg := range knl.AllConfigs(knl.Flat) {
-		fmt.Fprintf(os.Stderr, "measuring %s...\n", cfg.Name())
+		cli.Fprintf(stderr, "measuring %s...\n", cfg.Name())
 		t.Headers = append(t.Headers, cfg.Cluster.String())
 		cols = append(cols, bench.MeasureTableI(cfg, o))
 	}
@@ -196,14 +139,14 @@ func tableI(o bench.Options) *report.Table {
 	return t
 }
 
-func tableII(o bench.Options, mm knl.MemoryMode) *report.Table {
+func tableII(o bench.Options, mm knl.MemoryMode, stderr io.Writer) *report.Table {
 	t := &report.Table{
 		Title:   fmt.Sprintf("Table II: memory benchmark results, %v mode (simulated KNL)", mm),
 		Headers: []string{"Metric"},
 	}
 	var cols []bench.TableII
 	for _, cfg := range knl.AllConfigs(mm) {
-		fmt.Fprintf(os.Stderr, "measuring %s...\n", cfg.Name())
+		cli.Fprintf(stderr, "measuring %s...\n", cfg.Name())
 		t.Headers = append(t.Headers, cfg.Cluster.String())
 		cols = append(cols, bench.MeasureTableII(cfg, o, nil, nil))
 	}

@@ -11,88 +11,45 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 
 	"knlcap/internal/bench"
+	"knlcap/internal/cli"
 	"knlcap/internal/coll"
 	"knlcap/internal/core"
 	"knlcap/internal/knl"
-	"knlcap/internal/memo"
 	"knlcap/internal/report"
 )
 
-// openMemo opens the on-disk result cache when enabled; a nil cache
-// disables memoization throughout the measurement layers.
-func openMemo(prog string, enabled bool, dir string) *memo.Cache {
-	if !enabled {
-		return nil
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind an argument list and two writers; it
+// returns the exit code (see internal/cli).
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("knl-coll", stderr, cli.Quick|cli.CSV|cli.Parallel|cli.Cache|cli.Converge)
+	fig := c.Int("fig", 6, "figure to regenerate: 6 (barrier), 7 (broadcast), 8 (reduce)")
+	opName := c.String("op", "", "measure an extension collective instead: allreduce | allgather | scan")
+	schedName := c.String("sched", "scatter", "pinning: scatter | fill-tiles | compact")
+	speedups := c.Bool("speedups", false, "print max speedups for all three collectives")
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
-	c, err := memo.New(dir)
+	defer c.Close()
+	sched, err := knl.ParseSchedule(*schedName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, prog+":", err)
-		os.Exit(2)
+		return c.Usagef("%v", err)
 	}
-	return c
-}
-
-// memoReport prints the cache traffic counters to stderr.
-func memoReport(c *memo.Cache) {
-	if c != nil {
-		fmt.Fprintln(os.Stderr, "memo:", c.Stats())
-	}
-}
-
-func schedOf(s string) knl.Schedule {
-	switch s {
-	case "scatter":
-		return knl.Scatter
-	case "fill-tiles", "filltiles":
-		return knl.FillTiles
-	case "compact":
-		return knl.Compact
-	default:
-		fmt.Fprintf(os.Stderr, "knl-coll: unknown schedule %q\n", s)
-		os.Exit(2)
-		return 0
-	}
-}
-
-func main() {
-	fig := flag.Int("fig", 6, "figure to regenerate: 6 (barrier), 7 (broadcast), 8 (reduce)")
-	opName := flag.String("op", "", "measure an extension collective instead: allreduce | allgather | scan")
-	sched := flag.String("sched", "scatter", "pinning: scatter | fill-tiles | compact")
-	speedups := flag.Bool("speedups", false, "print max speedups for all three collectives")
-	quick := flag.Bool("quick", false, "reduced iterations")
-	csv := flag.Bool("csv", false, "emit CSV")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker-pool size for independent measurement points (1 = serial; results are identical at every setting)")
-	useCache := flag.Bool("cache", false, "memoize measurement results on disk (see -cache-dir)")
-	cacheDir := flag.String("cache-dir", "results/.memocache", "directory of the result cache")
-	converge := flag.Int("converge", 0,
-		"stop deterministic measurement loops after N bit-identical passes and extrapolate (0 = exact; needs -nojitter to fire)")
-	nojitter := flag.Bool("nojitter", false, "disable the simulated timing jitter")
-	flag.Parse()
 
 	cfg := knl.DefaultConfig() // SNC4-flat, as in the paper's figures
 	model := core.Default()
-	o := bench.DefaultOptions()
-	if *quick {
-		o = o.Quick()
-	}
+	o := c.Options()
 	o.WindowNs = 1e6
-	o.Parallel = *parallel
-	o.ConvergeAfter = *converge
-	o.NoJitter = *nojitter
-	mc := openMemo("knl-coll", *useCache, *cacheDir)
-	o.Memo = mc
-	defer memoReport(mc)
 
 	if *speedups {
-		printSpeedups(cfg, model, o, schedOf(*sched))
-		return
+		printSpeedups(stdout, stderr, cfg, model, o, sched)
+		return 0
 	}
 	var op coll.Op
 	var figLabel string
@@ -106,8 +63,7 @@ func main() {
 		case 8:
 			op = coll.Reduce
 		default:
-			fmt.Fprintln(os.Stderr, "knl-coll: -fig must be 6, 7 or 8")
-			os.Exit(2)
+			return c.Usagef("-fig must be 6, 7 or 8")
 		}
 		figLabel = fmt.Sprintf("Figure %d", *fig)
 	case "allreduce":
@@ -117,13 +73,12 @@ func main() {
 	case "scan":
 		op, figLabel = coll.Scan, "Extension"
 	default:
-		fmt.Fprintln(os.Stderr, "knl-coll: unknown -op", *opName)
-		os.Exit(2)
+		return c.Usagef("unknown -op %s", *opName)
 	}
-	pts := coll.MeasureFigure(cfg, model, o, op, schedOf(*sched), nil)
+	pts := coll.MeasureFigure(cfg, model, o, op, sched, nil)
 	t := &report.Table{
 		Title: fmt.Sprintf("%s: %v latency [ns], SNC4-flat (MCDRAM), %s schedule",
-			figLabel, op, *sched),
+			figLabel, op, *schedName),
 		Headers: []string{"Threads",
 			"tuned p25", "tuned med", "tuned p75",
 			"model best", "model worst",
@@ -150,20 +105,21 @@ func main() {
 		series[2].X = append(series[2].X, x)
 		series[2].Y = append(series[2].Y, p.MPI.Summary.Med)
 	}
-	if *csv {
-		t.CSV(os.Stdout)
-		return
+	if c.CSV {
+		t.CSV(stdout)
+		return 0
 	}
-	t.Write(os.Stdout)
-	fmt.Println()
+	t.Write(stdout)
+	cli.Fprintln(stdout)
 	pl := &report.Plot{
 		Title: fmt.Sprintf("%s (%v)", figLabel, op), XLabel: "threads",
 		YLabel: "ns", LogY: true, Series: series[:],
 	}
-	pl.Write(os.Stdout)
+	pl.Write(stdout)
+	return 0
 }
 
-func printSpeedups(cfg knl.Config, model *core.Model, o bench.Options, sched knl.Schedule) {
+func printSpeedups(stdout, stderr io.Writer, cfg knl.Config, model *core.Model, o bench.Options, sched knl.Schedule) {
 	t := &report.Table{
 		Title:   "Headline speedups of the model-tuned collectives (max across thread counts)",
 		Headers: []string{"Collective", "vs OpenMP-style", "paper", "vs MPI-style", "paper"},
@@ -174,11 +130,11 @@ func printSpeedups(cfg knl.Config, model *core.Model, o bench.Options, sched knl
 		coll.Reduce:  {"5x", "14x"},
 	}
 	for _, op := range []coll.Op{coll.Barrier, coll.Bcast, coll.Reduce} {
-		fmt.Fprintf(os.Stderr, "measuring %v...\n", op)
+		cli.Fprintf(stderr, "measuring %v...\n", op)
 		pts := coll.MeasureFigure(cfg, model, o, op, sched, []int{8, 16, 32, 64})
 		omp, mpi := coll.MaxSpeedups(pts)
 		t.AddRow(op.String(), fmt.Sprintf("%.1fx", omp), paper[op][0],
 			fmt.Sprintf("%.1fx", mpi), paper[op][1])
 	}
-	t.Write(os.Stdout)
+	t.Write(stdout)
 }

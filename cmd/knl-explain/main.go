@@ -13,63 +13,32 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"knlcap/internal/cache"
+	"knlcap/internal/cli"
 	"knlcap/internal/cluster"
 	"knlcap/internal/core"
 	"knlcap/internal/knl"
 	"knlcap/internal/machine"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// fprintf writes the command's output, deliberately dropping write
-// errors: a run whose own output pipe fails has nothing useful left to
-// report.
-func fprintf(w io.Writer, format string, args ...any) {
-	_, _ = fmt.Fprintf(w, format, args...)
-}
-
-// run is the whole command behind an argument list and two writers, so
-// flag validation can be tested in process. It returns the exit code: 0
-// on success, 1 if the simulation fails, 2 on a usage error.
+// run is the whole command behind an argument list and two writers; it
+// returns the exit code (see internal/cli): 1 if the simulation fails.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("knl-explain", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	from := fs.Int("from", 0, "requesting core (0-63)")
-	owner := fs.Int("owner", 20, "core whose cache holds the line (ignored for state I)")
-	state := fs.String("state", "M", "line state at the owner: M, E, S, F or I (uncached)")
-	kind := fs.String("kind", "dram", "memory backing the line: dram | mcdram")
-	clusterMode := fs.String("cluster", "SNC4", "cluster mode")
-	memMode := fs.String("memmode", "flat", "memory mode: flat | cache | hybrid")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
-		}
-		return 2
+	c := cli.New("knl-explain", stderr, cli.Cluster|cli.MemMode)
+	from := c.Int("from", 0, "requesting core (0-63)")
+	owner := c.Int("owner", 20, "core whose cache holds the line (ignored for state I)")
+	state := c.String("state", "M", "line state at the owner: M, E, S, F or I (uncached)")
+	kind := c.String("kind", "dram", "memory backing the line: dram | mcdram")
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
-	usage := func(format string, a ...any) int {
-		fprintf(stderr, "knl-explain: "+format+"\n", a...)
-		return 2
-	}
-	if fs.NArg() > 0 {
-		return usage("unexpected arguments %q", fs.Args())
-	}
-	cm, err := knl.ParseClusterMode(*clusterMode)
-	if err != nil {
-		return usage("%v", err)
-	}
-	mm, err := knl.ParseMemoryMode(*memMode)
-	if err != nil {
-		return usage("%v", err)
-	}
-	cfg := knl.DefaultConfig().WithModes(cm, mm)
+	cfg := c.Config()
 	var st cache.State
 	switch *state {
 	case "M":
@@ -83,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "I":
 		st = cache.Invalid
 	default:
-		return usage("-state must be M, E, S, F or I")
+		return c.Usagef("-state must be M, E, S, F or I")
 	}
 	var mk knl.MemKind
 	switch *kind {
@@ -92,16 +61,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "mcdram":
 		mk = knl.MCDRAM
 	default:
-		return usage("-kind must be dram or mcdram (got %q)", *kind)
+		return c.Usagef("-kind must be dram or mcdram (got %q)", *kind)
 	}
 	if mk == knl.MCDRAM && cfg.Memory == knl.CacheMode {
-		return usage("no flat MCDRAM in cache mode")
+		return c.Usagef("no flat MCDRAM in cache mode")
 	}
 	if *from < 0 || *from >= knl.NumCores {
-		return usage("-from must be a core in 0..%d (got %d)", knl.NumCores-1, *from)
+		return c.Usagef("-from must be a core in 0..%d (got %d)", knl.NumCores-1, *from)
 	}
 	if st != cache.Invalid && (*owner < 0 || *owner >= knl.NumCores) {
-		return usage("-owner must be a core in 0..%d (got %d)", knl.NumCores-1, *owner)
+		return c.Usagef("-owner must be a core in 0..%d (got %d)", knl.NumCores-1, *owner)
 	}
 
 	p := machine.DefaultParams()
@@ -119,23 +88,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	s.Do(func() { latency = m.Env.Now() }) // the load issued at time 0
 	m.SpawnKernel(knl.Place{Tile: reqTile, Core: *from}, s.Program())
 	if _, err := m.Run(); err != nil {
-		fprintf(stderr, "knl-explain: %v\n", err)
-		return 1
+		return c.Fail(err)
 	}
 
 	place := m.Mapper.Place(mk, 0, buf.Line(0))
-	fprintf(stdout, "configuration: %s | line backed by %v channel %d, home CHA on tile %d\n",
+	cli.Fprintf(stdout, "configuration: %s | line backed by %v channel %d, home CHA on tile %d\n",
 		cfg.Name(), place.Kind, place.Channel, place.HomeTile)
-	fprintf(stdout, "request: core %d (tile %d) loads a line", *from, reqTile)
+	cli.Fprintf(stdout, "request: core %d (tile %d) loads a line", *from, reqTile)
 	if st != cache.Invalid {
-		fprintf(stdout, " held %s by core %d (tile %d)", st, *owner, *owner/knl.CoresPerTile)
+		cli.Fprintf(stdout, " held %s by core %d (tile %d)", st, *owner, *owner/knl.CoresPerTile)
 	} else {
-		fprintf(stdout, " cached nowhere")
+		cli.Fprintf(stdout, " cached nowhere")
 	}
-	fprintf(stdout, "\n\nmeasured on the simulator: %.1f ns\n\n", latency)
+	cli.Fprintf(stdout, "\n\nmeasured on the simulator: %.1f ns\n\n", latency)
 
-	fprintf(stdout, "protocol walk (timing parameters):\n")
-	step := func(name string, v float64) { fprintf(stdout, "  %-42s %6.1f ns\n", name, v) }
+	cli.Fprintf(stdout, "protocol walk (timing parameters):\n")
+	step := func(name string, v float64) { cli.Fprintf(stdout, "  %-42s %6.1f ns\n", name, v) }
 	ownerTile := *owner / knl.CoresPerTile
 	switch {
 	case st != cache.Invalid && ownerTile == reqTile && *owner == *from:
@@ -180,18 +148,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	model := core.Default()
-	fprintf(stdout, "\ncapability-model abstraction:\n")
+	cli.Fprintf(stdout, "\ncapability-model abstraction:\n")
 	switch {
 	case st != cache.Invalid && *owner == *from:
-		fprintf(stdout, "  R_L (local cache read)      = %.1f ns\n", model.RL)
+		cli.Fprintf(stdout, "  R_L (local cache read)      = %.1f ns\n", model.RL)
 	case st != cache.Invalid && ownerTile == reqTile:
-		fprintf(stdout, "  R_tile(%s)                   = %.1f / %.1f / %.1f ns (M/E/SF)\n",
+		cli.Fprintf(stdout, "  R_tile(%s)                   = %.1f / %.1f / %.1f ns (M/E/SF)\n",
 			st, model.RTileM, model.RTileE, model.RTileSF)
 	case st != cache.Invalid:
-		fprintf(stdout, "  R_R (remote cache read)     = %.1f ns (band %.0f-%.0f)\n",
+		cli.Fprintf(stdout, "  R_R (remote cache read)     = %.1f ns (band %.0f-%.0f)\n",
 			model.RR, model.RRMin, model.RRMax)
 	default:
-		fprintf(stdout, "  R_I (memory read, %v)    = %.1f ns\n", mk, model.MemLatency(mk))
+		cli.Fprintf(stdout, "  R_I (memory read, %v)    = %.1f ns\n", mk, model.MemLatency(mk))
 	}
 	return 0
 }

@@ -22,7 +22,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -31,22 +30,10 @@ import (
 	"time"
 
 	"knlcap/internal/analysis"
+	"knlcap/internal/cli"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// fprintf and fprintln write diagnostics, deliberately dropping write
-// errors: a lint run whose own output pipe fails has nothing useful left
-// to report, and the exit code already carries the verdict.
-func fprintf(w io.Writer, format string, args ...any) {
-	_, _ = fmt.Fprintf(w, format, args...)
-}
-
-func fprintln(w io.Writer, args ...any) {
-	_, _ = fmt.Fprintln(w, args...)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // printAnalyzerList writes one "name  doc" line per analyzer, sorted by
 // name so the listing is stable however All() orders the suite. -list
@@ -55,25 +42,24 @@ func printAnalyzerList(w io.Writer) {
 	analyzers := append([]*analysis.Analyzer(nil), analysis.All()...)
 	sort.Slice(analyzers, func(i, j int) bool { return analyzers[i].Name < analyzers[j].Name })
 	for _, a := range analyzers {
-		fprintf(w, "  %-12s %s\n", a.Name, a.Doc)
+		cli.Fprintf(w, "  %-12s %s\n", a.Name, a.Doc)
 	}
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("knl-lint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	dir := fs.String("C", ".", "module root directory")
-	tests := fs.Bool("tests", false, "also analyze in-package _test.go files")
-	names := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	timing := fs.Bool("timing", false, "report per-analyzer wall time on stderr")
-	list := fs.Bool("list", false, "list analyzers and exit")
-	fs.Usage = func() {
-		fprintln(stderr, "usage: knl-lint [-C dir] [-tests] [-json] [-timing] [-analyzers list] [patterns...]")
-		fs.PrintDefaults()
+	c := cli.New("knl-lint", stderr, 0)
+	dir := c.String("C", ".", "module root directory")
+	tests := c.Bool("tests", false, "also analyze in-package _test.go files")
+	names := c.String("analyzers", "", "comma-separated analyzer subset (default: all)")
+	jsonOut := c.Bool("json", false, "emit findings as a JSON array")
+	timing := c.Bool("timing", false, "report per-analyzer wall time on stderr")
+	list := c.Bool("list", false, "list analyzers and exit")
+	c.Usage = func() {
+		cli.Fprintln(stderr, "usage: knl-lint [-C dir] [-tests] [-json] [-timing] [-analyzers list] [patterns...]")
+		c.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
-		return 2
+	if code, ok := c.ParseOperands(args); !ok {
+		return code
 	}
 
 	analyzers := analysis.All()
@@ -89,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if len(selected) == 0 {
-			fprintf(stderr, "knl-lint: -analyzers %q selects no analyzers; the analyzers are:\n", *names)
+			cli.Fprintf(stderr, "knl-lint: -analyzers %q selects no analyzers; the analyzers are:\n", *names)
 			printAnalyzerList(stderr)
 			return 2
 		}
@@ -99,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for _, n := range selected {
 			if !known[n] {
-				fprintf(stderr, "knl-lint: unknown analyzer %q; the analyzers are:\n", n)
+				cli.Fprintf(stderr, "knl-lint: unknown analyzer %q; the analyzers are:\n", n)
 				printAnalyzerList(stderr)
 				return 2
 			}
@@ -107,32 +93,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var err error
 		analyzers, err = analysis.ByName(selected)
 		if err != nil {
-			fprintln(stderr, "knl-lint:", err)
-			return 2
+			return c.Usagef("%v", err)
 		}
 	}
 
-	patterns := fs.Args()
+	patterns := c.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	loader, err := analysis.NewLoader(*dir)
 	if err != nil {
-		fprintln(stderr, "knl-lint:", err)
-		return 2
+		return c.Usagef("%v", err)
 	}
 	cfg := analysis.DefaultConfig()
 	cfg.IncludeTests = *tests
 	loader.IncludeTests = *tests
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
-		fprintln(stderr, "knl-lint:", err)
-		return 2
+		return c.Usagef("%v", err)
 	}
 	if len(pkgs) == 0 {
-		fprintf(stderr, "knl-lint: no packages matched %s\n", strings.Join(patterns, " "))
-		return 2
+		return c.Usagef("no packages matched %s", strings.Join(patterns, " "))
 	}
 
 	findings, timings := analysis.RunTimed(cfg, pkgs, analyzers)
@@ -141,20 +123,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, tm := range timings {
 			parts = append(parts, fmt.Sprintf("%s=%s", tm.Name, tm.Elapsed.Round(time.Millisecond/10)))
 		}
-		fprintf(stderr, "lint-timing: %s\n", strings.Join(parts, " "))
+		cli.Fprintf(stderr, "lint-timing: %s\n", strings.Join(parts, " "))
 	}
 	if *jsonOut {
 		if err := analysis.WriteJSON(stdout, findings); err != nil {
-			fprintln(stderr, "knl-lint:", err)
-			return 2
+			return c.Usagef("%v", err)
 		}
 	} else {
 		for _, f := range findings {
-			fprintln(stdout, f)
+			cli.Fprintln(stdout, f)
 		}
 	}
 	if len(findings) > 0 {
-		fprintf(stderr, "knl-lint: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
+		cli.Fprintf(stderr, "knl-lint: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
 		return 1
 	}
 	return 0

@@ -132,3 +132,14 @@ func TestTimingLine(t *testing.T) {
 		}
 	}
 }
+
+// -h is a request, not an error; it used to exit 2.
+func TestHelpExits0(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
+		t.Errorf("-h: exit code = %d, want 0", code)
+	}
+	if !strings.Contains(stderr.String(), "usage: knl-lint") {
+		t.Errorf("-h usage lacks the synopsis: %q", stderr.String())
+	}
+}

@@ -10,100 +10,83 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"knlcap/internal/bench"
+	"knlcap/internal/cli"
 	"knlcap/internal/core"
 	"knlcap/internal/knl"
 	"knlcap/internal/report"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "fit":
-		fitCmd(os.Args[2:])
-	case "show":
-		showCmd(os.Args[2:])
-	case "compare":
-		compareCmd(os.Args[2:])
-	default:
-		usage()
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+const usage = `usage:
   knl-model fit -o model.json [-cluster SNC4|SNC2|QUAD|HEM|A2A] [-quick]
   knl-model show <model.json|paper>
-  knl-model compare <a.json|paper> <b.json|paper>`)
-	os.Exit(2)
-}
+  knl-model compare <a.json|paper> <b.json|paper>`
 
-func clusterByName(name string) knl.ClusterMode {
-	cm, err := knl.ParseClusterMode(name)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "knl-model:", err)
-		os.Exit(2)
+// run is the whole command behind an argument list and two writers; it
+// returns the exit code (see internal/cli): 1 if a model cannot be
+// loaded, fitted or saved.
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("knl-model", stderr, 0)
+	c.Usage = func() { cli.Fprintln(stderr, usage) }
+	if code, ok := c.ParseOperands(args); !ok {
+		return code
 	}
-	return cm
+	switch ops := c.Args(); {
+	case len(ops) > 0 && ops[0] == "fit":
+		return fitCmd(ops[1:], stdout, stderr)
+	case len(ops) == 2 && ops[0] == "show":
+		return showCmd(c, ops[1], stdout)
+	case len(ops) == 3 && ops[0] == "compare":
+		return compareCmd(c, ops[1], ops[2], stdout)
+	}
+	c.Usage()
+	return 2
 }
 
-func loadModel(arg string) *core.Model {
+func loadModel(arg string) (*core.Model, error) {
 	if arg == "paper" {
-		return core.Default()
+		return core.Default(), nil
 	}
-	m, err := core.LoadFile(arg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "knl-model: %v\n", err)
-		os.Exit(1)
-	}
-	return m
+	return core.LoadFile(arg)
 }
 
-func fitCmd(args []string) {
-	fs := flag.NewFlagSet("fit", flag.ExitOnError)
-	out := fs.String("o", "model.json", "output file")
-	cluster := fs.String("cluster", "SNC4", "cluster mode to fit")
-	quick := fs.Bool("quick", false, "reduced measurement effort")
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+func fitCmd(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("knl-model fit", stderr, cli.Quick|cli.Cluster)
+	out := c.String("o", "model.json", "output file")
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
-
-	cfg := knl.DefaultConfig().WithModes(clusterByName(*cluster), knl.Flat)
-	o := bench.DefaultOptions()
-	if *quick {
-		o = o.Quick()
-	}
-	fmt.Fprintf(os.Stderr, "benchmarking %s (Table I)...\n", cfg.Name())
+	cfg, o := c.Config(), c.Options()
+	cli.Fprintf(stderr, "benchmarking %s (Table I)...\n", cfg.Name())
 	t1 := bench.MeasureTableI(cfg, o)
-	fmt.Fprintln(os.Stderr, "benchmarking memory (Table II subset)...")
+	cli.Fprintln(stderr, "benchmarking memory (Table II subset)...")
 	t2 := bench.MeasureTableII(cfg, o, []int{16, 64}, []knl.Schedule{knl.FillTiles})
-	fmt.Fprintln(os.Stderr, "sweeping achievable bandwidth (Figure 9 points)...")
+	cli.Fprintln(stderr, "sweeping achievable bandwidth (Figure 9 points)...")
 	sweep := bench.TriadSweep(cfg, o, knl.FillTiles, []int{1, 8, 16, 64, 128})
 	m := core.FromMeasurements(t1, t2, sweep)
 	if err := m.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "knl-model: fit produced invalid model: %v\n", err)
-		os.Exit(1)
+		return c.Fail(fmt.Errorf("fit produced invalid model: %w", err))
 	}
 	if err := m.SaveFile(*out); err != nil {
-		fmt.Fprintf(os.Stderr, "knl-model: %v\n", err)
-		os.Exit(1)
+		return c.Fail(err)
 	}
-	fmt.Printf("fitted model for %s written to %s\n", cfg.Name(), *out)
-	fmt.Printf("max deviation from the paper's published model: %.1f%%\n",
+	cli.Fprintf(stdout, "fitted model for %s written to %s\n", cfg.Name(), *out)
+	cli.Fprintf(stdout, "max deviation from the paper's published model: %.1f%%\n",
 		100*core.MaxRelDelta(m, core.Default()))
+	return 0
 }
 
-func showCmd(args []string) {
-	if len(args) != 1 {
-		usage()
+func showCmd(c *cli.Cmd, arg string, stdout io.Writer) int {
+	m, err := loadModel(arg)
+	if err != nil {
+		return c.Fail(err)
 	}
-	m := loadModel(args[0])
 	t := &report.Table{
 		Title:   fmt.Sprintf("Capability model (%s)", m.Config.Name()),
 		Headers: []string{"Parameter", "Value"},
@@ -126,20 +109,26 @@ func showCmd(args []string) {
 			t.AddRow(fmt.Sprintf("BW %v @%d threads [GB/s]", kind, p.Threads), p.GBs.Float())
 		}
 	}
-	t.Write(os.Stdout)
+	t.Write(stdout)
+	return 0
 }
 
-func compareCmd(args []string) {
-	if len(args) != 2 {
-		usage()
+func compareCmd(c *cli.Cmd, nameA, nameB string, stdout io.Writer) int {
+	a, err := loadModel(nameA)
+	if err != nil {
+		return c.Fail(err)
 	}
-	a, b := loadModel(args[0]), loadModel(args[1])
+	b, err := loadModel(nameB)
+	if err != nil {
+		return c.Fail(err)
+	}
 	t := &report.Table{
-		Title:   fmt.Sprintf("Model comparison: %s vs %s", args[0], args[1]),
-		Headers: []string{"Parameter", args[0], args[1], "rel delta"},
+		Title:   fmt.Sprintf("Model comparison: %s vs %s", nameA, nameB),
+		Headers: []string{"Parameter", nameA, nameB, "rel delta"},
 	}
 	for _, d := range core.Compare(a, b) {
 		t.AddRow(d.Name, d.A, d.B, fmt.Sprintf("%.1f%%", 100*d.RelDelta))
 	}
-	t.Write(os.Stdout)
+	t.Write(stdout)
+	return 0
 }

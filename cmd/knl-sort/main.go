@@ -14,70 +14,34 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 
+	"knlcap/internal/cli"
 	"knlcap/internal/core"
 	"knlcap/internal/knl"
-	"knlcap/internal/memo"
 	"knlcap/internal/msort"
 	"knlcap/internal/report"
 	"knlcap/internal/stats"
 )
 
-// memoReport prints the cache traffic counters to stderr.
-func memoReport(c *memo.Cache, stderr io.Writer) {
-	if c != nil {
-		fprintln(stderr, "memo:", c.Stats())
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// fprintf and fprintln write the command's output, deliberately dropping
-// write errors: a run whose own output pipe fails has nothing useful left
-// to report.
-func fprintf(w io.Writer, format string, args ...any) {
-	_, _ = fmt.Fprintf(w, format, args...)
-}
-
-func fprintln(w io.Writer, args ...any) {
-	_, _ = fmt.Fprintln(w, args...)
-}
-
-// run is the whole command behind an argument list and two writers, so
-// flag validation can be tested in process. It returns the exit code: 0
-// on success, 1 if -verify finds the real sort broken, 2 on a usage error.
+// run is the whole command behind an argument list and two writers; it
+// returns the exit code (see internal/cli): 1 if -verify finds the real
+// sort broken.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("knl-sort", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	kindFlag := fs.String("kind", "both", "buffer placement: dram | mcdram | both")
-	lines := fs.Int("lines", 0, "input size in cache lines (0 = the three standard panels)")
-	verify := fs.Bool("verify", false, "run the real Go parallel sort and verify correctness")
-	csv := fs.Bool("csv", false, "emit CSV")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker-pool size for independent simulation points (1 = serial; results are identical at every setting)")
-	useCache := fs.Bool("cache", false, "memoize simulation results on disk (see -cache-dir)")
-	cacheDir := fs.String("cache-dir", "results/.memocache", "directory of the result cache")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
-		}
-		return 2
+	c := cli.New("knl-sort", stderr, cli.CSV|cli.Parallel|cli.Cache)
+	kindFlag := c.String("kind", "both", "buffer placement: dram | mcdram | both")
+	lines := c.Int("lines", 0, "input size in cache lines (0 = the three standard panels)")
+	verify := c.Bool("verify", false, "run the real Go parallel sort and verify correctness")
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
-	usage := func(format string, a ...any) int {
-		fprintf(stderr, "knl-sort: "+format+"\n", a...)
-		return 2
-	}
-	if fs.NArg() > 0 {
-		return usage("unexpected arguments %q", fs.Args())
-	}
+	defer c.Close()
 	kinds := []knl.MemKind{knl.DDR, knl.MCDRAM}
 	switch *kindFlag {
 	case "both":
@@ -86,31 +50,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "mcdram":
 		kinds = kinds[1:]
 	default:
-		return usage("-kind must be dram, mcdram or both, not %q", *kindFlag)
+		return c.Usagef("-kind must be dram, mcdram or both, not %q", *kindFlag)
 	}
 	if *lines < 0 {
-		return usage("-lines must be positive, or 0 for the three standard panels (got %d)", *lines)
+		return c.Usagef("-lines must be positive, or 0 for the three standard panels (got %d)", *lines)
 	}
 
 	if *verify && !verifyRealSort(stdout, stderr) {
-		return 1
+		return c.Fail(errors.New("REAL SORT IS BROKEN"))
 	}
-
-	var mc *memo.Cache
-	if *useCache {
-		c, err := memo.New(*cacheDir)
-		if err != nil {
-			return usage("%v", err)
-		}
-		mc = c
-	}
-	defer memoReport(mc, stderr)
+	mc := c.Memo()
 
 	cfg := knl.DefaultConfig() // SNC4-flat
 	model := core.Default()
-	fprintln(stderr, "fitting overhead model from 1 KB sorts...")
-	oh := msort.FitOverheadMemo(cfg, model, knl.DDR, nil, *parallel, mc)
-	fprintf(stdout, "overhead model: %.0f + %.0f*threads [ns]\n\n", oh.Alpha, oh.Beta)
+	cli.Fprintln(stderr, "fitting overhead model from 1 KB sorts...")
+	oh := msort.FitOverheadMemo(cfg, model, knl.DDR, nil, c.Parallel, mc)
+	cli.Fprintf(stdout, "overhead model: %.0f + %.0f*threads [ns]\n\n", oh.Alpha, oh.Beta)
 
 	panels := []struct {
 		label string
@@ -131,8 +86,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	for _, kind := range kinds {
 		for _, panel := range panels {
-			fprintf(stderr, "panel %s on %v...\n", panel.label, kind)
-			pts := msort.Figure10Memo(cfg, model, oh, panel.lines, kind, threadCounts, *parallel, mc)
+			cli.Fprintf(stderr, "panel %s on %v...\n", panel.label, kind)
+			pts := msort.Figure10Memo(cfg, model, oh, panel.lines, kind, threadCounts, c.Parallel, mc)
 			t := &report.Table{
 				Title: fmt.Sprintf("Figure 10: sorting %s of integers (%v, SNC4-flat, compact) [ns]",
 					panel.label, kind),
@@ -143,11 +98,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 				t.AddRow(p.Threads, p.MeasuredNs, p.MemLatNs, p.MemBWNs,
 					p.FullLatNs, p.FullBWNs, p.OverCutoff)
 			}
-			if *csv {
+			if c.CSV {
 				t.CSV(stdout)
 			} else {
 				t.Write(stdout)
-				fprintln(stdout)
+				cli.Fprintln(stdout)
 			}
 		}
 	}
@@ -161,13 +116,13 @@ func compareKinds(stdout io.Writer, cfg knl.Config) {
 	const lines = 262144
 	d := msort.Simulate(cfg, msort.DefaultSimParams(lines, 64, knl.DDR))
 	mc := msort.Simulate(cfg, msort.DefaultSimParams(lines, 64, knl.MCDRAM))
-	fprintf(stdout, "MCDRAM vs DRAM at 64 threads, 16 MB: %.2fx (paper: negligible difference)\n", d.Float()/mc.Float())
+	cli.Fprintf(stdout, "MCDRAM vs DRAM at 64 threads, 16 MB: %.2fx (paper: negligible difference)\n", d.Float()/mc.Float())
 }
 
 // verifyRealSort sorts 4 MB with the real parallel sort and checks it
 // against the standard library; it reports whether the output matched.
 func verifyRealSort(stdout, stderr io.Writer) bool {
-	fprintln(stderr, "verifying the real parallel sort implementation...")
+	cli.Fprintln(stderr, "verifying the real parallel sort implementation...")
 	rng := stats.NewRNG(20260705)
 	v := make([]int32, 1<<20)
 	for i := range v {
@@ -178,10 +133,9 @@ func verifyRealSort(stdout, stderr io.Writer) bool {
 	used := msort.ParallelSort(v, 8)
 	for i := range v {
 		if v[i] != want[i] {
-			fprintln(stderr, "knl-sort: REAL SORT IS BROKEN")
 			return false
 		}
 	}
-	fprintf(stdout, "real sort verified: 4 MB of int32 sorted correctly with %d threads\n", used)
+	cli.Fprintf(stdout, "real sort verified: 4 MB of int32 sorted correctly with %d threads\n", used)
 	return true
 }

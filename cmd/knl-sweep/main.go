@@ -11,53 +11,35 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 
 	"knlcap/internal/bench"
 	"knlcap/internal/cache"
+	"knlcap/internal/cli"
 	"knlcap/internal/knl"
-	"knlcap/internal/memo"
-	"knlcap/internal/prof"
 	"knlcap/internal/report"
 )
 
-func main() {
-	fig := flag.Int("fig", 4, "figure to regenerate: 4, 5 or 9")
-	sched := flag.String("sched", "fill-tiles", "figure 9 schedule: fill-tiles | compact")
-	quick := flag.Bool("quick", false, "reduced effort")
-	csv := flag.Bool("csv", false, "emit CSV")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker-pool size for independent measurement points (1 = serial; results are identical at every setting)")
-	useCache := flag.Bool("cache", false, "memoize measurement results on disk (see -cache-dir)")
-	cacheDir := flag.String("cache-dir", "results/.memocache", "directory of the result cache")
-	converge := flag.Int("converge", 0,
-		"stop deterministic measurement loops after N bit-identical passes and extrapolate (0 = exact; needs -nojitter to fire)")
-	nojitter := flag.Bool("nojitter", false, "disable the simulated timing jitter")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "knl-sweep:", err)
-		os.Exit(2)
+// run is the whole command behind an argument list and two writers; it
+// returns the exit code (see internal/cli).
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("knl-sweep", stderr, cli.Quick|cli.CSV|cli.Parallel|cli.Cache|cli.Converge|cli.Profile)
+	fig := c.Int("fig", 4, "figure to regenerate: 4, 5 or 9")
+	sched := c.String("sched", "fill-tiles", "figure 9 schedule: fill-tiles | compact")
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
-	defer stopProf()
-
-	o := bench.DefaultOptions()
-	if *quick {
-		o = o.Quick()
+	defer c.Close()
+	sc, err := knl.ParseSchedule(*sched)
+	if err != nil || sc == knl.Scatter {
+		return c.Usagef("-sched must be fill-tiles or compact (got %q)", *sched)
 	}
-	o.Parallel = *parallel
-	o.ConvergeAfter = *converge
-	o.NoJitter = *nojitter
-	mc := openMemo("knl-sweep", *useCache, *cacheDir)
-	o.Memo = mc
-	defer memoReport(mc)
 
+	o := c.Options()
 	var t *report.Table
 	var plot *report.Plot
 	switch *fig {
@@ -66,45 +48,18 @@ func main() {
 	case 5:
 		t, plot = figure5(o)
 	case 9:
-		sc := knl.FillTiles
-		if *sched == "compact" {
-			sc = knl.Compact
-		}
 		t, plot = figure9(o, sc)
 	default:
-		fmt.Fprintln(os.Stderr, "knl-sweep: -fig must be 4, 5 or 9")
-		os.Exit(2)
+		return c.Usagef("-fig must be 4, 5 or 9")
 	}
-	if *csv {
-		t.CSV(os.Stdout)
-		return
+	if c.CSV {
+		t.CSV(stdout)
+		return 0
 	}
-	t.Write(os.Stdout)
-	if plot != nil {
-		fmt.Println()
-		plot.Write(os.Stdout)
-	}
-}
-
-// openMemo opens the on-disk result cache when enabled; a nil cache
-// disables memoization throughout the measurement layers.
-func openMemo(prog string, enabled bool, dir string) *memo.Cache {
-	if !enabled {
-		return nil
-	}
-	c, err := memo.New(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, prog+":", err)
-		os.Exit(2)
-	}
-	return c
-}
-
-// memoReport prints the cache traffic counters to stderr.
-func memoReport(c *memo.Cache) {
-	if c != nil {
-		fmt.Fprintln(os.Stderr, "memo:", c.Stats())
-	}
+	t.Write(stdout)
+	cli.Fprintln(stdout)
+	plot.Write(stdout)
+	return 0
 }
 
 func figure4(o bench.Options) (*report.Table, *report.Plot) {

@@ -1,0 +1,47 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// Bad flags are rejected before anything is measured: exit 2, a message
+// naming the problem, and nothing on stdout.
+// -sched bogus used to run fill-tiles, and stray arguments were ignored.
+func TestBadFlagsExit2(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "9", "-sched", "bogus"}, `-sched must be fill-tiles or compact (got "bogus")`},
+		{[]string{"-fig", "9", "-sched", "scatter"}, `-sched must be fill-tiles or compact (got "scatter")`},
+		{[]string{"-fig", "7"}, "-fig must be 4, 5 or 9"},
+		{[]string{"-parallel", "0"}, "-parallel must be at least 1 (got 0)"},
+		{[]string{"-nosuch"}, "flag provided but not defined: -nosuch"},
+		{[]string{"-fig", "4", "extra"}, `unexpected arguments ["extra"]`},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(tc.args, &stdout, &stderr)
+		if code != 2 {
+			t.Errorf("%q: exit code = %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%q: stderr %q lacks %q", tc.args, stderr.String(), tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: wrote to stdout: %q", tc.args, stdout.String())
+		}
+	}
+}
+
+// -h is a request, not an error.
+func TestHelpExits0(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
+		t.Errorf("-h: exit code = %d, want 0", code)
+	}
+	if !strings.Contains(stderr.String(), "-sched") {
+		t.Errorf("-h usage lacks %s: %q", "-sched", stderr.String())
+	}
+}

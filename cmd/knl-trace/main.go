@@ -11,12 +11,11 @@
 package main
 
 import (
-	"flag"
-	"fmt"
 	"io"
 	"os"
 
 	"knlcap/internal/cache"
+	"knlcap/internal/cli"
 	"knlcap/internal/knl"
 	"knlcap/internal/machine"
 	"knlcap/internal/report"
@@ -24,16 +23,7 @@ import (
 	"knlcap/internal/trace"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// fprintf writes the command's output, deliberately dropping write
-// errors: a run whose own output pipe fails has nothing useful left to
-// report.
-func fprintf(w io.Writer, format string, args ...any) {
-	_, _ = fmt.Fprintf(w, format, args...)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // workloads maps each -workload name to the function that spawns it on a
 // machine with the given thread count.
@@ -43,56 +33,36 @@ var workloads = map[string]func(m *machine.Machine, threads int){
 	"mixed":      mixed,
 }
 
-// run is the whole command behind an argument list and two writers, so
-// flag validation can be tested in process. It returns the exit code: 0
-// on success, 1 if the simulation or the CSV write fails, 2 on a usage
-// error.
+// run is the whole command behind an argument list and two writers; it
+// returns the exit code (see internal/cli): 1 if the simulation or the
+// CSV write fails.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("knl-trace", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	workload := fs.String("workload", "mixed", "workload: mixed | contention | pingpong")
-	threads := fs.Int("threads", 16, "thread count (contention/mixed)")
-	csvPath := fs.String("csv", "", "write the raw operation trace to this CSV file")
-	clusterMode := fs.String("cluster", "SNC4", "cluster mode")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
-		}
-		return 2
-	}
-	usage := func(format string, a ...any) int {
-		fprintf(stderr, "knl-trace: "+format+"\n", a...)
-		return 2
-	}
-	if fs.NArg() > 0 {
-		return usage("unexpected arguments %q", fs.Args())
+	c := cli.New("knl-trace", stderr, cli.Cluster)
+	workload := c.String("workload", "mixed", "workload: mixed | contention | pingpong")
+	threads := c.Int("threads", 16, "thread count (contention/mixed)")
+	// -csv names an output file here, not the shared CSV switch.
+	csvPath := c.String("csv", "", "write the raw operation trace to this CSV file")
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
 	spawn, ok := workloads[*workload]
 	if !ok {
-		return usage("unknown workload %q (want mixed, contention or pingpong)", *workload)
+		return c.Usagef("unknown workload %q (want mixed, contention or pingpong)", *workload)
 	}
 	if *threads < 1 {
-		return usage("-threads must be at least 1 (got %d)", *threads)
-	}
-	cm, err := knl.ParseClusterMode(*clusterMode)
-	if err != nil {
-		return usage("%v", err)
-	}
-	fail := func(err error) int {
-		fprintf(stderr, "knl-trace: %v\n", err)
-		return 1
+		return c.Usagef("-threads must be at least 1 (got %d)", *threads)
 	}
 
-	cfg := knl.DefaultConfig().WithModes(cm, knl.Flat)
+	cfg := c.Config()
 	m := machine.New(cfg)
 	col := trace.NewCollector(0)
 	m.SetTracer(col)
 	spawn(m, *threads)
 	if _, err := m.Run(); err != nil {
-		return fail(err)
+		return c.Fail(err)
 	}
 
-	fprintf(stdout, "workload %q on %s: %d traced operations over %.1f us\n\n",
+	cli.Fprintf(stdout, "workload %q on %s: %d traced operations over %.1f us\n\n",
 		*workload, cfg.Name(), col.Len(), m.Env.Now()/1e3)
 	t := &report.Table{
 		Title:   "Latency distribution by data source [ns]",
@@ -103,29 +73,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	t.Write(stdout)
 
-	fprintf(stdout, "\nbusiest structures:\n")
+	cli.Fprintf(stdout, "\nbusiest structures:\n")
 	for i, rs := range m.StatsReport() {
 		if i >= 6 {
 			break
 		}
-		fprintf(stdout, "  %-12s %6d acquires, max queue %2d, utilization %4.1f%%\n",
+		cli.Fprintf(stdout, "  %-12s %6d acquires, max queue %2d, utilization %4.1f%%\n",
 			rs.Name, rs.Acquires, rs.MaxQueue, 100*rs.Utilization)
 	}
-	fprintf(stdout, "mesh ring peak utilization: %.2f%%\n", 100*m.MeshUtilization())
+	cli.Fprintf(stdout, "mesh ring peak utilization: %.2f%%\n", 100*m.MeshUtilization())
 
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
-			return fail(err)
+			return c.Fail(err)
 		}
 		err = col.WriteCSV(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			return fail(err)
+			return c.Fail(err)
 		}
-		fprintf(stdout, "raw trace written to %s\n", *csvPath)
+		cli.Fprintf(stdout, "raw trace written to %s\n", *csvPath)
 	}
 	return 0
 }

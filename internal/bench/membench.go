@@ -258,12 +258,12 @@ func MeasureStreamPeak(cfg knl.Config, o Options, k StreamKernel,
 	for r := range places {
 		r := r
 		it := 0
-		m.SpawnStreamTask(places[r], func(now float64) (machine.StreamOp, bool) {
+		m.SpawnKernel(places[r], func(now float64, _ uint64) (machine.KernelOp, bool) {
 			if it >= iters {
 				if now > end {
 					end = now
 				}
-				return machine.StreamOp{}, false
+				return machine.KernelOp{}, false
 			}
 			pick := it % len(pools[r].src)
 			m.FlushBuffer(pools[r].src[pick])

@@ -339,4 +339,17 @@ func TestParseModes(t *testing.T) {
 	if _, err := ParseMemoryMode("weird"); err == nil {
 		t.Error("bogus memory mode accepted")
 	}
+	for _, tc := range []struct {
+		name string
+		want Schedule
+	}{{"scatter", Scatter}, {"fill-tiles", FillTiles}, {"filltiles", FillTiles}, {"compact", Compact}} {
+		if got, err := ParseSchedule(tc.name); err != nil || got != tc.want {
+			t.Errorf("ParseSchedule(%q) = %v, %v", tc.name, got, err)
+		}
+	}
+	for _, bogus := range []string{"bogus", "", "Compact"} {
+		if _, err := ParseSchedule(bogus); err == nil {
+			t.Errorf("bogus schedule %q accepted", bogus)
+		}
+	}
 }

@@ -33,6 +33,20 @@ func (s Schedule) String() string {
 // Schedules lists all pinning policies.
 var Schedules = []Schedule{Scatter, FillTiles, Compact}
 
+// ParseSchedule resolves a schedule name ("scatter", "fill-tiles" or its
+// alias "filltiles", "compact").
+func ParseSchedule(name string) (Schedule, error) {
+	if name == "filltiles" {
+		return FillTiles, nil
+	}
+	for _, s := range Schedules {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("knl: unknown schedule %q (want scatter|fill-tiles|compact)", name)
+}
+
 // Place identifies a hardware thread: the logical tile, the global core ID
 // (tile*CoresPerTile + local core), and the hyperthread slot 0..3.
 type Place struct {

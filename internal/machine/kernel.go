@@ -16,7 +16,8 @@ import (
 // so benchmark logic (priming, RNG permutation draws, convergence gating,
 // window accounting) runs between ops at the exact simulated instant a
 // thread would reach it. Script builds Programs from straight-line code;
-// SpawnChase and SpawnStreamTask remain as thin wrappers building Programs.
+// SpawnChase builds the pointer-chase Program whose pass state machine the
+// latency and convergence-gated chases share.
 
 // KernelOpKind enumerates the kernel operations: the stream ops plus the
 // single-line protocol walks and the flag-word primitives.
@@ -226,16 +227,6 @@ func (m *Machine) SpawnKernel(place knl.Place, prog Program) *sim.Proc {
 
 // Run executes the simulation to completion and returns the final time.
 func (m *Machine) Run() (sim.Time, error) { return m.Env.Run() }
-
-// SpawnStreamTask starts a kernel pinned to place that executes the stream
-// ops produced by next, one at a time, until next reports no more work.
-// next runs at the simulated instant the previous op completed, so it may
-// observe clocks and update benchmark accounting.
-func (m *Machine) SpawnStreamTask(place knl.Place, next func(now float64) (StreamOp, bool)) *sim.Proc {
-	return m.SpawnKernel(place, func(now float64, _ uint64) (KernelOp, bool) {
-		return next(now)
-	})
-}
 
 // ChaseOps describes a pointer-chase kernel: passes of Len dependent
 // single-line loads over B, visiting lines in the permutation order Perm
