@@ -73,9 +73,11 @@ if [ "$quick" = 0 ]; then
     go test -bench='LoadLineHotPath|PrimeFlush|NewMachine|StreamFlushHelpers' -benchtime=1x -run '^$' ./internal/machine
 
     # Tier 2: a bounded coverage-guided run of the coherence fuzzer. Each
-    # input runs loads, stores, NT stores and short streams from eight
-    # cores, then checks MESIF, directory presence and inclusion
-    # (Machine.CheckPresence) and the flush and Reset replays.
+    # input runs loads, stores, NT stores, word adds and short streams from
+    # eight cores, then checks MESIF, directory presence and inclusion and
+    # the line tables' derived counts (Machine.CheckPresence) and the flush
+    # and Reset replays (the latter also proves recycled payload words
+    # never leak across Reset).
     step "tier-2: FuzzCoherence (10 s)"
     go test -run '^$' -fuzz '^FuzzCoherence$' -fuzztime 10s ./internal/machine
 

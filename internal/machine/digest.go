@@ -46,25 +46,24 @@ func (m *Machine) StateDigest() uint64 {
 	put(uint64(m.lines[0].words + m.lines[1].words))
 	for k := range m.lines {
 		t := &m.lines[k]
-		for i := range t.slots {
-			s := &t.slots[i]
-			if s.flags&slotWord != 0 {
+		for i := range t.ext {
+			if t.slots[i].flags&slotWord != 0 {
 				put(uint64(t.base) + uint64(i))
-				put(s.word)
+				put(t.ext[i].word)
 			}
 		}
 	}
 	put(uint64(m.lines[0].watched + m.lines[1].watched))
 	for k := range m.lines {
 		t := &m.lines[k]
-		for i := range t.slots {
-			s := &t.slots[i]
-			if s.flags&slotWatched != 0 {
+		for i := range t.ext {
+			if t.slots[i].flags&slotWatched != 0 {
+				e := &t.ext[i]
 				put(uint64(t.base) + uint64(i))
-				put(s.watchVer)
+				put(e.watchVer)
 				waiting := 0
-				if s.sig != nil {
-					waiting = s.sig.Waiting()
+				if e.sig != nil {
+					waiting = e.sig.Waiting()
 				}
 				put(uint64(waiting))
 			}

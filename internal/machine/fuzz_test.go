@@ -10,9 +10,11 @@ import (
 // runFuzzProgram partitions a byte-encoded program across 8 actors and
 // runs it to completion over buf. Each input byte encodes (op, actor,
 // line): op = b>>6, actor = (b>>2)&7, line = b&3. Ops 0-2 are a load, a
-// store and an NT store of the line; op 3 is a short stream over the
-// buffer chosen by the line bits (a scalar or vector read, or a copy of
-// lines 0-1 onto 2-3 with cached or NT stores).
+// store and an NT store of the line, except that actor 7's NT store is an
+// AddWord of 1 to the line's payload word (no actor waits on a word, so
+// nothing can deadlock); op 3 is a short stream over the buffer chosen by
+// the line bits (a scalar or vector read, or a copy of lines 0-1 onto 2-3
+// with cached or NT stores).
 func runFuzzProgram(m *Machine, buf memmode.Buffer, program []byte) error {
 	perActor := make([][]byte, 8)
 	for _, b := range program {
@@ -34,7 +36,11 @@ func runFuzzProgram(m *Machine, buf memmode.Buffer, program []byte) error {
 				case 1:
 					s.Store(buf, li)
 				case 2:
-					s.StoreNT(buf, li)
+					if a == 7 {
+						s.AddWord(buf, li, 1, nil)
+					} else {
+						s.StoreNT(buf, li)
+					}
 				default:
 					switch li {
 					case 0:
@@ -56,11 +62,13 @@ func runFuzzProgram(m *Machine, buf memmode.Buffer, program []byte) error {
 // through the protocol and checks the MESIF invariants, then replays the
 // program over the epoch-flushed buffer (a flushed-then-reprimed line must
 // behave like a fresh one) and over a Reset machine (whose digest must
-// match the fresh run exactly).
+// match the fresh run exactly, so recycled side-table capacity never
+// leaks a stale payload word).
 // Run open-ended with `go test -fuzz FuzzCoherence ./internal/machine`.
 func FuzzCoherence(f *testing.F) {
 	f.Add([]byte{0x00, 0x41, 0x82, 0xc3})
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0x7f, 0x80})
+	f.Add([]byte{0xbc, 0x1d, 0xbd, 0xbd, 0x9e, 0xff})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		if len(program) == 0 {
 			return

@@ -7,13 +7,22 @@ import (
 	"knlcap/internal/sim"
 )
 
-// The machine keeps all per-line protocol metadata — the directory owner
-// bitset, the 64-bit payload word, and the poller watch slot — in two
-// dense tables indexed by line-address offset, one per memory kind.
-// memmode.Allocator is a bump allocator, so each kind's allocations tile a
-// contiguous address range and `line - base` is a dense index; the former
-// map[cache.Line] tables hashed on every off-tile access, which dominated
-// the sweep profile once the event engine went allocation-free (PR 2).
+// The machine keeps all per-line protocol metadata in dense tables indexed
+// by line-address offset, one per memory kind. memmode.Allocator is a bump
+// allocator, so each kind's allocations tile a contiguous address range
+// and `line - base` is a dense index; the former map[cache.Line] tables
+// hashed on every off-tile access, which dominated the sweep profile once
+// the event engine went allocation-free.
+//
+// Each table is split in two. The directory slots (lineSlot, 16 B) hold
+// the owner bitset, its generation and the word/watch flags; they are the
+// only per-line record the load, store, stream, Prime/FlushLine/flushEpoch
+// and notify paths read, and extend grows them to cover every line the
+// allocations span. The side table (slotExt) holds the payload word, the
+// watch version and the poller signal, which only flag and atomic kernels
+// use: setWord, addWord and markWatched grow it on demand, so a workload
+// that only streams and walks never allocates it, and reads past its end
+// see zero without creating anything.
 //
 // Flushes are epoch-based: every registered allocation carries a
 // generation counter, a slot's directory content is live only while the
@@ -24,23 +33,29 @@ import (
 // them under the map design either (FlushLine only deleted directory
 // entries).
 //
-// CAUTION for maintainers: a *lineSlot must never be held across a
-// juncture of a step process — the table may grow while the process
-// sleeps, reallocating the slots slice and leaving the pointer dangling.
-// Re-resolve through Machine.lineState after every potential block (see
-// waitWordStep's wwWait state).
+// CAUTION for maintainers: neither a *lineSlot nor a *slotExt may be held
+// across a juncture of a step process — either table may grow while the
+// process sleeps, reallocating its slice and leaving the pointer
+// dangling. Re-resolve through Machine.lineState or Machine.extOf after
+// every potential block (see waitWordStep's wwWait state).
 
-// lineSlot is the per-line record. The sig pointer is non-nil only while
-// pollers are blocked on the line (see waitWordStep): signals are
-// dropped after every broadcast, fixing the monotonic watcher-table
-// growth of the map design.
+// lineSlot is the dense per-line directory record. Its flags stay here,
+// not in the side table, so notify's "is anyone watching?" test on every
+// visible write touches no other memory.
 type lineSlot struct {
+	owners uint64 // tile bitset (live iff gen matches the buffer's)
+	gen    uint32 // buffer generation at the last dirAdd
+	flags  uint8
+}
+
+// slotExt is the payload/poller record of a line, kept in the side table.
+// The sig pointer is non-nil only while pollers are blocked on the line
+// (see waitWordStep): signals are dropped after every broadcast, fixing
+// the monotonic watcher-table growth of the map design.
+type slotExt struct {
 	word     uint64      // payload (meaningful iff slotWord is set)
 	watchVer uint64      // notify count since the line became watched
 	sig      *sim.Signal // live poller signal; nil when none are blocked
-	owners   uint64      // tile bitset (live iff gen matches the buffer's)
-	gen      uint32      // buffer generation at the last dirAdd
-	flags    uint8
 }
 
 const (
@@ -55,6 +70,10 @@ type lineTable struct {
 	//knl:nostate immutable base line of the kind's address range
 	base  cache.Line
 	slots []lineSlot
+	// ext is the payload/poller side table, indexed like slots but
+	// covering only the prefix up to the highest line that ever stored a
+	// word or had pollers (never longer than slots).
+	ext []slotExt
 	// lineBuf maps a slot index to its registered-buffer id; id 0 is the
 	// anonymous bucket for lines outside any allocation (its generation
 	// never advances, so anonymous entries are only killed per line).
@@ -79,10 +98,12 @@ func (t *lineTable) init(kind knl.MemKind, base cache.Line) {
 }
 
 // reset forgets all line state while keeping slice capacity. Recycled
-// slot memory is re-zeroed lazily by extend, so a pooled machine pays
-// only for the region its next workload actually touches.
+// slot and side-table memory is re-zeroed lazily by extend and ensureExt,
+// so a pooled machine pays only for the region its next workload actually
+// touches.
 func (t *lineTable) reset() {
 	t.slots = t.slots[:0]
+	t.ext = t.ext[:0]
 	t.lineBuf = t.lineBuf[:0]
 	t.bufGen = append(t.bufGen[:0], 0) // id 0: the anonymous bucket
 	t.bufLive = append(t.bufLive[:0], 0)
@@ -145,6 +166,40 @@ func (t *lineTable) extend(n int) {
 	clear(t.slots[old:])
 	t.lineBuf = t.lineBuf[:n]
 	clear(t.lineBuf[old:])
+}
+
+// ensureExt grows the side table to cover slot index i and returns its
+// record. Like extend it doubles, and re-zeroes recycled capacity (left
+// dirty by reset) on the way. The pointer obeys the CAUTION above.
+func (t *lineTable) ensureExt(i int) *slotExt {
+	if n := i + 1; n > len(t.ext) {
+		if n > cap(t.ext) {
+			c := 2 * cap(t.ext)
+			if c < n {
+				c = n
+			}
+			//lint:ignore hotalloc doubling growth is amortized O(1) per line; pooled machines reuse capacity and never re-enter this branch
+			ext := make([]slotExt, n, c)
+			copy(ext, t.ext)
+			t.ext = ext
+		} else {
+			old := len(t.ext)
+			t.ext = t.ext[:n]
+			clear(t.ext[old:])
+		}
+	}
+	return &t.ext[i]
+}
+
+// extOf returns the side-table record of l, or nil when the side table
+// ends before it (so no word was stored there and no poller watched it).
+// It creates nothing.
+func (m *Machine) extOf(l cache.Line) *slotExt {
+	t := &m.lines[memmode.KindOfAddr(l.Addr())]
+	if i := uint64(l) - uint64(t.base); i < uint64(len(t.ext)) {
+		return &t.ext[i]
+	}
+	return nil
 }
 
 // lineState returns the table and slot for l, growing the table when the
@@ -223,29 +278,32 @@ func (m *Machine) PokeWord(b memmode.Buffer, li int, v uint64) {
 // wordOf reads the line's payload word (reads never create an entry, so
 // the digest's word count moves only on stores — as with the former map).
 func (m *Machine) wordOf(l cache.Line) uint64 {
-	_, s, _ := m.lineState(l)
-	return s.word
+	if e := m.extOf(l); e != nil {
+		return e.word
+	}
+	return 0
 }
 
 // setWord stores the line's payload word.
 func (m *Machine) setWord(l cache.Line, v uint64) {
-	t, s, _ := m.lineState(l)
+	t, s, i := m.lineState(l)
 	if s.flags&slotWord == 0 {
 		s.flags |= slotWord
 		t.words++
 	}
-	s.word = v
+	t.ensureExt(i).word = v
 }
 
 // addWord adds delta to the line's payload word and returns the result.
 func (m *Machine) addWord(l cache.Line, delta uint64) uint64 {
-	t, s, _ := m.lineState(l)
+	t, s, i := m.lineState(l)
 	if s.flags&slotWord == 0 {
 		s.flags |= slotWord
 		t.words++
 	}
-	s.word += delta
-	return s.word
+	e := t.ensureExt(i)
+	e.word += delta
+	return e.word
 }
 
 // --- watch slots ----------------------------------------------------------
@@ -256,32 +314,36 @@ func (m *Machine) addWord(l cache.Line, delta uint64) uint64 {
 // entries — but the signal itself now lives only while pollers are
 // blocked on it.
 func (m *Machine) markWatched(l cache.Line) {
-	t, s, _ := m.lineState(l)
+	t, s, i := m.lineState(l)
 	if s.flags&slotWatched == 0 {
 		s.flags |= slotWatched
 		t.watched++
+		t.ensureExt(i)
 	}
 }
 
 // watchVersion samples the line's notify version; a poller compares it
 // after its load to sleep without lost wake-ups (waitWordStep).
 func (m *Machine) watchVersion(l cache.Line) uint64 {
-	_, s, _ := m.lineState(l)
-	return s.watchVer
+	if e := m.extOf(l); e != nil {
+		return e.watchVer
+	}
+	return 0
 }
 
 // notify wakes pollers of a line after a visible write.
 func (m *Machine) notify(l cache.Line) {
-	_, s, _ := m.lineState(l)
+	t, s, i := m.lineState(l)
 	if s.flags&slotWatched == 0 {
 		return
 	}
-	s.watchVer++
-	if sig := s.sig; sig != nil {
+	e := &t.ext[i] // markWatched grew the side table over the line
+	e.watchVer++
+	if sig := e.sig; sig != nil {
 		// Drop the signal before broadcasting: signals exist only while
 		// pollers are blocked (the map design kept one per watched line
 		// forever, growing the table monotonically over long sweeps).
-		s.sig = nil
+		e.sig = nil
 		sig.Broadcast()
 	}
 }

@@ -73,17 +73,18 @@ func (k *waitWordStep) step(c *sim.StepCtx) {
 			k.pc = wwWait
 
 		case wwWait:
-			// The slot pointer is only valid until the next blocking
-			// point, so re-resolve after every wake-up.
-			_, s, _ := m.lineState(k.l)
-			if s.watchVer > k.ver {
+			// The side-table pointer is only valid until the next blocking
+			// point, so re-resolve after every wake-up (init's markWatched
+			// grew the side table over the line).
+			e := m.extOf(k.l)
+			if e.watchVer > k.ver {
 				k.pc = wwPoll
 				continue
 			}
-			if s.sig == nil {
-				s.sig = sim.NewSignal(m.Env)
+			if e.sig == nil {
+				e.sig = sim.NewSignal(m.Env)
 			}
-			c.WaitSignal(s.sig)
+			c.WaitSignal(e.sig)
 			return
 
 		default: // wwDone
