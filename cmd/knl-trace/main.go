@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := c.Config()
 	m := machine.New(cfg)
-	col := trace.NewCollector(0)
+	col := trace.NewCollector()
 	m.SetTracer(col)
 	spawn(m, *threads)
 	if _, err := m.Run(); err != nil {

@@ -21,7 +21,7 @@ import (
 func main() {
 	cfg := knl.DefaultConfig()
 	m := machine.New(cfg)
-	col := trace.NewCollector(0)
+	col := trace.NewCollector()
 	m.SetTracer(col)
 
 	// A mixed workload: a shared hot line (contended), per-thread local

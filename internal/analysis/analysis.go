@@ -272,9 +272,7 @@ func DefaultConfig() *Config {
 		MemoKeyType:       "knlcap/internal/memo.Key",
 		MemoKeyWriterType: "knlcap/internal/memo.KeyWriter",
 		PurityRoots: []string{
-			"(*knlcap/internal/bench.opTrace).onWait",
-			"(*knlcap/internal/bench.opTrace).onChunkStart",
-			"(*knlcap/internal/bench.opTrace).onTopUp",
+			"(*knlcap/internal/bench.opTrace).onOp",
 			"knlcap/internal/memo.encodeValue",
 		},
 	}

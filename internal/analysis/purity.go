@@ -12,7 +12,7 @@ import (
 var defaultPurityBannedPkgs = []string{"math/rand", "os", "time"}
 
 // Purity guards the replay contract of the convergence gate and the
-// result cache: the op-trace hooks (OnWait/OnChunkStart/OnTopUp) record
+// result cache: the op-trace hook (opTrace.onOp on sim.Env.OnOp) records
 // the op streams that convergence detection compares bit-for-bit, and
 // the memo encode path serializes results into the content-addressed
 // cache. Both replays are only sound if those paths are deterministic

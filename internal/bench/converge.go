@@ -11,12 +11,12 @@ package bench
 //
 // The profile is a small program, not a list of durations, because the
 // engine advances time in two ways. Plain waits (now = now + d with d a
-// constant of the jitter-free protocol) replay as recorded. The
-// stream kernels' chunk top-up, however, waits lat - (now - chunkStart):
-// the remainder depends on the absolute clock and must be *recomputed* at
-// replay magnitudes, anchored at the recorded chunk-start position — which
-// is why the machine exposes OnChunkStart/OnTopUp alongside sim's OnWait.
-// Interpreting [wait d | mark | topup lat] performs the same float64
+// constant of the jitter-free protocol) replay as recorded. The stream
+// kernels' chunk top-up (sim.StepCtx.Mark, then TopUpJit), however, waits
+// lat - (now - anchor): the remainder depends on the absolute clock and
+// must be *recomputed* at replay magnitudes. The recorder therefore keeps
+// the sim.Env.OnOp record of the measured process — [wait d | mark |
+// topup lat] — and sim.Replay interprets it with the same float64
 // operations in the same order as the engine, so the replayed timestamps
 // match a continued simulation bit-for-bit, including the last-ULP wobble
 // that growing absolute times introduce.
@@ -40,121 +40,45 @@ import (
 	"knlcap/internal/stats"
 )
 
-// Time-op kinds of a recorded profile.
-const (
-	opWait  uint8 = iota // advance the clock by arg
-	opMark               // anchor the current clock as the chunk start
-	opTopUp              // advance to anchor+arg unless already past it
-)
-
-// opTrace records the time program of one measured process through the
-// sim.Env.OnWait and machine chunk hooks. Ops of other processes
-// (asynchronous write-backs, memory servers) are filtered out; if such a
-// process delays the measured one, the elapsed time is no longer
-// reproducible from the trace and the self-check rejects the pass.
+// opTrace records the time program of one measured process through
+// sim.Env.OnOp. Ops of other processes (asynchronous write-backs, memory
+// servers) are filtered out; if such a process delays the measured one,
+// the elapsed time is no longer reproducible from the trace and the
+// self-check rejects the pass. The hook must be removed before the machine
+// is reused (Env.Reset also clears it).
 type opTrace struct {
-	m     *machine.Machine
 	p     *sim.Proc
-	kinds []uint8
+	kinds []sim.TimeOp
 	args  []float64
 	segs  []int // end index in kinds/args after each closed segment
-
-	// markAt mirrors the engine's chunk anchor so the recorder can re-make
-	// the top-up comparison: when the engine will wait out a remainder,
-	// the very next OnWait of the measured process is that remainder and
-	// must be skipped — the topup op represents it.
-	markAt   float64
-	skipWait bool
 }
 
-// installProc starts observing process p on m. The hooks must be removed
-// before the machine is reused (uninstallProc; Env.Reset and Machine.Reset
-// also clear them).
-func (t *opTrace) installProc(m *machine.Machine, p *sim.Proc) {
-	t.m = m
-	t.p = p
-	m.Env.OnWait = t.onWait
-	m.OnChunkStart = t.onChunkStart
-	m.OnTopUp = t.onTopUp
-}
-
-func (t *opTrace) uninstallProc(m *machine.Machine) {
-	m.Env.OnWait = nil
-	m.OnChunkStart = nil
-	m.OnTopUp = nil
-}
-
-func (t *opTrace) onWait(p *sim.Proc, d sim.Time) {
-	if p != t.p {
-		return
+func (t *opTrace) onOp(p *sim.Proc, op sim.TimeOp, d sim.Time) {
+	if p == t.p {
+		t.kinds = append(t.kinds, op)
+		t.args = append(t.args, d)
 	}
-	if t.skipWait {
-		t.skipWait = false
-		return
-	}
-	t.kinds = append(t.kinds, opWait)
-	t.args = append(t.args, d)
-}
-
-func (t *opTrace) onChunkStart(p *sim.Proc) {
-	if p != t.p {
-		return
-	}
-	t.kinds = append(t.kinds, opMark)
-	t.args = append(t.args, 0)
-	t.markAt = t.m.Env.Now()
-}
-
-func (t *opTrace) onTopUp(p *sim.Proc, lat float64) {
-	if p != t.p {
-		return
-	}
-	t.kinds = append(t.kinds, opTopUp)
-	t.args = append(t.args, lat)
-	// Same comparison the engine makes right after this hook.
-	t.skipWait = t.m.Env.Now()-t.markAt < lat
 }
 
 func (t *opTrace) reset() {
 	t.kinds = t.kinds[:0]
 	t.args = t.args[:0]
 	t.segs = t.segs[:0]
-	t.skipWait = false
 }
 
 // mark closes the current segment (one chase access).
 func (t *opTrace) mark() { t.segs = append(t.segs, len(t.kinds)) }
 
-// interpOps advances a clock from start through the op program, performing
-// the engine's float64 operations in the engine's order, and returns the
-// final clock.
-func interpOps(kinds []uint8, args []float64, start float64) float64 {
-	vt := start
-	anchor := start
-	for i, k := range kinds {
-		switch k {
-		case opWait:
-			vt += args[i]
-		case opMark:
-			anchor = vt
-		default: // opTopUp
-			if el := vt - anchor; el < args[i] {
-				vt += args[i] - el
-			}
-		}
-	}
-	return vt
-}
-
-// selfCheck reports whether interpreting the recorded program from start
+// selfCheck reports whether replaying the recorded program from start
 // reproduces end bit-for-bit — i.e. whether every advancement of the clock
 // during the timed region is captured by (and recomputable from) the trace.
 func (t *opTrace) selfCheck(start, end float64) bool {
-	return interpOps(t.kinds, t.args, start) == end
+	vt, _ := sim.Replay(start, start, t.kinds, t.args)
+	return vt == end
 }
 
 // opsEqual compares two op programs bit-for-bit.
-func opsEqual(ka []uint8, aa []float64, kb []uint8, ab []float64) bool {
+func opsEqual(ka []sim.TimeOp, aa []float64, kb []sim.TimeOp, ab []float64) bool {
 	if len(ka) != len(kb) {
 		return false
 	}
@@ -178,7 +102,7 @@ func opsEqual(ka []uint8, aa []float64, kb []uint8, ab []float64) bool {
 func runConverged(m *machine.Machine, place knl.Place, k, iters int,
 	setup func(), body machine.KernelOp, record func(elapsed float64)) {
 	var tr opTrace
-	var prevKinds []uint8
+	var prevKinds []sim.TimeOp
 	var prevArgs []float64
 	var prevElapsed, start float64
 	prevEnd := m.Env.Now()
@@ -209,7 +133,7 @@ func runConverged(m *machine.Machine, place knl.Place, k, iters int,
 				if run >= k {
 					for vt := now; it < iters; it++ {
 						s := vt
-						vt = interpOps(prevKinds, prevArgs, vt)
+						vt, _ = sim.Replay(vt, vt, prevKinds, prevArgs)
 						record(vt - s)
 					}
 				}
@@ -217,7 +141,7 @@ func runConverged(m *machine.Machine, place knl.Place, k, iters int,
 		}
 		if it >= iters {
 			if k > 0 {
-				tr.uninstallProc(m)
+				m.Env.OnOp = nil
 			}
 			return machine.KernelOp{}, false
 		}
@@ -228,7 +152,8 @@ func runConverged(m *machine.Machine, place knl.Place, k, iters int,
 		return body, true
 	})
 	if k > 0 {
-		tr.installProc(m, proc)
+		tr.p = proc
+		m.Env.OnOp = tr.onOp
 	}
 }
 
@@ -242,7 +167,7 @@ func runConverged(m *machine.Machine, place knl.Place, k, iters int,
 // a permutation of the per-access trace segments.
 type chaseProfile struct {
 	off   []int // len slots+1; slot s owns kinds/args[off[s]:off[s+1]]
-	kinds []uint8
+	kinds []sim.TimeOp
 	args  []float64
 }
 
@@ -268,7 +193,7 @@ func (cp *chaseProfile) build(tr *opTrace, perm []int, nl, visits int) {
 	}
 	total := cp.off[slots]
 	if cap(cp.kinds) < total {
-		cp.kinds = make([]uint8, total)
+		cp.kinds = make([]sim.TimeOp, total)
 		cp.args = make([]float64, total)
 	}
 	cp.kinds = cp.kinds[:total]
@@ -302,18 +227,8 @@ func (cp *chaseProfile) replay(vt float64, perm []int, chaseLen, nl, visits int)
 	anchor := vt
 	for i := 0; i < chaseLen; i++ {
 		slot := perm[i%nl]*visits + i/nl
-		for j := cp.off[slot]; j < cp.off[slot+1]; j++ {
-			switch cp.kinds[j] {
-			case opWait:
-				vt += cp.args[j]
-			case opMark:
-				anchor = vt
-			default: // opTopUp
-				if el := vt - anchor; el < cp.args[j] {
-					vt += cp.args[j] - el
-				}
-			}
-		}
+		lo, hi := cp.off[slot], cp.off[slot+1]
+		vt, anchor = sim.Replay(vt, anchor, cp.kinds[lo:hi], cp.args[lo:hi])
 	}
 	return vt
 }
@@ -350,7 +265,7 @@ func chaseConverged(m *machine.Machine, place knl.Place, b memmode.Buffer, o Opt
 		NextPass: func() bool {
 			for {
 				if a >= o.Averages {
-					tr.uninstallProc(m)
+					m.Env.OnOp = nil
 					return false
 				}
 				if settled {
@@ -396,5 +311,6 @@ func chaseConverged(m *machine.Machine, place knl.Place, b memmode.Buffer, o Opt
 			endPass()
 		},
 	})
-	tr.installProc(m, proc)
+	tr.p = proc
+	m.Env.OnOp = tr.onOp
 }

@@ -22,8 +22,8 @@ func chaseRun(t *testing.T, o Options, owner int, st cache.State, flush bool) (S
 		prime = func() { m.FlushBuffer(b) }
 	}
 	s := chase(m, 0, b, o, prime)
-	if m.Env.OnWait != nil {
-		t.Fatal("chase left the OnWait hook installed")
+	if m.Env.OnOp != nil {
+		t.Fatal("chase left the OnOp hook installed")
 	}
 	return s, m.Env.Seq()
 }

@@ -156,9 +156,9 @@ func warmSideCache(m *machine.Machine, pools []threadBufs, k StreamKernel) {
 	}
 }
 
-// kernelOp builds the StreamOp for one kernel iteration: full buffers from
+// kernelOp builds the KernelOp for one kernel iteration: full buffers from
 // line 0, lengths clipped to the shortest operand, reads always vectorized.
-func kernelOp(k StreamKernel, pool threadBufs, pick int, nt bool) machine.StreamOp {
+func kernelOp(k StreamKernel, pool threadBufs, pick int, nt bool) machine.KernelOp {
 	switch k {
 	case KernelCopy:
 		dst, src := pool.dst[pick], pool.src[pick]
@@ -166,13 +166,13 @@ func kernelOp(k StreamKernel, pool threadBufs, pick int, nt bool) machine.Stream
 		if s := src.NumLines(); s < n {
 			n = s
 		}
-		return machine.StreamOp{Kind: machine.StreamCopy, Dst: dst, Src: src, N: n, NT: nt}
+		return machine.KernelOp{Kind: machine.StreamCopy, Dst: dst, Src: src, N: n, NT: nt}
 	case KernelRead:
 		src := pool.src[pick]
-		return machine.StreamOp{Kind: machine.StreamRead, Src: src, N: src.NumLines(), Vector: true}
+		return machine.KernelOp{Kind: machine.StreamRead, Src: src, N: src.NumLines(), Vector: true}
 	case KernelWrite:
 		dst := pool.dst[pick]
-		return machine.StreamOp{Kind: machine.StreamWrite, Dst: dst, N: dst.NumLines(), NT: nt}
+		return machine.KernelOp{Kind: machine.StreamWrite, Dst: dst, N: dst.NumLines(), NT: nt}
 	default: // KernelTriad
 		dst, b, c := pool.dst[pick], pool.src[pick], pool.src2[pick]
 		n := dst.NumLines()
@@ -182,7 +182,7 @@ func kernelOp(k StreamKernel, pool threadBufs, pick int, nt bool) machine.Stream
 		if s := c.NumLines(); s < n {
 			n = s
 		}
-		return machine.StreamOp{Kind: machine.StreamTriad, Dst: dst, Src: b, Src2: c, N: n, NT: nt}
+		return machine.KernelOp{Kind: machine.StreamTriad, Dst: dst, Src: b, Src2: c, N: n, NT: nt}
 	}
 }
 
@@ -219,7 +219,7 @@ func MeasureMemBandwidth(cfg knl.Config, o Options, k StreamKernel,
 			m.FlushBuffer(pools[r].dst[pick])
 		}
 	}
-	maxes := RunStreamWindows(m, places, o, setup, func(rank, iter int) machine.StreamOp {
+	maxes := RunStreamWindows(m, places, o, setup, func(rank, iter int) machine.KernelOp {
 		return kernelOp(k, pools[rank], picks[iter][rank], nt)
 	})
 	counted := float64(threads) * float64(o.StreamLines) * k.CountedBytesPerLine()

@@ -93,9 +93,9 @@ func MeasureNUMAAblation(cfg knl.Config, o Options, threads int) []NUMAPoint {
 					m.FlushBuffer(pool[picks[iter][r]].buf)
 				}
 			}
-			maxes := RunStreamWindows(m, places, o, setup, func(rank, iter int) machine.StreamOp {
+			maxes := RunStreamWindows(m, places, o, setup, func(rank, iter int) machine.KernelOp {
 				src := pool[picks[iter][rank]].buf
-				return machine.StreamOp{Kind: machine.StreamRead, Src: src, N: src.NumLines(), Vector: true}
+				return machine.KernelOp{Kind: machine.StreamRead, Src: src, N: src.NumLines(), Vector: true}
 			})
 			counted := float64(threads) * float64(o.StreamLines) * knl.LineSize
 			vals := make([]float64, len(maxes))

@@ -94,10 +94,10 @@ func OpsProgram(ops ...machine.KernelOp) machine.Program {
 }
 
 // RunStreamWindows is RunWindows for single-op bodies: each window's work
-// is the one StreamOp produced by opFor.
+// is the one KernelOp produced by opFor.
 func RunStreamWindows(m *machine.Machine, places []knl.Place, o Options,
 	setup func(iter int),
-	opFor func(rank, iter int) machine.StreamOp) []float64 {
+	opFor func(rank, iter int) machine.KernelOp) []float64 {
 
 	return RunWindows(m, places, o, setup, func(rank, iter int) machine.Program {
 		done := false

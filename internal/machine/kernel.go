@@ -23,9 +23,6 @@ import (
 // single-line protocol walks and the flag-word primitives.
 type KernelOpKind uint8
 
-// StreamOpKind is the historical name of KernelOpKind.
-type StreamOpKind = KernelOpKind
-
 const (
 	// StreamRead reads N lines of Src starting at SrcFrom.
 	StreamRead KernelOpKind = iota
@@ -77,9 +74,6 @@ type KernelOp struct {
 	Val uint64         // StoreWord value / AddWord delta / WaitWordGE threshold
 	Dur float64        // KernelCompute duration
 }
-
-// StreamOp is the historical name of KernelOp.
-type StreamOp = KernelOp
 
 // Program produces the kernel's next op. It is called at the simulated
 // instant the previous op completed; prev is that op's result (the loaded

@@ -75,19 +75,6 @@ type Machine struct {
 	//knl:nostate observer hook, cleared on Reset and never read by the protocol
 	tracer Tracer
 
-	// OnChunkStart and OnTopUp observe the overlapped-chunk latency model
-	// of the stream kernels: chunkStart stamps where a chunk's latency
-	// bound is anchored, topUp reports the bound itself before waiting out
-	// the remainder. Together with sim.Env.OnWait they let the bench
-	// convergence gate reconstruct a thread's exact time arithmetic —
-	// the top-up remainder (lat - elapsed) depends on the absolute clock
-	// and must be recomputed, not recorded. They must not mutate the
-	// machine.
-	//knl:nostate observation hook, cleared on Reset and never read by the protocol
-	OnChunkStart func(p *sim.Proc)
-	//knl:nostate observation hook, cleared on Reset and never read by the protocol
-	OnTopUp func(p *sim.Proc, lat float64)
-
 	// freeMemJobs and freeDrains recycle the frames of finished stream
 	// flush helpers (see flushOps in step_stream.go).
 	//knl:nostate recycled helper frames, zeroed on return and invisible to any digest
@@ -210,8 +197,6 @@ func (m *Machine) Reset(p Params, seed uint64) {
 	m.P = p
 	m.rng = stats.NewRNG(seed ^ 0x6a17)
 	m.tracer = nil
-	m.OnChunkStart = nil
-	m.OnTopUp = nil
 }
 
 // NumTiles returns the number of active tiles.

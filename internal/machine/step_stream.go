@@ -313,7 +313,7 @@ func (m *Machine) newDrain() *drainStep {
 type streamStep struct {
 	m    *Machine
 	core int
-	op   StreamOp
+	op   KernelOp
 	pd   pending
 	sr   serialStep
 	join *flushJoin
@@ -325,7 +325,6 @@ type streamStep struct {
 	chunk    int // lines in the current chunk
 	nser     int // serial accesses in the current chunk
 	lat      float64
-	start    float64
 }
 
 // streamStep states.
@@ -491,7 +490,7 @@ func (s *streamStep) run(c *sim.StepCtx) {
 			case StreamTriad:
 				s.nser = 3 * s.chunk
 			}
-			s.start = m.chunkStart(c.Proc())
+			c.Mark()
 			s.j = 0
 			s.pc = stSerial
 
@@ -521,16 +520,10 @@ func (s *streamStep) run(c *sim.StepCtx) {
 			}
 
 		case stTopUp:
-			// The observer is notified of the bound unconditionally —
-			// whether the remainder wait fires is a clock comparison a
-			// replay must re-make on its own clock.
-			if m.OnTopUp != nil {
-				m.OnTopUp(c.Proc(), s.lat)
-			}
 			s.i += s.chunk
 			s.pc = stChunk
-			if el := c.Now() - s.start; el < s.lat {
-				c.WaitJit(m, s.lat-el)
+			c.TopUpJit(m, s.lat)
+			if c.Blocked() {
 				return
 			}
 

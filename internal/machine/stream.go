@@ -4,7 +4,6 @@ import (
 	"knlcap/internal/cache"
 	"knlcap/internal/knl"
 	"knlcap/internal/memmode"
-	"knlcap/internal/sim"
 )
 
 // Streams model vectorized bulk kernels (read/write/copy/triad) with
@@ -195,16 +194,6 @@ func (m *Machine) mlpFor(cls srcClass, vector, copyLike bool) int {
 		}
 		return m.P.MLPMem / 2
 	}
-}
-
-// chunkStart stamps the anchor of a chunk's latency bound, notifying the
-// convergence-gate observer (Machine.OnChunkStart) so a replay can anchor
-// the matching top-up on its own clock.
-func (m *Machine) chunkStart(p *sim.Proc) float64 {
-	if m.OnChunkStart != nil {
-		m.OnChunkStart(p)
-	}
-	return m.Env.Now()
 }
 
 // writeDrainLatency is the retirement bound of an NT write chunk: the

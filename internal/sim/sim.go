@@ -158,22 +158,24 @@ type Env struct {
 	//knl:nostate drained at every digest/Reset point (Reset panics otherwise)
 	events eventQueue
 	//knl:nostate recycled step-process frames, deliberately invisible to any digest
-	freeStep []*StepProc // recycled frames of retired step processes (see step.go)
+	freeStep []*Proc // recycled frames of retired step processes (see step.go)
 	//knl:nostate zero at every quiescent digest/Reset point
 	live int // processes spawned and not yet finished
 	//knl:nostate zero at every quiescent digest/Reset point
 	blocked int // processes waiting on a Signal or Resource (no event queued)
 
-	// OnWait, when non-nil, observes every relative wait (StepCtx.Wait and
-	// the hold of StepCtx.Use) before it schedules: the measurement layer's
-	// convergence gate records per-pass wait profiles through it
-	// (internal/bench). It must not touch the environment. The hook sees
-	// relative waits only — WaitUntil and Signal/Resource wake-ups bypass
-	// it — so observers that need complete time accounting must
-	// cross-check elapsed time themselves (the bench recorder folds the
-	// recorded waits and compares against the clock).
+	// OnOp, when non-nil, observes every time op of every process as it
+	// takes effect: each relative wait (StepCtx.Wait and the hold of
+	// StepCtx.Use) before it schedules, each Mark, and each TopUpJit
+	// bound (whose remainder wait is not reported on its own). The
+	// measurement layer's convergence gate records per-pass time programs
+	// through it and replays them with Replay (internal/bench). It must
+	// not touch the environment. WaitUntil and Signal/Resource wake-ups
+	// bypass it, so observers that need complete time accounting must
+	// cross-check elapsed time themselves (the bench recorder replays the
+	// recorded program and compares against the clock).
 	//knl:nostate observation hook: mechanism, not simulated state
-	OnWait func(p *Proc, d Time)
+	OnOp func(p *Proc, op TimeOp, d Time)
 }
 
 // NewEnv returns an empty simulation at time 0.
@@ -196,21 +198,6 @@ func (e *Env) Live() int { return e.live }
 // Blocked returns the number of processes currently blocked with no pending
 // event (waiting on a Signal or a Resource).
 func (e *Env) Blocked() int { return e.blocked }
-
-// Proc is the identity of a step process: event queue entries, Resource
-// and Signal waiter lists and the OnWait hook all refer to a process
-// through it. The sp backlink leads the scheduler to the process's frame.
-type Proc struct {
-	env  *Env
-	name string
-	sp   *StepProc
-}
-
-// Name returns the process name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
 
 // schedule queues a resumption of p at time at: on the same-instant ring
 // when at is the current time, on the heap otherwise. Either way the event
@@ -264,7 +251,7 @@ func (e *Env) Run() (Time, error) {
 			panic("sim: time went backwards")
 		}
 		e.now = ev.at
-		e.advance(ev.proc.sp)
+		e.advance(ev.proc)
 	}
 	if e.blocked > 0 {
 		//lint:ignore hotalloc runs once, after the event loop, only when the simulation deadlocked
@@ -288,7 +275,7 @@ func (e *Env) Reset() {
 	}
 	e.now = 0
 	e.seq = 0
-	e.OnWait = nil
+	e.OnOp = nil
 	e.freeStep = nil
 }
 

@@ -3,16 +3,16 @@ package sim
 import "fmt"
 
 // This file holds the engine's process kind: the stackless step process.
-// A StepProc is a resumable state machine the scheduler invokes inline —
-// no goroutine, no channel operation per event.
+// A Proc runs a resumable state machine (Stepper) the scheduler invokes
+// inline — no goroutine, no channel operation per event.
 //
 // A step process describes each blocking primitive (Wait, Use, Acquire,
-// WaitSignal) as a micro-op pushed onto a small per-process queue instead
-// of executing it on a stack. The scheduler executes queued ops in order —
-// hook firings, schedule calls, waiter-queue entries — and calls Step
-// again when the queue drains. Step therefore advances from one blocking
-// point (a "juncture") to the next; all state between junctures lives in
-// the Stepper value, not on a stack.
+// WaitSignal, a firing TopUpJit) as a micro-op pushed onto a small
+// per-process queue instead of executing it on a stack. The scheduler
+// executes queued ops in order — hook firings, schedule calls,
+// waiter-queue entries — and calls Step again when the queue drains. Step
+// therefore advances from one blocking point (a "juncture") to the next;
+// all state between junctures lives in the Stepper value, not on a stack.
 
 // Stepper is the body of a step process. Step is called with the op queue
 // empty and advances the machine to its next blocking point by pushing ops
@@ -36,10 +36,21 @@ type Jitterer interface {
 
 // Op kinds of the step-process micro-op queue.
 const (
-	sopWait      = uint8(iota + 1) // Wait: OnWait hook + schedule(now+d)
+	sopWait      = uint8(iota + 1) // Wait: OnOp hook + schedule(now+d)
+	sopTopUp                       // TopUpJit's remainder: schedule(now+d), no hook
 	sopWaitUntil                   // WaitUntil: schedule(d), no hook
 	sopUse                         // Use: acquire, hold, release
 	sopAcquire                     // Acquire: take a slot or queue
+)
+
+// TimeOp is the kind of a time op reported to Env.OnOp.
+type TimeOp uint8
+
+// Time-op kinds. A program of them is what Replay interprets.
+const (
+	TimeWait  TimeOp = iota // advance the clock by d (Wait, the hold of Use)
+	TimeMark                // anchor the current clock (Mark); d is 0
+	TimeTopUp               // advance to anchor+d unless already past it (TopUpJit)
 )
 
 // stepOp is one queued blocking primitive. phase tracks multi-event ops:
@@ -57,26 +68,33 @@ type stepOp struct {
 	jit   Jitterer
 }
 
-// StepProc is the scheduler-side frame of a step process. Its embedded Proc
-// is the process's identity everywhere the engine tracks processes — event
-// queue entries, Resource and Signal waiter lists, OnWait hook calls.
-type StepProc struct {
-	proc Proc
+// Proc is a step process: its identity everywhere the engine tracks
+// processes — event queue entries, Resource and Signal waiter lists, OnOp
+// hook calls — and the scheduler-side frame that runs it.
+type Proc struct {
+	env  *Env
+	name string
 	fn   Stepper
 	ctx  StepCtx
 	ops  [8]stepOp
 	// opHead/opLen form a ring over ops; ops execute strictly head-first.
 	opHead int
 	opLen  int
+	anchor Time // the clock at the last Mark (see TopUpJit)
 	parked bool // waiting on a Signal (no queued event, no pending op)
 	ended  bool // End called: retire once the op queue drains
 }
 
+// Name returns the process name given at spawn time.
+func (p *Proc) Name() string { return p.name }
+
+// Env returns the environment the process runs in.
+func (p *Proc) Env() *Env { return p.env }
+
 // StepCtx is the execution context handed to Stepper.Step: its primitives
 // queue micro-ops for the scheduler.
 type StepCtx struct {
-	p  *Proc
-	sp *StepProc
+	p *Proc
 }
 
 // Proc returns the process identity, valid as a waiter or hook argument.
@@ -93,22 +111,22 @@ func (c *StepCtx) Now() Time { return c.p.env.now }
 // are driven as `sub.Step(c); if c.Blocked() { return }` so the parent only
 // advances once the sub-machine's primitives have drained.
 func (c *StepCtx) Blocked() bool {
-	return c.sp.opLen > 0 || c.sp.parked
+	return c.p.opLen > 0 || c.p.parked
 }
 
 // End marks the process finished: it retires once the already-queued ops
 // drain.
 func (c *StepCtx) End() {
-	c.sp.ended = true
+	c.p.ended = true
 }
 
 func (c *StepCtx) push(op stepOp) {
-	sp := c.sp
-	if sp.opLen == len(sp.ops) {
+	p := c.p
+	if p.opLen == len(p.ops) {
 		panic("sim: step process op queue overflow")
 	}
-	sp.ops[(sp.opHead+sp.opLen)&(len(sp.ops)-1)] = op
-	sp.opLen++
+	p.ops[(p.opHead+p.opLen)&(len(p.ops)-1)] = op
+	p.opLen++
 }
 
 // Wait advances the process by d nanoseconds. Negative d panics. Wait(0)
@@ -166,11 +184,45 @@ func (c *StepCtx) Acquire(r *Resource) {
 // juncture's only primitive (the process becomes a waiter immediately,
 // which cannot be sequenced after queued ops).
 func (c *StepCtx) WaitSignal(s *Signal) {
-	if c.sp.opLen != 0 {
+	if c.p.opLen != 0 {
 		panic("sim: WaitSignal after queued step ops")
 	}
 	s.wait(c.p)
-	c.sp.parked = true
+	c.p.parked = true
+}
+
+// Mark anchors a latency bound at the current time: a later TopUpJit
+// measures elapsed time from here. Like WaitSignal it acts at once, so it
+// must come before any primitive of its juncture.
+func (c *StepCtx) Mark() {
+	p := c.p
+	if p.opLen != 0 {
+		panic("sim: Mark after queued step ops")
+	}
+	p.anchor = p.env.now
+	if p.env.OnOp != nil {
+		p.env.OnOp(p, TimeMark, 0)
+	}
+}
+
+// TopUpJit holds the process until lat has passed since the last Mark: it
+// waits j.Jitter(lat - (Now - anchor)) when less than lat has elapsed, and
+// nothing otherwise. The comparison is made now, so like Mark it must come
+// before any primitive of its juncture; the jitter is drawn when the wait
+// begins, as WaitJit's is. OnOp sees the bound (TimeTopUp, lat), not the
+// remainder: whether the remainder fires is a clock comparison a replay
+// must re-make on its own clock (Replay).
+func (c *StepCtx) TopUpJit(j Jitterer, lat Time) {
+	p := c.p
+	if p.opLen != 0 {
+		panic("sim: TopUpJit after queued step ops")
+	}
+	if p.env.OnOp != nil {
+		p.env.OnOp(p, TimeTopUp, lat)
+	}
+	if el := p.env.now - p.anchor; el < lat {
+		c.push(stepOp{kind: sopTopUp, jd: lat - el, jit: j})
+	}
 }
 
 // GoSteps spawns s as a step process starting at the current simulated
@@ -186,34 +238,33 @@ func (e *Env) GoStepsAt(at Time, name string, s Stepper) *Proc {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: GoStepsAt(%v) in the past (now %v)", at, e.now))
 	}
-	sp := e.newStep()
-	sp.fn = s
-	sp.proc = Proc{env: e, name: name, sp: sp}
-	sp.ctx = StepCtx{p: &sp.proc, sp: sp}
+	p := e.newStep()
+	p.env, p.name, p.fn = e, name, s
+	p.ctx.p = p
 	e.live++
-	e.schedule(&sp.proc, at)
-	return &sp.proc
+	e.schedule(p, at)
+	return p
 }
 
 // newStep takes a recycled step frame from the free list, or allocates one
 // when the list is empty.
-func (e *Env) newStep() *StepProc {
+func (e *Env) newStep() *Proc {
 	if n := len(e.freeStep); n > 0 {
-		sp := e.freeStep[n-1]
+		p := e.freeStep[n-1]
 		e.freeStep = e.freeStep[:n-1]
-		return sp
+		return p
 	}
 	//lint:ignore hotalloc cold fallback: retired step frames are recycled through freeStep, so steady state never reaches this allocation
-	return &StepProc{}
+	return &Proc{}
 }
 
-// retireStep recycles a finished step process's frame. It runs from advance
-// once the op queue has drained after End, so no event, waiter entry, or
-// hook can still reference the embedded Proc.
-func (e *Env) retireStep(sp *StepProc) {
+// retireStep recycles a finished step process's frame, anchor included. It
+// runs from advance once the op queue has drained after End, so no event,
+// waiter entry, or hook can still reference it.
+func (e *Env) retireStep(p *Proc) {
 	e.live--
-	*sp = StepProc{}
-	e.freeStep = append(e.freeStep, sp)
+	*p = Proc{}
+	e.freeStep = append(e.freeStep, p)
 }
 
 // advance runs a step process from a fired event (or waiter wake-up): it
@@ -222,24 +273,24 @@ func (e *Env) retireStep(sp *StepProc) {
 // ends. Run calls it for every event it pops.
 //
 //knl:hotpath the scheduler's dispatch of every event; BenchmarkStepHandoff pins 0 allocs/op
-func (e *Env) advance(sp *StepProc) {
-	sp.parked = false
+func (e *Env) advance(p *Proc) {
+	p.parked = false
 	for {
-		for sp.opLen > 0 {
-			if !sp.execHead() {
+		for p.opLen > 0 {
+			if !p.execHead() {
 				return // op scheduled an event or queued us as a waiter
 			}
 		}
-		if sp.ended {
-			e.retireStep(sp)
+		if p.ended {
+			e.retireStep(p)
 			return
 		}
-		sp.fn.Step(&sp.ctx)
-		if sp.parked {
+		p.fn.Step(&p.ctx)
+		if p.parked {
 			return
 		}
-		if sp.opLen == 0 && !sp.ended {
-			panic("sim: step process " + sp.proc.name + " made no progress")
+		if p.opLen == 0 && !p.ended {
+			panic("sim: step process " + p.name + " made no progress")
 		}
 	}
 }
@@ -251,9 +302,8 @@ func (e *Env) advance(sp *StepProc) {
 // recorded phase.
 //
 //knl:hotpath the step wait path of every primitive; BenchmarkEngineEventThroughput pins 0 allocs/op
-func (sp *StepProc) execHead() bool {
-	op := &sp.ops[sp.opHead]
-	p := &sp.proc
+func (p *Proc) execHead() bool {
+	op := &p.ops[p.opHead]
 	e := p.env
 	// Deferred jitter resolves at op entry — the instant the primitive
 	// begins — and exactly once (a Use that parks at its acquire must not
@@ -263,10 +313,10 @@ func (sp *StepProc) execHead() bool {
 		op.jit = nil
 	}
 	switch op.kind {
-	case sopWait:
+	case sopWait, sopTopUp:
 		if op.phase == 0 {
-			if e.OnWait != nil {
-				e.OnWait(p, op.d)
+			if e.OnOp != nil && op.kind == sopWait {
+				e.OnOp(p, TimeWait, op.d)
 			}
 			if e.waitFast(e.now + op.d) {
 				break // fused: the wait elapsed inline
@@ -304,8 +354,8 @@ func (sp *StepProc) execHead() bool {
 				op.phase = 1
 				return false
 			}
-			if e.OnWait != nil {
-				e.OnWait(p, op.d)
+			if e.OnOp != nil {
+				e.OnOp(p, TimeWait, op.d)
 			}
 			if e.waitFast(e.now + op.d) {
 				// Fused fast path: an idle resource acquired, held and
@@ -318,8 +368,8 @@ func (sp *StepProc) execHead() bool {
 			e.schedule(p, e.now+op.d)
 			return false
 		case 1: // woken by Release with the slot transferred
-			if e.OnWait != nil {
-				e.OnWait(p, op.d)
+			if e.OnOp != nil {
+				e.OnOp(p, TimeWait, op.d)
 			}
 			if e.waitFast(e.now + op.d) {
 				op.r.Release()
@@ -332,8 +382,30 @@ func (sp *StepProc) execHead() bool {
 			op.r.Release()
 		}
 	}
-	sp.ops[sp.opHead] = stepOp{}
-	sp.opHead = (sp.opHead + 1) & (len(sp.ops) - 1)
-	sp.opLen--
+	p.ops[p.opHead] = stepOp{}
+	p.opHead = (p.opHead + 1) & (len(p.ops) - 1)
+	p.opLen--
 	return true
+}
+
+// Replay advances a clock through a recorded time-op program — the OnOp
+// record of one process — performing the engine's float64 operations in
+// the engine's order, and returns the advanced clock and anchor. It takes
+// jitter as the identity, so it reproduces the engine bit-for-bit only for
+// jitter-free programs whose process was never delayed outside its
+// recorded ops (a queued Resource, a Signal wake-up, a WaitUntil).
+func Replay(now, anchor Time, ops []TimeOp, args []Time) (Time, Time) {
+	for i, op := range ops {
+		switch op {
+		case TimeWait:
+			now += args[i]
+		case TimeMark:
+			anchor = now
+		default: // TimeTopUp
+			if el := now - anchor; el < args[i] {
+				now += args[i] - el
+			}
+		}
+	}
+	return now, anchor
 }

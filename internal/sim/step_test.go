@@ -155,7 +155,7 @@ func TestStepFrameRecycled(t *testing.T) {
 	}
 	recycled := env.freeStep[0]
 	p := env.GoSteps("b", &waitLoop{n: 1})
-	if p.sp != recycled {
+	if p != recycled {
 		t.Error("second spawn did not reuse the retired frame")
 	}
 	if _, err := env.Run(); err != nil {

@@ -1,7 +1,7 @@
 // Package trace collects and analyzes per-operation records from the
 // simulated machine: latency distributions by source class (the raw
-// material of capability models), per-core activity, and CSV export for
-// external tooling. Install a Collector with machine.SetTracer.
+// material of capability models) and CSV export for external tooling.
+// Install a Collector with machine.SetTracer.
 package trace
 
 import (
@@ -13,49 +13,24 @@ import (
 	"knlcap/internal/stats"
 )
 
-// Collector buffers operation records up to a capacity (0 = unbounded);
-// beyond it, the earliest records are dropped and counted.
+// Collector buffers every operation record it is handed.
 type Collector struct {
-	capacity int
-	records  []machine.OpRecord
-	dropped  uint64
+	records []machine.OpRecord
 }
 
 var _ machine.Tracer = (*Collector)(nil)
 
-// NewCollector builds a collector with the given capacity (0 = unbounded).
-func NewCollector(capacity int) *Collector {
-	return &Collector{capacity: capacity}
-}
+// NewCollector builds an empty collector.
+func NewCollector() *Collector { return &Collector{} }
 
 // Record implements machine.Tracer.
-func (c *Collector) Record(r machine.OpRecord) {
-	if c.capacity > 0 && len(c.records) >= c.capacity {
-		copy(c.records, c.records[1:])
-		c.records[len(c.records)-1] = r
-		c.dropped++
-		return
-	}
-	c.records = append(c.records, r)
-}
+func (c *Collector) Record(r machine.OpRecord) { c.records = append(c.records, r) }
 
 // Len returns the number of buffered records.
 func (c *Collector) Len() int { return len(c.records) }
 
-// Dropped returns how many early records were displaced.
-func (c *Collector) Dropped() uint64 { return c.dropped }
-
 // Records returns the buffered records (shared slice; do not mutate).
 func (c *Collector) Records() []machine.OpRecord { return c.records }
-
-// Reset clears the buffer.
-func (c *Collector) Reset() {
-	c.records = c.records[:0]
-	c.dropped = 0
-}
-
-// GroupKey selects how Summaries buckets records.
-type GroupKey func(machine.OpRecord) string
 
 // BySource groups load records by where the data came from.
 func BySource(r machine.OpRecord) string {
@@ -64,12 +39,6 @@ func BySource(r machine.OpRecord) string {
 	}
 	return "load/" + r.Source
 }
-
-// ByCore groups records by issuing core.
-func ByCore(r machine.OpRecord) string { return fmt.Sprintf("core%d", r.Core) }
-
-// ByKind groups records by operation kind.
-func ByKind(r machine.OpRecord) string { return r.Kind.String() }
 
 // GroupSummary is the latency distribution of one bucket.
 type GroupSummary struct {
@@ -80,7 +49,7 @@ type GroupSummary struct {
 
 // Summaries reduces the buffered records into per-bucket latency
 // distributions, sorted by key.
-func (c *Collector) Summaries(key GroupKey) []GroupSummary {
+func (c *Collector) Summaries(key func(machine.OpRecord) string) []GroupSummary {
 	buckets := map[string][]float64{}
 	for _, r := range c.records {
 		k := key(r)
@@ -100,34 +69,6 @@ func (c *Collector) Summaries(key GroupKey) []GroupSummary {
 		})
 	}
 	return out
-}
-
-// BusyFraction returns, per core, the fraction of the observed interval
-// spent inside traced operations (an activity profile, not a precise
-// utilization: streams are untraced).
-func (c *Collector) BusyFraction() map[int]float64 {
-	if len(c.records) == 0 {
-		return nil
-	}
-	var lo, hi float64
-	busy := map[int]float64{}
-	for i, r := range c.records {
-		if i == 0 || r.Start < lo {
-			lo = r.Start
-		}
-		if r.End > hi {
-			hi = r.End
-		}
-		busy[r.Core] += r.Latency()
-	}
-	span := hi - lo
-	if span <= 0 {
-		return nil
-	}
-	for core := range busy {
-		busy[core] /= span
-	}
-	return busy
 }
 
 // WriteCSV dumps the records for external analysis.
