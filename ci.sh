@@ -71,6 +71,8 @@ if [ "$quick" = 0 ]; then
     go test -bench=EngineEvent -benchtime=1x -run '^$' ./internal/sim
     step "tier-2: bench smoke (machine hot path + construction, 1 iteration)"
     go test -bench='LoadLineHotPath|PrimeFlush|NewMachine|StreamFlushHelpers' -benchtime=1x -run '^$' ./internal/machine
+    step "tier-2: bench smoke (tag-array scans, 1 iteration)"
+    go test -bench='SetAssoc' -benchtime=1x -run '^$' ./internal/cache
 
     # Tier 2: a bounded coverage-guided run of the coherence fuzzer. Each
     # input runs loads, stores, NT stores, word adds and short streams from
@@ -90,12 +92,13 @@ if [ "$quick" = 0 ]; then
 
     # Tier 2: the zero-allocation guarantee the hotalloc analyzer enforces
     # statically, re-proved dynamically: the steady-state event, step-handoff
-    # and line paths must report 0 allocs/op under -benchmem.
+    # and line paths, and Prime/FlushBuffer on a warm machine, must report
+    # 0 allocs/op under -benchmem.
     step "tier-2: zero-alloc gate (-benchmem, allocs/op must be 0)"
     go test -bench='BenchmarkEngineEventThroughput|BenchmarkStepHandoff' -benchtime=5000x -benchmem -run '^$' ./internal/sim |
         tee /dev/stderr |
         awk '/allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
-    go test -bench='BenchmarkLoadLineHotPath|BenchmarkStoreLineHotPath' -benchtime=5000x -benchmem -run '^$' ./internal/machine |
+    go test -bench='BenchmarkLoadLineHotPath|BenchmarkStoreLineHotPath|BenchmarkPrimeFlush' -benchtime=5000x -benchmem -run '^$' ./internal/machine |
         tee /dev/stderr |
         awk '/allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
 

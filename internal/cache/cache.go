@@ -62,10 +62,13 @@ func (s State) CanForward() bool {
 // matches the array's: Reset and Flush advance the array epoch instead of
 // clearing the storage, so emptying a tag array is O(1) no matter how much
 // of it was touched (a fully touched L2 array holds 16384 entries, 384 KB).
+// Epoch 0 means Invalid: Invalidate and SetState(l, Invalid) write it, a
+// zeroed block holds it, and an array's epoch starts at 1 and never takes
+// it, so liveness is one compare and a live entry never holds Invalid.
 type entry struct {
 	line  Line
 	state State
-	epoch uint32 // live iff equal to SetAssoc.epoch
+	epoch uint32 // live iff equal to SetAssoc.epoch; 0 for an invalid way
 	lru   uint64 // last-touch tick
 }
 
@@ -91,7 +94,7 @@ type SetAssoc struct {
 	sets   int
 	ways   int
 	tick   uint64
-	epoch  uint32
+	epoch  uint32    // current epoch; starts at 1 and skips 0 (see entry)
 	blocks [][]entry // blocks[b] holds sets [b*blockSets, (b+1)*blockSets), row-major by set; the table and each block stay nil until their first Insert
 
 	hits, misses, evictions uint64
@@ -108,7 +111,7 @@ func NewSetAssoc(name string, capacityBytes, ways int) *SetAssoc {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: sets %d not a power of two", sets))
 	}
-	return &SetAssoc{name: name, sets: sets, ways: ways}
+	return &SetAssoc{name: name, sets: sets, ways: ways, epoch: 1}
 }
 
 // Sets returns the number of sets.
@@ -135,19 +138,20 @@ func (c *SetAssoc) row(l Line) []entry {
 	return b[base : base+c.ways]
 }
 
-// live reports whether the entry belongs to the current epoch and holds a
-// line. Every read path must use this rather than checking the state
-// alone, or lines from before a Reset would resurrect.
-func (c *SetAssoc) live(e *entry) bool {
-	return e.state != Invalid && e.epoch == c.epoch
-}
+// live reports whether the entry holds a line: it belongs to the current
+// epoch, which an invalidated way (epoch 0) never does. Every read path
+// must test the epoch rather than the state, or lines from before a Reset
+// would resurrect. Lookup, Peek, SetState and Invalidate compare e.line
+// first and hold the epoch in a local, so a way that does not match costs
+// one compare.
+func (c *SetAssoc) live(e *entry) bool { return e.epoch == c.epoch }
 
 // Lookup returns the state of the line (Invalid if absent) and updates LRU
 // and hit/miss counters on readable hits.
 func (c *SetAssoc) Lookup(l Line) State {
-	row := c.row(l)
+	row, ep := c.row(l), c.epoch
 	for w := range row {
-		if e := &row[w]; c.live(e) && e.line == l {
+		if e := &row[w]; e.line == l && e.epoch == ep {
 			c.tick++
 			e.lru = c.tick
 			c.hits++
@@ -165,9 +169,9 @@ func (c *SetAssoc) Miss() { c.misses++ }
 
 // Peek returns the state of the line without touching LRU or counters.
 func (c *SetAssoc) Peek(l Line) State {
-	row := c.row(l)
+	row, ep := c.row(l), c.epoch
 	for w := range row {
-		if e := &row[w]; c.live(e) && e.line == l {
+		if e := &row[w]; e.line == l && e.epoch == ep {
 			return e.state
 		}
 	}
@@ -187,15 +191,14 @@ func (c *SetAssoc) Insert(l Line, s State) Victim {
 	if s == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
-	row := c.row(l)
-	if row == nil {
-		c.allocate(c.setOf(l) >> blockShift)
-		row = c.row(l)
-	}
+	row := c.rowAlloc(l)
+	// Every way is classified free or live, so the epoch is tested first
+	// here: testing the line first would add a compare to each free way.
+	ep := c.epoch
 	var free, lru *entry
 	for w := range row {
 		e := &row[w]
-		if !c.live(e) {
+		if e.epoch != ep {
 			if free == nil {
 				free = e
 			}
@@ -211,15 +214,56 @@ func (c *SetAssoc) Insert(l Line, s State) Victim {
 			lru = e
 		}
 	}
-	target := free
+	if free == nil {
+		free = lru
+	}
+	return c.fill(free, l, s)
+}
+
+// InsertAbsent is Insert for a line the caller knows is not in the array
+// (Machine.Prime installs lines it has just flushed from every cache).
+// With no copy to look for, it fills the first free way without reading
+// the rest of the set; only a full set is scanned to the end for its LRU
+// way. The way, tick and victim are those Insert would pick.
+func (c *SetAssoc) InsertAbsent(l Line, s State) Victim {
+	if s == Invalid {
+		panic("cache: Insert with Invalid state")
+	}
+	row := c.rowAlloc(l)
+	ep := c.epoch
+	var lru *entry
+	for w := range row {
+		e := &row[w]
+		if e.epoch != ep {
+			return c.fill(e, l, s)
+		}
+		if lru == nil || e.lru < lru.lru {
+			lru = e
+		}
+	}
+	return c.fill(lru, l, s)
+}
+
+// rowAlloc is row for an insert: it gives the set's block its storage on
+// the first touch.
+func (c *SetAssoc) rowAlloc(l Line) []entry {
+	if row := c.row(l); row != nil {
+		return row
+	}
+	c.allocate(c.setOf(l) >> blockShift)
+	return c.row(l)
+}
+
+// fill writes the line into way e, a free way or the set's LRU one, and
+// returns the live line it displaced, if any.
+func (c *SetAssoc) fill(e *entry, l Line, s State) Victim {
 	out := Victim{State: Invalid}
-	if target == nil {
-		target = lru
-		out = Victim{Line: lru.line, State: lru.state}
+	if e.epoch == c.epoch {
+		out = Victim{Line: e.line, State: e.state}
 		c.evictions++
 	}
 	c.tick++
-	*target = entry{line: l, state: s, epoch: c.epoch, lru: c.tick}
+	*e = entry{line: l, state: s, epoch: c.epoch, lru: c.tick}
 	return out
 }
 
@@ -227,9 +271,12 @@ func (c *SetAssoc) Insert(l Line, s State) Victim {
 // lines unless the new state is Invalid, in which case absence is fine.
 // Setting Invalid removes the line.
 func (c *SetAssoc) SetState(l Line, s State) {
-	row := c.row(l)
+	row, ep := c.row(l), c.epoch
 	for w := range row {
-		if e := &row[w]; c.live(e) && e.line == l {
+		if e := &row[w]; e.line == l && e.epoch == ep {
+			if s == Invalid {
+				e.epoch = 0
+			}
 			e.state = s
 			return
 		}
@@ -238,19 +285,18 @@ func (c *SetAssoc) SetState(l Line, s State) {
 
 // Invalidate removes the line and returns its previous state.
 func (c *SetAssoc) Invalidate(l Line) State {
-	row := c.row(l)
+	row, ep := c.row(l), c.epoch
 	for w := range row {
-		if e := &row[w]; c.live(e) && e.line == l {
-			s := e.state
-			e.state = Invalid
-			return s
+		if e := &row[w]; e.line == l && e.epoch == ep {
+			e.epoch = 0
+			return e.state
 		}
 	}
 	return Invalid
 }
 
 // allocate gives never-touched block b its storage, and the array its
-// block table on the first call. Zeroed entries hold Invalid, so none is
+// block table on the first call. Zeroed entries hold epoch 0, so none is
 // live whatever the current epoch.
 func (c *SetAssoc) allocate(b int) {
 	if c.blocks == nil {
@@ -278,14 +324,16 @@ func (c *SetAssoc) Reset() {
 }
 
 // bumpEpoch invalidates every entry in O(1). On the (practically
-// unreachable) uint32 wraparound the blocks are cleared for real, so an
-// entry surviving 2^32 epochs can never appear live again.
+// unreachable) uint32 wraparound the blocks are cleared for real and the
+// epoch restarts at 1, as DirectMapped's does, so an entry surviving 2^32
+// epochs can never appear live again and 0 stays the invalid epoch.
 func (c *SetAssoc) bumpEpoch() {
 	c.epoch++
 	if c.epoch == 0 {
 		for _, b := range c.blocks {
 			clear(b)
 		}
+		c.epoch = 1
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 // TestSetAssocMatchesFlatReference drives the block-lazy SetAssoc and the
 // flat single-slice reference with the same random operation sequences and
 // requires every return value, victim, counter, occupancy and digest to
-// agree. Lines are drawn from a few hot sets spread over the blocks, with
+// agree (InsertAbsent of an absent line must match the reference's
+// Insert). Lines are drawn from a few hot sets spread over the blocks, with
 // more tags per set than ways, so evictions, re-inserts and state changes
 // all happen; Flush and Reset interleave rarely.
 func TestSetAssocMatchesFlatReference(t *testing.T) {
@@ -52,7 +53,13 @@ func diffRun(t *testing.T, name string, capBytes, ways int, seed uint64, n int) 
 		switch r := rng.Intn(100); {
 		case r < 40:
 			s := state()
-			if g, w := got.Insert(l, s), want.Insert(l, s); g != w {
+			// A quarter of the inserts of absent lines take InsertAbsent,
+			// as a caller that knows the line is absent would.
+			insert := got.Insert
+			if r < 10 && got.Peek(l) == Invalid {
+				insert = got.InsertAbsent
+			}
+			if g, w := insert(l, s), want.Insert(l, s); g != w {
 				fail(i, "Insert victim", g, w)
 			}
 		case r < 55:

@@ -172,6 +172,30 @@ func TestPrimeEvictionKeepsPresence(t *testing.T) {
 	}
 }
 
+// TestPrimeBadStateChangesNothing: Prime rejects an unsupported state
+// before it touches anything, so the machine that survives the panic is
+// exactly the one before the call.
+func TestPrimeBadStateChangesNothing(t *testing.T) {
+	m := noJitter(knl.DefaultConfig())
+	b := m.Alloc.MustAlloc(knl.DDR, 0, 8*knl.LineSize)
+	m.Prime(b, 6, cache.Modified)
+	before := m.StateDigest()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Prime with state 9 did not panic")
+			}
+		}()
+		m.Prime(b, 0, cache.State(9))
+	}()
+	if after := m.StateDigest(); after != before {
+		t.Errorf("digest %#x after the rejected Prime, %#x before", after, before)
+	}
+	if st := m.LineState(3, b.Line(0)); st != cache.Modified {
+		t.Errorf("line 0 is %v on the owner's tile after the rejected Prime, want M", st)
+	}
+}
+
 // TestHybridModeSplitsMCDRAM checks hybrid mode specifics: flat MCDRAM is
 // allocatable AND the side cache exists with half the capacity.
 func TestHybridModeSplitsMCDRAM(t *testing.T) {

@@ -221,13 +221,19 @@ func (m *Machine) lineState(l cache.Line) (*lineTable, *lineSlot, int) {
 // (the former map did a lookup plus a write). A slot whose generation
 // lags its buffer's holds a retired entry and is treated as empty.
 func (m *Machine) dirAdd(l cache.Line, tile int) {
-	t, s, i := m.lineState(l)
-	g := t.bufGen[t.lineBuf[i]]
+	t, _, i := m.lineState(l)
+	t.addOwner(i, tile)
+}
+
+// addOwner is dirAdd for slot i, which the table already covers.
+func (t *lineTable) addOwner(i, tile int) {
+	s, id := &t.slots[i], t.lineBuf[i]
+	g := t.bufGen[id]
 	bit := uint64(1) << uint(tile)
 	if s.owners == 0 || s.gen != g {
 		s.owners = bit
 		s.gen = g
-		t.bufLive[t.lineBuf[i]]++
+		t.bufLive[id]++
 		t.dirLive++
 		return
 	}

@@ -318,8 +318,15 @@ func rankState(s cache.State) int {
 // step process can commit the tags at one juncture and drive the
 // write-back's channel occupancies as queued micro-ops.
 func (m *Machine) installL2Tags(tile int, l cache.Line, st cache.State) (victim cache.Line, dirty bool) {
-	v := m.tiles[tile].l2.Insert(l, st)
-	m.dirAdd(l, tile)
+	t, _, i := m.lineState(l)
+	return m.installedL2(t, i, tile, m.tiles[tile].l2.Insert(l, st))
+}
+
+// installedL2 is the directory half of installL2Tags for the line in slot
+// i of table t, once the tile's L2 has returned victim v: Prime calls it
+// with the slot index it already holds.
+func (m *Machine) installedL2(t *lineTable, i, tile int, v cache.Victim) (victim cache.Line, dirty bool) {
+	t.addOwner(i, tile)
 	if v.State == cache.Invalid {
 		return 0, false
 	}
@@ -343,13 +350,20 @@ func (m *Machine) invalidateTags(l cache.Line, owners uint64) {
 // FlushLine removes a line from every cache (no timing cost; benchmark
 // setup only). Dirty data is discarded.
 func (m *Machine) FlushLine(l cache.Line) {
-	t, s, i := m.lineState(l)
-	if s.owners == 0 || s.gen != t.bufGen[t.lineBuf[i]] {
+	t, _, i := m.lineState(l)
+	m.flushSlot(t, i)
+}
+
+// flushSlot is FlushLine for the line in slot i of table t. It never
+// grows the table.
+func (m *Machine) flushSlot(t *lineTable, i int) {
+	s, id := &t.slots[i], t.lineBuf[i]
+	if s.owners == 0 || s.gen != t.bufGen[id] {
 		return
 	}
-	m.invalidateTags(l, s.owners)
+	m.invalidateTags(t.base+cache.Line(i), s.owners)
 	s.owners = 0
-	t.bufLive[t.lineBuf[i]]--
+	t.bufLive[id]--
 	t.dirLive--
 }
 
@@ -364,16 +378,27 @@ func (m *Machine) FlushBuffer(b memmode.Buffer) {
 	if n == 0 {
 		return
 	}
-	t, _, lo := m.lineState(b.Line(0))
+	t, lo := m.bufferSlots(b)
 	if id := t.lineBuf[lo]; id != 0 {
 		if rec := t.bufs[id-1]; rec.Base == b.Base && rec.Bytes == b.Bytes {
 			m.flushEpoch(t, id, lo, n)
 			return
 		}
 	}
-	for i := 0; i < n; i++ {
-		m.FlushLine(b.Line(i))
+	for i := lo; i < lo+n; i++ {
+		m.flushSlot(t, i)
 	}
+}
+
+// bufferSlots returns the table holding a non-empty buffer's lines and
+// the slot index of its first line, growing the table to cover the last
+// one: line i of b is slot lo+i. Callers index the slots and never hold a
+// pointer to one: an install's victim goes through dirRemove, which may
+// grow the table.
+func (m *Machine) bufferSlots(b memmode.Buffer) (t *lineTable, lo int) {
+	m.lineState(b.Line(b.NumLines() - 1))
+	t, _, lo = m.lineState(b.Line(0))
+	return t, lo
 }
 
 // flushEpoch retires a whole registered allocation: cached lines leave
@@ -400,26 +425,45 @@ func (m *Machine) flushEpoch(t *lineTable, id int32, lo, n int) {
 // line is also installed as Forward in a neighbouring tile (MESIF requires
 // a forwarder for the S measurements, mirroring how BenchIT prepares
 // states); for Forward a Shared copy is placed on the neighbour.
+//
+// The buffer is walked slot by slot, one line at a time: line i is
+// flushed, installed on the tile (L2, then the core's L1) and then on the
+// neighbour before line i+1 is touched, so every tag array ends with the
+// ways, LRU ticks and victims of priming the lines one by one. An L2
+// victim leaves the directory and its tile's L1s as on any install;
+// priming is setup, so a dirty victim is discarded, not written back. An
+// unsupported state panics before anything is touched.
 func (m *Machine) Prime(b memmode.Buffer, core int, st cache.State) {
 	tile := core / knl.CoresPerTile
-	for i := 0; i < b.NumLines(); i++ {
-		l := b.Line(i)
-		m.FlushLine(l)
-		switch st {
-		case cache.Modified, cache.Exclusive:
-			m.primeOne(l, tile, core, st)
-		case cache.Shared:
-			m.primeOne(l, tile, core, cache.Shared)
-			nb := m.neighborTile(tile)
-			m.primeOne(l, nb, nb*knl.CoresPerTile, cache.Forward)
-		case cache.Forward:
-			m.primeOne(l, tile, core, cache.Forward)
-			nb := m.neighborTile(tile)
-			m.primeOne(l, nb, nb*knl.CoresPerTile, cache.Shared)
-		case cache.Invalid:
-			// Already flushed.
-		default:
-			panic("machine: cannot prime state " + st.String())
+	nb, nbSt := -1, cache.Invalid // the secondary S/F copy's tile and state
+	switch st {
+	case cache.Invalid, cache.Modified, cache.Exclusive:
+	case cache.Shared:
+		nb, nbSt = m.neighborTile(tile), cache.Forward
+	case cache.Forward:
+		nb, nbSt = m.neighborTile(tile), cache.Shared
+	default:
+		panic("machine: cannot prime state " + st.String())
+	}
+	n := b.NumLines()
+	if n == 0 {
+		return
+	}
+	t, lo := m.bufferSlots(b)
+	for i := lo; i < lo+n; i++ {
+		m.flushSlot(t, i)
+		if st == cache.Invalid {
+			continue
+		}
+		// The flush left the line in no cache (the directory is
+		// authoritative; see CheckPresence) and the neighbour is never the
+		// tile itself, so no install needs to look for the line.
+		l := t.base + cache.Line(i)
+		m.installedL2(t, i, tile, m.tiles[tile].l2.InsertAbsent(l, st))
+		m.cores[core].l1.InsertAbsent(l, st)
+		if nb >= 0 {
+			m.installedL2(t, i, nb, m.tiles[nb].l2.InsertAbsent(l, nbSt))
+			m.cores[nb*knl.CoresPerTile].l1.InsertAbsent(l, nbSt)
 		}
 	}
 }
@@ -433,14 +477,6 @@ func (m *Machine) neighborTile(tile int) int {
 		nb = (tile + 2) % m.NumTiles()
 	}
 	return nb
-}
-
-// primeOne installs the line in one tile's L2 and one core's L1. An L2
-// victim leaves the directory and the tile's L1s as on any install;
-// priming is setup, so a dirty victim is discarded, not written back.
-func (m *Machine) primeOne(l cache.Line, tile, core int, st cache.State) {
-	m.installL2Tags(tile, l, st)
-	m.cores[core].l1.Insert(l, st)
 }
 
 // LineState reports where a line is cached: the state in the given tile's
