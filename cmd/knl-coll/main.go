@@ -28,7 +28,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run is the whole command behind an argument list and two writers; it
 // returns the exit code (see internal/cli).
 func run(args []string, stdout, stderr io.Writer) int {
-	c := cli.New("knl-coll", stderr, cli.Quick|cli.CSV|cli.Parallel|cli.Cache|cli.Converge)
+	c := cli.New("knl-coll", stderr, cli.Quick|cli.CSV|cli.Parallel|cli.Cache)
 	fig := c.Int("fig", 6, "figure to regenerate: 6 (barrier), 7 (broadcast), 8 (reduce)")
 	opName := c.String("op", "", "measure an extension collective instead: allreduce | allgather | scan")
 	schedName := c.String("sched", "scatter", "pinning: scatter | fill-tiles | compact")

@@ -17,7 +17,7 @@ func TestBadFlagsExit2(t *testing.T) {
 		{[]string{"-sched", "bogus"}, `unknown schedule "bogus"`},
 		{[]string{"-fig", "9"}, "-fig must be 6, 7 or 8"},
 		{[]string{"-op", "nope"}, "unknown -op nope"},
-		{[]string{"-converge", "-1"}, "-converge must not be negative (got -1)"},
+		{[]string{"-nojitter"}, "flag provided but not defined: -nojitter"},
 		{[]string{"-nosuch"}, "flag provided but not defined: -nosuch"},
 		{[]string{"-fig", "6", "extra"}, `unexpected arguments ["extra"]`},
 	} {

@@ -40,12 +40,12 @@
 //     flagged, except in basic blocks that cannot reach the function's
 //     exit (panic guards). This is the static twin of the -benchmem
 //     allocs/op gate in ci.sh.
-//   - memokey: at every memo entry point (memo.Lookup, exp.RunMemo,
-//     exp.RunPooledMemo), every tracked struct field the memoized compute
-//     path transitively reads must be folded into the key the call site
-//     passes — otherwise a changed field silently serves a stale cached
-//     result. Output-invariant fields carry a justified
-//     `//knl:nokey <reason>` directive on their declaration.
+//   - memokey: at every memo entry point (memo.Lookup, exp.RunMemo),
+//     every tracked struct field the memoized compute path transitively
+//     reads must be folded into the key the call site passes —
+//     otherwise a changed field silently serves a stale cached result.
+//     Output-invariant fields carry a justified `//knl:nokey <reason>`
+//     directive on their declaration.
 //   - purity: functions on the call-graph closure of the convergence/memo
 //     hook roots (the op-trace hooks and the memo encode path) may not
 //     call into time, math/rand, or os, and may not write package-level
@@ -267,7 +267,6 @@ func DefaultConfig() *Config {
 		MemoEntries: []MemoEntry{
 			{Func: "knlcap/internal/memo.Lookup", KeyArg: 1},
 			{Func: "knlcap/internal/exp.RunMemo", KeyArg: 2, ComputeArgs: []int{4}},
-			{Func: "knlcap/internal/exp.RunPooledMemo", KeyArg: 2, ComputeArgs: []int{4, 5}},
 		},
 		MemoKeyType:       "knlcap/internal/memo.Key",
 		MemoKeyWriterType: "knlcap/internal/memo.KeyWriter",

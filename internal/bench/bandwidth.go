@@ -70,8 +70,8 @@ func MeasureCacheBandwidths(cfg knl.Config, o Options, sizes []int) CacheBandwid
 		{remoteOwner, cache.Exclusive, false}, // CopyRemote
 	}
 	key := o.KeyFor("table1-bandwidth", cfg).Ints(sizes).Key()
-	vals, _ := exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
-		len(rows)*len(sizes), newWorkerPool, func(pool *exp.MachinePool, i int) float64 {
+	vals := exp.RunMemo(o.Parallel, o.Memo, key,
+		len(rows)*len(sizes), func(pool *exp.MachinePool, i int) float64 {
 			po := o
 			po.pool = pool
 			r := rows[i/len(sizes)]
@@ -153,8 +153,8 @@ func MeasureCopyBySize(cfg knl.Config, o Options, sizesBytes []int) []SizePoint 
 	states := []cache.State{cache.Modified, cache.Exclusive}
 	perPl := len(states) * len(sizesBytes)
 	key := o.KeyFor("fig5-copy-by-size", cfg).Ints(sizesBytes).Key()
-	pts, _ := exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
-		len(placements)*perPl, newWorkerPool, func(pool *exp.MachinePool, i int) SizePoint {
+	pts := exp.RunMemo(o.Parallel, o.Memo, key,
+		len(placements)*perPl, func(pool *exp.MachinePool, i int) SizePoint {
 			po := o
 			po.pool = pool
 			pl := placements[i/perPl]

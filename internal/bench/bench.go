@@ -79,7 +79,7 @@ type Options struct {
 	Memo *memo.Cache
 
 	// pool, when set, recycles machines across the measurement points of a
-	// sweep. The sweep drivers install one per worker (exp.RunPooled), so a
+	// sweep. The sweep drivers install their worker's (exp.Run), so a
 	// pool is never shared between concurrent points; by the Machine.Reset
 	// contract the results stay bit-identical to unpooled runs.
 	//knl:nokey pooled-vs-fresh digest identity is proven by the exp pool tests

@@ -32,8 +32,8 @@ func MeasureContention(cfg knl.Config, o Options, ns []int) ContentionResult {
 	}
 	res := ContentionResult{Config: cfg, Ns: ns}
 	key := o.KeyFor("table1-contention", cfg).Ints(ns).Key()
-	res.Medians, _ = exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key, len(ns),
-		newWorkerPool, func(pool *exp.MachinePool, i int) float64 {
+	res.Medians = exp.RunMemo(o.Parallel, o.Memo, key, len(ns),
+		func(pool *exp.MachinePool, i int) float64 {
 			po := o
 			po.pool = pool
 			n := ns[i]
@@ -163,8 +163,8 @@ func MeasureCongestion(cfg knl.Config, o Options, pairs int) CongestionResult {
 	type pt struct{ Med, Util float64 }
 	numPairs := []int{1, pairs}
 	key := o.KeyFor("table1-congestion", cfg).Int(pairs).Key()
-	res, _ := exp.RunMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
-		len(numPairs), func(i int) pt {
+	res := exp.RunMemo(o.Parallel, o.Memo, key,
+		len(numPairs), func(_ *exp.MachinePool, i int) pt {
 			med, util := run(numPairs[i])
 			return pt{med, util}
 		})

@@ -25,7 +25,7 @@ package bench
 // the interpreter cannot reproduce (a WaitUntil, a Signal wake-up, a
 // Resource queue delay from a concurrent write-back process, a jittered
 // draw) fails the self-check and resets the gate, so workloads that are
-// not actually periodic simply run the exact legacy loop to completion.
+// not actually periodic simply run the exact loop to completion.
 // K-fold agreement is evidence of a fixed point rather than a proof, which
 // is why the golden A/B equivalence tests assert bit-identical tables and
 // figures with the gate on and off.
@@ -35,9 +35,7 @@ import (
 
 	"knlcap/internal/knl"
 	"knlcap/internal/machine"
-	"knlcap/internal/memmode"
 	"knlcap/internal/sim"
-	"knlcap/internal/stats"
 )
 
 // opTrace records the time program of one measured process through
@@ -231,86 +229,4 @@ func (cp *chaseProfile) replay(vt float64, perm []int, chaseLen, nl, visits int)
 		vt, anchor = sim.Replay(vt, anchor, cp.kinds[lo:hi], cp.args[lo:hi])
 	}
 	return vt
-}
-
-// chaseConverged is the gated chase: exact simulated passes until k
-// consecutive passes agree, replayed passes after. The measurement runs as
-// a spawned chase kernel; the gate lives entirely in the host callbacks,
-// which run between the kernel's loads. The bench RNG
-// keeps drawing one permutation per pass either way — including for
-// replayed passes — so the random stream, and with it every subsequent
-// draw, is identical to the ungated loop's.
-func chaseConverged(m *machine.Machine, place knl.Place, b memmode.Buffer, o Options,
-	prime func(), rng *stats.RNG, perm []int, avgs *[]float64, k int) {
-	nl := len(perm)
-	visits := o.ChaseLen / nl
-	var tr opTrace
-	cur, prev := &chaseProfile{}, &chaseProfile{}
-	var prevVal, start, vt, total float64
-	prevEnd := m.Env.Now()
-	run, a, p := 0, 0, 0
-	settled := false
-
-	// endPass closes one pass of the (Averages x Passes) accounting grid.
-	endPass := func() {
-		if p++; p == o.Passes {
-			*avgs = append(*avgs, total/float64(o.Passes))
-			total, p = 0, 0
-			a++
-		}
-	}
-
-	proc := m.SpawnChase(place, machine.ChaseOps{
-		B: b, Perm: perm, Len: o.ChaseLen,
-		NextPass: func() bool {
-			for {
-				if a >= o.Averages {
-					m.Env.OnOp = nil
-					return false
-				}
-				if settled {
-					// Extrapolate this pass from the settled profile on the
-					// virtual clock; no simulation happens.
-					rng.PermInto(perm)
-					s := vt
-					vt = prev.replay(vt, perm, o.ChaseLen, nl, visits)
-					total += (vt - s) / float64(o.ChaseLen)
-					endPass()
-					continue
-				}
-				prime()
-				rng.PermInto(perm)
-				tr.reset()
-				start = m.Env.Now()
-				return true
-			}
-		},
-		AccessDone: tr.mark,
-		PassDone: func(elapsed float64) {
-			end := m.Env.Now()
-			val := elapsed / float64(o.ChaseLen)
-			total += val
-			// start == prevEnd guards against prime consuming simulated
-			// time, which replay (which skips prime) could not reproduce.
-			ok := start == prevEnd && tr.selfCheck(start, end)
-			cur.build(&tr, perm, nl, visits)
-			switch {
-			case ok && run > 0 && math.Float64bits(val) == math.Float64bits(prevVal) && cur.equal(prev):
-				run++
-			case ok:
-				run = 1
-			default:
-				run = 0
-			}
-			cur, prev = prev, cur
-			prevVal, prevEnd = val, end
-			if run >= k {
-				settled = true
-				vt = end
-			}
-			endPass()
-		},
-	})
-	tr.p = proc
-	m.Env.OnOp = tr.onOp
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math"
+
 	"knlcap/internal/cache"
 	"knlcap/internal/exp"
 	"knlcap/internal/knl"
@@ -15,9 +17,20 @@ import (
 // dependent accesses over the buffer, re-establishing the cache state with
 // prime before every pass. It returns the per-access latency sample.
 //
+// The kernel runs as a spawned chase, with the host callbacks doing the
+// work between passes: prime, draw the permutation, fold the per-pass
+// latency into the running average. With ConvergeAfter k > 0 they also run
+// the convergence gate (converge.go): exact simulated passes until k
+// consecutive passes agree, replayed passes after. The gate needs every
+// line visited equally often per pass, i.e. ChaseLen a multiple of the
+// line count; otherwise, and with k <= 0, no hook is installed and every
+// pass is simulated. The bench RNG draws one permutation per pass either
+// way — including for replayed passes — so the random stream, and with it
+// every subsequent draw, is identical to the ungated loop's.
+//
 // The sample slice and the per-pass permutation are allocated once up
-// front; the measurement loops themselves allocate nothing (PermInto
-// refills the scratch permutation in place).
+// front; the ungated loop allocates nothing per pass (PermInto refills the
+// scratch permutation in place).
 func chase(m *machine.Machine, core int, b memmode.Buffer, o Options,
 	prime func()) Sample {
 	rng := stats.NewRNG(o.Seed ^ 0xc1a5e)
@@ -25,37 +38,93 @@ func chase(m *machine.Machine, core int, b memmode.Buffer, o Options,
 	avgs := make([]float64, 0, o.Averages)
 	perm := make([]int, nl)
 	place := knl.Place{Tile: core / knl.CoresPerTile, Core: core}
-	if k := o.ConvergeAfter; k > 0 && o.ChaseLen%nl == 0 {
-		// Gated path: exact simulation until k consecutive passes agree,
-		// replayed extrapolation after (see converge.go). The gate needs
-		// every line visited equally often per pass, i.e. ChaseLen a
-		// multiple of the line count; otherwise the legacy loop runs.
-		chaseConverged(m, place, b, o, prime, rng, perm, &avgs, k)
-	} else {
-		// The kernel runs as a spawned chase, with the host callbacks
-		// doing the work between passes: prime, draw the permutation, fold
-		// the per-pass latency into the running average.
-		a, p := 0, 0
-		var total float64
-		m.SpawnChase(place, machine.ChaseOps{
-			B: b, Perm: perm, Len: o.ChaseLen,
-			NextPass: func() bool {
+	k := o.ConvergeAfter
+	if o.ChaseLen%nl != 0 {
+		k = 0
+	}
+	visits := o.ChaseLen / nl
+	var tr opTrace
+	var cur, prev *chaseProfile
+	if k > 0 {
+		cur, prev = &chaseProfile{}, &chaseProfile{}
+	}
+	var prevVal, start, vt, total float64
+	prevEnd := m.Env.Now()
+	run, a, p := 0, 0, 0
+	settled := false
+
+	// endPass closes one pass of the (Averages x Passes) accounting grid.
+	endPass := func() {
+		if p++; p == o.Passes {
+			avgs = append(avgs, total/float64(o.Passes))
+			total, p = 0, 0
+			a++
+		}
+	}
+
+	ops := machine.ChaseOps{
+		B: b, Perm: perm, Len: o.ChaseLen,
+		NextPass: func() bool {
+			for {
 				if a >= o.Averages {
+					if k > 0 {
+						m.Env.OnOp = nil
+					}
 					return false
+				}
+				if settled {
+					// Extrapolate this pass from the settled profile on the
+					// virtual clock; no simulation happens.
+					rng.PermInto(perm)
+					s := vt
+					vt = prev.replay(vt, perm, o.ChaseLen, nl, visits)
+					total += (vt - s) / float64(o.ChaseLen)
+					endPass()
+					continue
 				}
 				prime()
 				rng.PermInto(perm)
-				return true
-			},
-			PassDone: func(elapsed float64) {
-				total += elapsed / float64(o.ChaseLen)
-				if p++; p == o.Passes {
-					avgs = append(avgs, total/float64(o.Passes))
-					total, p = 0, 0
-					a++
+				if k > 0 {
+					tr.reset()
+					start = m.Env.Now()
 				}
-			},
-		})
+				return true
+			}
+		},
+		PassDone: func(elapsed float64) {
+			val := elapsed / float64(o.ChaseLen)
+			total += val
+			if k > 0 {
+				end := m.Env.Now()
+				// start == prevEnd guards against prime consuming simulated
+				// time, which replay (which skips prime) could not reproduce.
+				ok := start == prevEnd && tr.selfCheck(start, end)
+				cur.build(&tr, perm, nl, visits)
+				switch {
+				case ok && run > 0 && math.Float64bits(val) == math.Float64bits(prevVal) && cur.equal(prev):
+					run++
+				case ok:
+					run = 1
+				default:
+					run = 0
+				}
+				cur, prev = prev, cur
+				prevVal, prevEnd = val, end
+				if run >= k {
+					settled = true
+					vt = end
+				}
+			}
+			endPass()
+		},
+	}
+	if k > 0 {
+		ops.AccessDone = tr.mark
+	}
+	proc := m.SpawnChase(place, ops)
+	if k > 0 {
+		tr.p = proc
+		m.Env.OnOp = tr.onOp
 	}
 	if _, err := m.Run(); err != nil {
 		panic(err)
@@ -114,8 +183,8 @@ func MeasureCacheLatencies(cfg knl.Config, o Options, remoteTargets int) CacheLa
 			pt{owner, cache.Forward})
 	}
 	key := o.KeyFor("table1-latency", cfg).Int(remoteTargets).Key()
-	meds, _ := exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key, len(pts),
-		newWorkerPool, func(pool *exp.MachinePool, i int) float64 {
+	meds := exp.RunMemo(o.Parallel, o.Memo, key, len(pts),
+		func(pool *exp.MachinePool, i int) float64 {
 			po := o
 			po.pool = pool
 			m := po.acquire(cfg)
@@ -162,8 +231,8 @@ func MeasurePerCoreLatencies(cfg knl.Config, o Options, states []cache.State) []
 	for _, st := range states {
 		kw = kw.Int(int(st))
 	}
-	pts, _ := exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, kw.Key(), len(states)*owners,
-		newWorkerPool, func(pool *exp.MachinePool, i int) PerCoreLatency {
+	pts := exp.RunMemo(o.Parallel, o.Memo, kw.Key(), len(states)*owners,
+		func(pool *exp.MachinePool, i int) PerCoreLatency {
 			po := o
 			po.pool = pool
 			st := states[i/owners]
@@ -200,14 +269,6 @@ func MeasureMemLatencies(cfg knl.Config, o Options) MemLatencies {
 		return v
 	}
 	out := MemLatencies{Config: cfg}
-	measure := func(kind knl.MemKind, affinity int) float64 {
-		m := o.acquire(cfg)
-		b := m.Alloc.MustAlloc(kind, affinity, int64(o.ChaseLen)*knl.LineSize)
-		prime := func() { m.FlushBuffer(b) }
-		med := chase(m, 0, b, o, prime).Median
-		o.release(m)
-		return med
-	}
 	if cfg.Memory == knl.CacheMode {
 		// Working set twice the side cache, randomly visited: the median
 		// reflects the hit/miss mix.
@@ -251,19 +312,23 @@ func MeasureMemLatencies(cfg knl.Config, o Options) MemLatencies {
 		lo, hi := s.CILo, s.CIHi
 		out.Cache = Range{Lo: lo, Hi: hi}
 		o.release(m)
-		memo.Store(o.Memo, key, out)
-		return out
-	}
-	// Flat mode: in SNC modes the band spans local vs remote cluster
-	// allocations; transparent modes give a single value.
-	if cfg.Cluster.NUMAVisible() {
-		n := cfg.Cluster.Clusters()
-		meds := exp.Run(o.Parallel, 2*n, func(i int) float64 {
+	} else {
+		// Flat mode: in SNC modes the band spans local vs remote cluster
+		// allocations; transparent modes give a single value.
+		n := 1
+		if cfg.Cluster.NUMAVisible() {
+			n = cfg.Cluster.Clusters()
+		}
+		meds := exp.Run(o.Parallel, 2*n, func(_ *exp.MachinePool, i int) float64 {
 			kind := knl.DDR
 			if i%2 == 1 {
 				kind = knl.MCDRAM
 			}
-			return measure(kind, i/2)
+			m := o.acquire(cfg)
+			b := m.Alloc.MustAlloc(kind, i/2, int64(o.ChaseLen)*knl.LineSize)
+			med := chase(m, 0, b, o, func() { m.FlushBuffer(b) }).Median
+			o.release(m)
+			return med
 		})
 		var dr, mc []float64
 		for i := 0; i < len(meds); i += 2 {
@@ -272,13 +337,7 @@ func MeasureMemLatencies(cfg knl.Config, o Options) MemLatencies {
 		}
 		out.DRAM = RangeOf(dr)
 		out.MCDRAM = RangeOf(mc)
-		memo.Store(o.Memo, key, out)
-		return out
 	}
-	d := measure(knl.DDR, 0)
-	mcd := measure(knl.MCDRAM, 0)
-	out.DRAM = Range{Lo: d, Hi: d}
-	out.MCDRAM = Range{Lo: mcd, Hi: mcd}
 	memo.Store(o.Memo, key, out)
 	return out
 }

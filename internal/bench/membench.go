@@ -298,9 +298,9 @@ func MaxMedianBandwidth(cfg knl.Config, o Options, k StreamKernel,
 	for _, sc := range scheds {
 		kw = kw.Int(int(sc))
 	}
-	pts, _ := exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, kw.Key(),
+	pts := exp.RunMemo(o.Parallel, o.Memo, kw.Key(),
 		len(scheds)*len(threadCounts),
-		newWorkerPool, func(pool *exp.MachinePool, i int) MemBWPoint {
+		func(pool *exp.MachinePool, i int) MemBWPoint {
 			po := o
 			po.pool = pool
 			sc := scheds[i/len(threadCounts)]
@@ -324,9 +324,9 @@ func TriadSweep(cfg knl.Config, o Options, sched knl.Schedule, counts []int) []M
 	}
 	kinds := []knl.MemKind{knl.MCDRAM, knl.DDR}
 	key := o.KeyFor("fig9-triad", cfg).Int(int(sched)).Ints(counts).Key()
-	pts, _ := exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
+	pts := exp.RunMemo(o.Parallel, o.Memo, key,
 		len(kinds)*len(counts),
-		newWorkerPool, func(pool *exp.MachinePool, i int) MemBWPoint {
+		func(pool *exp.MachinePool, i int) MemBWPoint {
 			po := o
 			po.pool = pool
 			return MeasureMemBandwidth(cfg, po, KernelTriad, kinds[i/len(counts)], true,
@@ -334,6 +334,3 @@ func TriadSweep(cfg knl.Config, o Options, sched knl.Schedule, counts []int) []M
 		})
 	return pts
 }
-
-// newWorkerPool builds one MachinePool per sweep worker (exp.RunPooled).
-func newWorkerPool() *exp.MachinePool { return new(exp.MachinePool) }

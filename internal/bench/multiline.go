@@ -39,8 +39,8 @@ func MeasureMultiLine(cfg knl.Config, o Options, st cache.State, lineCounts []in
 	out := MultiLineFit{Config: cfg, State: st, Lines: lineCounts}
 	owner := knl.NumCores / 2
 	key := o.KeyFor("multiline-fit", cfg).Int(int(st)).Ints(lineCounts).Key()
-	out.Medians, _ = exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
-		len(lineCounts), newWorkerPool, func(pool *exp.MachinePool, i int) float64 {
+	out.Medians = exp.RunMemo(o.Parallel, o.Memo, key,
+		len(lineCounts), func(pool *exp.MachinePool, i int) float64 {
 			po := o
 			po.pool = pool
 			n := lineCounts[i]

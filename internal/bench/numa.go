@@ -54,8 +54,8 @@ func MeasureNUMAAblation(cfg knl.Config, o Options, threads int) []NUMAPoint {
 	}
 	policies := []NUMAPolicy{NUMALocal, NUMANode0, NUMARoundRobin}
 	key := o.KeyFor("numa-ablation", cfg).Int(threads).Key()
-	pts, _ := exp.RunMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
-		len(policies), func(pi int) NUMAPoint {
+	pts := exp.RunMemo(o.Parallel, o.Memo, key,
+		len(policies), func(_ *exp.MachinePool, pi int) NUMAPoint {
 			pol := policies[pi]
 			m := o.acquire(cfg)
 			places := placesFor(knl.FillTiles, threads)

@@ -41,8 +41,8 @@ func MeasureFigure(cfg knl.Config, model *core.Model, o bench.Options, op Op,
 	algs := []Algorithm{Tuned, OMP, MPI}
 	key := model.FoldKey(o.KeyFor("coll-figure", cfg)).
 		Int(int(op)).Int(int(sched)).Ints(counts).Key()
-	flat, _ := exp.RunMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
-		len(counts)*len(algs), func(i int) Result {
+	flat := exp.RunMemo(o.Parallel, o.Memo, key,
+		len(counts)*len(algs), func(_ *exp.MachinePool, i int) Result {
 			p := DefaultParams(counts[i/len(algs)], sched)
 			return Measure(cfg, model, o, op, algs[i%len(algs)], p)
 		})

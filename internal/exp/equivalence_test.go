@@ -74,7 +74,7 @@ func TestParallelEquivalence(t *testing.T) {
 		for _, mm := range []knl.MemoryMode{knl.Flat, knl.CacheMode, knl.Hybrid} {
 			cfgs = append(cfgs, knl.AllConfigs(mm)...)
 		}
-		point := func(i int) uint64 {
+		point := func(_ *exp.MachinePool, i int) uint64 {
 			return digestPoint(cfgs[i], exp.PointSeed(20260806, i))
 		}
 		serial := exp.Run(1, len(cfgs), point)

@@ -2,20 +2,21 @@
 //
 // Every evaluation artifact of the paper — the table columns, the per-core
 // latency sweep, the thread-count and message-size scans — is a set of
-// independent simulation points: each point builds a fresh sim.Env and
-// machine.Machine from an explicit configuration and seed, runs to
-// completion, and reduces to a few numbers. Run fans those points out over
-// a bounded worker pool and collects the results in submission order, so a
-// sweep's output is a pure function of its inputs: bit-identical whether
-// it ran on one worker or sixteen, in whatever order the host scheduler
-// picked.
+// independent simulation points: each point builds (or takes from its
+// worker's MachinePool) a machine.Machine from an explicit configuration
+// and seed, runs to completion, and reduces to a few numbers. Run fans
+// those points out over a bounded worker pool and collects the results in
+// submission order, so a sweep's output is a pure function of its inputs:
+// bit-identical whether it ran on one worker or sixteen, in whatever order
+// the host scheduler picked. RunMemo puts the content-addressed result
+// cache in front of Run.
 //
 // The contract a point function must honor is isolation: it must not touch
 // a sim.Env, machine.Machine, or any other mutable state shared with
 // another point (the envshare analyzer in internal/analysis enforces the
 // simulator half of this statically). Everything a point needs it builds
-// itself from value-type inputs; per-point randomness derives from
-// PointSeed(base, i).
+// itself from value-type inputs or takes from the pool it is handed;
+// per-point randomness derives from PointSeed(base, i).
 package exp
 
 import (
@@ -24,101 +25,44 @@ import (
 	"sync/atomic"
 )
 
-// Config tunes a Run beyond the worker count.
-type Config struct {
-	// Parallel is the worker-pool size; <= 0 means runtime.GOMAXPROCS(0).
-	// 1 runs the points serially on the calling goroutine, in index order —
-	// exactly the pre-pool behavior of the sweep loops.
-	Parallel int
-	// Progress, when non-nil, is called after every completed point with
-	// the number of points finished so far and the total. Calls are
-	// serialized but their order follows completion, not index, order.
-	Progress func(done, total int)
-	// Cancel, when non-nil, is polled before each point starts; once it
-	// reports true, no further points begin (running points complete).
-	Cancel func() bool
-}
-
-// Workers resolves the effective worker count for n points.
-func (c Config) Workers(n int) int {
-	w := c.Parallel
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// Run executes point(0..n-1) on a pool of `parallel` workers and returns
-// the results in index order. parallel <= 0 uses runtime.GOMAXPROCS(0);
-// parallel == 1 is the exact serial loop. A panic inside a point is
-// re-raised on the caller, lowest index first.
-func Run[T any](parallel, n int, point func(i int) T) []T {
-	out, _ := RunCfg(Config{Parallel: parallel}, n, point)
-	return out
-}
-
-// RunCfg is Run with progress and cancellation. The boolean result reports
-// whether every point completed (false only when cfg.Cancel fired, in
-// which case the results of unstarted points are zero values).
-func RunCfg[T any](cfg Config, n int, point func(i int) T) ([]T, bool) {
-	return RunPooled(cfg, n, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) T { return point(i) })
-}
-
-// RunPooled is RunCfg with per-worker state: mk builds one S for each
-// worker goroutine (and one for the serial path), and every point that
-// worker executes receives it. Because a worker runs its points strictly
-// sequentially, S may hold arbitrarily mutable scratch — a MachinePool,
-// reused buffers — without synchronization, and without breaking the
-// isolation contract between concurrent points. Results remain in index
-// order and bit-identical for any worker count provided the points
-// themselves don't leak state through S (a pool of Reset machines, by the
-// Machine.Reset contract, does not).
-func RunPooled[S, T any](cfg Config, n int, mk func() S, point func(s S, i int) T) ([]T, bool) {
+// Run executes point(pool, 0..n-1) on `parallel` workers and returns the
+// results in index order. parallel <= 0 uses runtime.GOMAXPROCS(0);
+// parallel == 1 is the plain loop on the calling goroutine. Each worker
+// owns one MachinePool and hands it to every point it runs: a worker runs
+// its points strictly one after another, so the pool needs no locking,
+// and by the Machine.Reset contract a recycled machine cannot leak state
+// from one point into the next. Points that build their own machine
+// ignore the pool. A panic inside a point is re-raised on the caller,
+// lowest index first.
+func Run[T any](parallel, n int, point func(pool *MachinePool, i int) T) []T {
 	if n <= 0 {
-		return nil, true
+		return nil
 	}
 	results := make([]T, n)
-	workers := cfg.Workers(n)
-	if workers == 1 {
-		return results, runSerial(cfg, n, mk(), point, results)
+	workers := parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, n); workers == 1 {
+		pool := new(MachinePool)
+		for i := range results {
+			results[i] = point(pool, i)
+		}
+		return results
 	}
 
 	var (
-		next     atomic.Int64
-		canceled atomic.Bool
-		panics   = make([]*pointPanic, n)
-		mu       sync.Mutex // serializes Progress calls
-		done     int
-		wg       sync.WaitGroup
+		next   atomic.Int64
+		panics = make([]*pointPanic, n)
+		wg     sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := mk()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || canceled.Load() {
-					return
-				}
-				if cfg.Cancel != nil && cfg.Cancel() {
-					canceled.Store(true)
-					return
-				}
-				panics[i] = runPoint(point, s, i, results)
-				if cfg.Progress != nil {
-					mu.Lock()
-					done++
-					cfg.Progress(done, n)
-					mu.Unlock()
-				}
+			pool := new(MachinePool)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				panics[i] = runPoint(point, pool, i, results)
 			}
 		}()
 	}
@@ -128,21 +72,7 @@ func RunPooled[S, T any](cfg Config, n int, mk func() S, point func(s S, i int) 
 			panic(pp.value)
 		}
 	}
-	return results, !canceled.Load()
-}
-
-// runSerial is the worker==1 path: a plain loop on the calling goroutine.
-func runSerial[S, T any](cfg Config, n int, s S, point func(s S, i int) T, results []T) bool {
-	for i := 0; i < n; i++ {
-		if cfg.Cancel != nil && cfg.Cancel() {
-			return false
-		}
-		results[i] = point(s, i)
-		if cfg.Progress != nil {
-			cfg.Progress(i+1, n)
-		}
-	}
-	return true
+	return results
 }
 
 // pointPanic carries a recovered panic value from a worker back to the
@@ -155,13 +85,13 @@ type pointPanic struct {
 // point cannot tear down a worker silently; the caller re-raises the
 // lowest-index panic after the pool drains, which keeps the surfaced
 // failure deterministic even when several points panic.
-func runPoint[S, T any](point func(s S, i int) T, s S, i int, results []T) (pp *pointPanic) {
+func runPoint[T any](point func(pool *MachinePool, i int) T, pool *MachinePool, i int, results []T) (pp *pointPanic) {
 	defer func() {
 		if r := recover(); r != nil {
 			pp = &pointPanic{value: r}
 		}
 	}()
-	results[i] = point(s, i)
+	results[i] = point(pool, i)
 	return nil
 }
 

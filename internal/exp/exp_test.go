@@ -2,6 +2,7 @@ package exp
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -11,7 +12,7 @@ import (
 func TestRunOrder(t *testing.T) {
 	const n = 100
 	for _, par := range []int{1, 4, 0} {
-		got := Run(par, n, func(i int) int { return i * i })
+		got := Run(par, n, func(_ *MachinePool, i int) int { return i * i })
 		if len(got) != n {
 			t.Fatalf("parallel=%d: %d results, want %d", par, len(got), n)
 		}
@@ -25,80 +26,14 @@ func TestRunOrder(t *testing.T) {
 
 // TestRunEmpty checks the degenerate sizes.
 func TestRunEmpty(t *testing.T) {
-	if got := Run(4, 0, func(i int) int { return i }); got != nil {
+	if got := Run(4, 0, func(_ *MachinePool, i int) int { return i }); got != nil {
 		t.Fatalf("n=0: got %v, want nil", got)
 	}
-	if got := Run(4, -3, func(i int) int { return i }); got != nil {
+	if got := Run(4, -3, func(_ *MachinePool, i int) int { return i }); got != nil {
 		t.Fatalf("n<0: got %v, want nil", got)
 	}
-	if got := Run(4, 1, func(i int) int { return 42 }); len(got) != 1 || got[0] != 42 {
+	if got := Run(4, 1, func(_ *MachinePool, i int) int { return 42 }); len(got) != 1 || got[0] != 42 {
 		t.Fatalf("n=1: got %v, want [42]", got)
-	}
-}
-
-// TestWorkers checks the worker-count resolution rules.
-func TestWorkers(t *testing.T) {
-	if w := (Config{Parallel: 8}).Workers(3); w != 3 {
-		t.Errorf("workers capped at n: got %d, want 3", w)
-	}
-	if w := (Config{Parallel: 2}).Workers(100); w != 2 {
-		t.Errorf("explicit parallel: got %d, want 2", w)
-	}
-	if w := (Config{Parallel: -1}).Workers(1000); w < 1 {
-		t.Errorf("GOMAXPROCS default resolved to %d", w)
-	}
-	if w := (Config{Parallel: 1}).Workers(0); w != 1 {
-		t.Errorf("n=0 floor: got %d, want 1", w)
-	}
-}
-
-// TestProgress checks that Progress sees every completion exactly once with
-// a monotonically increasing done count, and that the final call reports
-// done == total.
-func TestProgress(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		const n = 50
-		last := 0
-		calls := 0
-		cfg := Config{Parallel: par, Progress: func(done, total int) {
-			calls++
-			if total != n {
-				t.Fatalf("parallel=%d: total = %d, want %d", par, total, n)
-			}
-			if done != last+1 {
-				t.Fatalf("parallel=%d: done jumped %d -> %d", par, last, done)
-			}
-			last = done
-		}}
-		if _, ok := RunCfg(cfg, n, func(i int) int { return i }); !ok {
-			t.Fatalf("parallel=%d: RunCfg reported canceled", par)
-		}
-		if calls != n || last != n {
-			t.Fatalf("parallel=%d: %d progress calls ending at %d, want %d", par, calls, last, n)
-		}
-	}
-}
-
-// TestCancel checks that cancellation stops new points from starting and is
-// reported through the ok result.
-func TestCancel(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		var started atomic.Int64
-		cfg := Config{Parallel: par, Cancel: func() bool { return started.Load() >= 10 }}
-		got, ok := RunCfg(cfg, 1000, func(i int) int {
-			started.Add(1)
-			return i + 1
-		})
-		if ok {
-			t.Fatalf("parallel=%d: RunCfg reported complete despite cancel", par)
-		}
-		if len(got) != 1000 {
-			t.Fatalf("parallel=%d: result slice resized to %d", par, len(got))
-		}
-		s := started.Load()
-		if s < 10 || s > 10+int64(par) {
-			t.Fatalf("parallel=%d: %d points started, want ~10", par, s)
-		}
 	}
 }
 
@@ -119,7 +54,7 @@ func TestPanicPropagation(t *testing.T) {
 					t.Fatalf("parallel=%d: recovered %v, want [7 boom]", par, r)
 				}
 			}()
-			Run(par, 64, func(i int) int {
+			Run(par, 64, func(_ *MachinePool, i int) int {
 				if i >= 7 {
 					panic([]interface{}{i, boom})
 				}
@@ -150,11 +85,11 @@ func TestPointSeed(t *testing.T) {
 
 // TestRunParallelStress hammers the pool with many more points than
 // workers; run under -race this exercises the distinct-index result writes
-// and the progress mutex.
+// and the per-worker pools.
 func TestRunParallelStress(t *testing.T) {
 	const n = 2000
 	var sum atomic.Int64
-	got := Run(8, n, func(i int) int {
+	got := Run(8, n, func(_ *MachinePool, i int) int {
 		sum.Add(int64(i))
 		return i
 	})
@@ -167,5 +102,38 @@ func TestRunParallelStress(t *testing.T) {
 	}
 	if sum.Load() != want {
 		t.Fatalf("points ran %d total, want %d", sum.Load(), want)
+	}
+}
+
+// TestRunHandsWorkerPool checks the pool contract: the serial path hands
+// every point one and the same non-nil pool, and a parallel run hands out
+// at most one pool per worker.
+func TestRunHandsWorkerPool(t *testing.T) {
+	var first *MachinePool
+	Run(1, 20, func(pool *MachinePool, i int) int {
+		if pool == nil {
+			t.Fatalf("parallel=1: point %d got a nil pool", i)
+		}
+		if first == nil {
+			first = pool
+		} else if pool != first {
+			t.Fatalf("parallel=1: point %d got a different pool", i)
+		}
+		return i
+	})
+
+	var mu sync.Mutex
+	seen := map[*MachinePool]bool{}
+	Run(4, 200, func(pool *MachinePool, i int) int {
+		if pool == nil {
+			panic("parallel=4: nil pool")
+		}
+		mu.Lock()
+		seen[pool] = true
+		mu.Unlock()
+		return i
+	})
+	if len(seen) > 4 {
+		t.Fatalf("parallel=4: %d distinct pools, want at most 4", len(seen))
 	}
 }

@@ -4,35 +4,19 @@ import "knlcap/internal/memo"
 
 // RunMemo is Run with a content-addressed result cache in front: a hit
 // returns the stored point slice without building a single machine; a miss
-// runs the sweep and stores the results under key. The boolean mirrors
-// RunCfg's completion flag (a canceled sweep is returned but never stored,
-// so a partial result cannot poison the cache). A nil cache degrades to a
-// plain RunCfg.
+// runs the sweep and stores the results under key. A panicking point
+// re-raises out of Run before the store, so a partial result never enters
+// the cache. A nil cache degrades to a plain Run.
 //
 // The caller owns the key discipline: key must fold every input the points
 // depend on (bench.Options.KeyFor is the standard builder). Worker count is
 // deliberately not part of any key — sweeps are bit-identical across
 // Parallel settings, which the equivalence tests assert.
-func RunMemo[T any](cfg Config, c *memo.Cache, key memo.Key, n int, point func(i int) T) ([]T, bool) {
+func RunMemo[T any](parallel int, c *memo.Cache, key memo.Key, n int, point func(pool *MachinePool, i int) T) []T {
 	if vals, ok := memo.Lookup[[]T](c, key); ok {
-		return vals, true
+		return vals
 	}
-	vals, done := RunCfg(cfg, n, point)
-	if done {
-		memo.Store(c, key, vals)
-	}
-	return vals, done
-}
-
-// RunPooledMemo is RunPooled behind the same cache discipline as RunMemo.
-func RunPooledMemo[S, T any](cfg Config, c *memo.Cache, key memo.Key, n int,
-	mk func() S, point func(s S, i int) T) ([]T, bool) {
-	if vals, ok := memo.Lookup[[]T](c, key); ok {
-		return vals, true
-	}
-	vals, done := RunPooled(cfg, n, mk, point)
-	if done {
-		memo.Store(c, key, vals)
-	}
-	return vals, done
+	vals := Run(parallel, n, point)
+	memo.Store(c, key, vals)
+	return vals
 }

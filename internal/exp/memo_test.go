@@ -15,39 +15,20 @@ func TestRunMemoShortCircuits(t *testing.T) {
 	c := memo.NewMemory()
 	key := memo.NewKey("test-sweep").Int(7).Key()
 	calls := 0
-	point := func(i int) int { calls++; return i * 3 }
+	point := func(_ *MachinePool, i int) int { calls++; return i * 3 }
 
-	cold, done := RunMemo(Config{Parallel: 1}, c, key, 5, point)
-	if !done || calls != 5 {
-		t.Fatalf("cold run: done=%v calls=%d", done, calls)
+	cold := RunMemo(1, c, key, 5, point)
+	if calls != 5 {
+		t.Fatalf("cold run: calls=%d", calls)
 	}
-	warm, done := RunMemo(Config{Parallel: 1}, c, key, 5, point)
-	if !done || calls != 5 {
-		t.Fatalf("warm run re-simulated: done=%v calls=%d", done, calls)
+	warm := RunMemo(1, c, key, 5, point)
+	if calls != 5 {
+		t.Fatalf("warm run re-simulated: calls=%d", calls)
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("warm %v != cold %v", warm, cold)
 	}
-	if got, _ := RunMemo(Config{Parallel: 1}, nil, key, 2, point); len(got) != 2 || calls != 7 {
+	if got := RunMemo(1, nil, key, 2, point); len(got) != 2 || calls != 7 {
 		t.Fatalf("nil cache: got %v, calls=%d", got, calls)
-	}
-}
-
-// TestRunMemoCanceledNotStored checks that a canceled sweep's partial result
-// slice never enters the cache — a later complete run must re-measure.
-func TestRunMemoCanceledNotStored(t *testing.T) {
-	c := memo.NewMemory()
-	key := memo.NewKey("test-canceled").Key()
-	calls := 0
-	cfg := Config{Parallel: 1, Cancel: func() bool { return calls >= 2 }}
-	if _, done := RunMemo(cfg, c, key, 10, func(i int) int { calls++; return i }); done {
-		t.Fatal("canceled sweep reported done")
-	}
-	if _, ok := memo.Lookup[[]int](c, key); ok {
-		t.Fatal("canceled sweep was stored")
-	}
-	full, done := RunMemo(Config{Parallel: 1}, c, key, 10, func(i int) int { calls++; return i })
-	if !done || len(full) != 10 {
-		t.Fatalf("full rerun: done=%v len=%d", done, len(full))
 	}
 }

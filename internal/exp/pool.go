@@ -14,8 +14,8 @@ import (
 // whose contract guarantees digest-identity with a fresh construction — so
 // pooled sweeps produce bit-identical results to unpooled ones.
 //
-// A pool is NOT safe for concurrent use; give each worker its own (see
-// RunPooled), which also keeps every machine on the worker that built it.
+// A pool is NOT safe for concurrent use; Run gives each worker its own,
+// which also keeps every machine on the worker that built it.
 type MachinePool struct {
 	free []*machine.Machine
 }

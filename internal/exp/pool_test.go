@@ -76,7 +76,7 @@ func TestMachinePoolRecyclesAndResets(t *testing.T) {
 }
 
 // TestMachinePoolConcurrentSweep runs a sweep over per-worker pools — the
-// RunPooled idiom the bench package uses — and asserts every point's digest
+// Run idiom the bench package uses — and asserts every point's digest
 // equals a fresh, serially built machine's. Under -race this also proves
 // that per-worker pooling introduces no sharing between concurrent points;
 // mixing two configurations exercises both the recycle-hit and the
@@ -105,18 +105,13 @@ func TestMachinePoolConcurrentSweep(t *testing.T) {
 		digest uint64
 		err    error
 	}
-	got, done := RunPooled(Config{Parallel: 4}, n,
-		func() *MachinePool { return new(MachinePool) },
-		func(pool *MachinePool, i int) res {
-			seed := PointSeed(base, i)
-			m := pool.Get(cfgs[i%len(cfgs)], p, seed)
-			d, err := poolWorkload(m, seed)
-			pool.Put(m)
-			return res{digest: d, err: err}
-		})
-	if !done {
-		t.Fatal("sweep reported cancellation with no Cancel configured")
-	}
+	got := Run(4, n, func(pool *MachinePool, i int) res {
+		seed := PointSeed(base, i)
+		m := pool.Get(cfgs[i%len(cfgs)], p, seed)
+		d, err := poolWorkload(m, seed)
+		pool.Put(m)
+		return res{digest: d, err: err}
+	})
 	for i, r := range got {
 		if r.err != nil {
 			t.Errorf("point %d: %v", i, r.err)

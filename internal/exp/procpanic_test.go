@@ -24,7 +24,7 @@ func TestProcessPanicPropagation(t *testing.T) {
 						t.Fatalf("parallel=%d rep %d: recovered %v, want %q", par, rep, r, want)
 					}
 				}()
-				exp.Run(par, 16, func(i int) int {
+				exp.Run(par, 16, func(_ *exp.MachinePool, i int) int {
 					m := machine.New(knl.DefaultConfig())
 					flag := m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)
 					m.PokeWord(flag, 0, uint64(i%2))

@@ -177,14 +177,24 @@ func (s *sortPlan) appendStep(ops []machine.KernelOp, r, step int) []machine.Ker
 // the residual linearly in the thread count (Section V-B.2).
 func FitOverhead(cfg knl.Config, model *core.Model, kind knl.MemKind,
 	threadCounts []int) core.OverheadModel {
-	return FitOverheadParallel(cfg, model, kind, threadCounts, 1)
+	return FitOverheadMemo(cfg, model, kind, threadCounts, 1, nil)
 }
 
-// FitOverheadParallel is FitOverhead with the thread-count points fanned
-// over `parallel` workers (each Simulate owns its machine; the fit is
-// identical at every setting).
-func FitOverheadParallel(cfg knl.Config, model *core.Model, kind knl.MemKind,
-	threadCounts []int, parallel int) core.OverheadModel {
+// FitOverheadMemo is FitOverhead with the thread-count points fanned over
+// `parallel` workers (each Simulate owns its machine; the fit is identical
+// at every setting) and backed by a result cache: the fit is returned from
+// the cache when the configuration, model, and sweep are unchanged, and
+// stored after a cold run. A nil cache always simulates.
+func FitOverheadMemo(cfg knl.Config, model *core.Model, kind knl.MemKind,
+	threadCounts []int, parallel int, c *memo.Cache) core.OverheadModel {
+	// Simulate runs on machine.New's default protocol constants, so they
+	// are part of the content address (the memokey analyzer checks this).
+	key := machine.DefaultParams().FoldKey(
+		model.FoldKey(cfg.FoldKey(memo.NewKey("msort-fit-overhead")))).
+		Int(int(kind)).Ints(threadCounts).Key()
+	if v, ok := memo.Lookup[core.OverheadModel](c, key); ok {
+		return v
+	}
 	if len(threadCounts) == 0 {
 		threadCounts = []int{1, 2, 4, 8, 16, 32, 64}
 	}
@@ -193,7 +203,7 @@ func FitOverheadParallel(cfg knl.Config, model *core.Model, kind knl.MemKind,
 	for i, tc := range threadCounts {
 		xs[i] = float64(tc)
 	}
-	ys := exp.Run(parallel, len(threadCounts), func(i int) float64 {
+	ys := exp.Run(parallel, len(threadCounts), func(_ *exp.MachinePool, i int) float64 {
 		tc := threadCounts[i]
 		sp := DefaultSimParams(lines, tc, kind)
 		measured := Simulate(cfg, sp)
@@ -205,29 +215,11 @@ func FitOverheadParallel(cfg knl.Config, model *core.Model, kind knl.MemKind,
 		}
 		return resid.Float()
 	})
-	fit, err := stats.LinReg(xs, ys)
-	if err != nil {
-		return core.OverheadModel{}
+	var oh core.OverheadModel
+	if fit, err := stats.LinReg(xs, ys); err == nil {
+		nf := fit.Nanos()
+		oh = core.OverheadModel{Alpha: nf.Alpha, Beta: nf.Beta}
 	}
-	nf := fit.Nanos()
-	return core.OverheadModel{Alpha: nf.Alpha, Beta: nf.Beta}
-}
-
-// FitOverheadMemo is FitOverheadParallel backed by a result cache: the fit
-// is returned from the cache when the configuration, model, and sweep are
-// unchanged, and stored after a cold run. A nil cache degrades to the
-// uncached parallel fit.
-func FitOverheadMemo(cfg knl.Config, model *core.Model, kind knl.MemKind,
-	threadCounts []int, parallel int, c *memo.Cache) core.OverheadModel {
-	// Simulate runs on machine.New's default protocol constants, so they
-	// are part of the content address (the memokey analyzer checks this).
-	key := machine.DefaultParams().FoldKey(
-		model.FoldKey(cfg.FoldKey(memo.NewKey("msort-fit-overhead")))).
-		Int(int(kind)).Ints(threadCounts).Key()
-	if v, ok := memo.Lookup[core.OverheadModel](c, key); ok {
-		return v
-	}
-	oh := FitOverheadParallel(cfg, model, kind, threadCounts, parallel)
 	memo.Store(c, key, oh)
 	return oh
 }
@@ -247,17 +239,26 @@ type Figure10Point struct {
 // curves across thread counts for a given input size and memory kind.
 func Figure10(cfg knl.Config, model *core.Model, oh core.OverheadModel,
 	totalLines int, kind knl.MemKind, threadCounts []int) []Figure10Point {
-	return Figure10Parallel(cfg, model, oh, totalLines, kind, threadCounts, 1)
+	return Figure10Memo(cfg, model, oh, totalLines, kind, threadCounts, 1, nil)
 }
 
-// Figure10Parallel is Figure10 with the thread-count points fanned over
-// `parallel` workers.
-func Figure10Parallel(cfg knl.Config, model *core.Model, oh core.OverheadModel,
-	totalLines int, kind knl.MemKind, threadCounts []int, parallel int) []Figure10Point {
+// Figure10Memo is Figure10 with the thread-count points fanned over
+// `parallel` workers and backed by a result cache. The overhead model is
+// part of the key — the full-cost curves are a function of it.
+func Figure10Memo(cfg knl.Config, model *core.Model, oh core.OverheadModel,
+	totalLines int, kind knl.MemKind, threadCounts []int, parallel int,
+	c *memo.Cache) []Figure10Point {
+	key := machine.DefaultParams().FoldKey(
+		model.FoldKey(cfg.FoldKey(memo.NewKey("msort-figure10")))).
+		Float(oh.Alpha.Float()).Float(oh.Beta.Float()).
+		Int(totalLines).Int(int(kind)).Ints(threadCounts).Key()
+	if v, ok := memo.Lookup[[]Figure10Point](c, key); ok {
+		return v
+	}
 	if len(threadCounts) == 0 {
 		threadCounts = []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
 	}
-	return exp.Run(parallel, len(threadCounts), func(i int) Figure10Point {
+	pts := exp.Run(parallel, len(threadCounts), func(_ *exp.MachinePool, i int) Figure10Point {
 		tc := threadCounts[i]
 		eff := effectiveThreads(totalLines*16, tc)
 		sp := DefaultSimParams(totalLines, tc, kind)
@@ -272,21 +273,6 @@ func Figure10Parallel(cfg knl.Config, model *core.Model, oh core.OverheadModel,
 			OverCutoff: model.EfficiencyCutoff(mp, oh),
 		}
 	})
-}
-
-// Figure10Memo is Figure10Parallel backed by a result cache. The overhead
-// model is part of the key — the full-cost curves are a function of it.
-func Figure10Memo(cfg knl.Config, model *core.Model, oh core.OverheadModel,
-	totalLines int, kind knl.MemKind, threadCounts []int, parallel int,
-	c *memo.Cache) []Figure10Point {
-	key := machine.DefaultParams().FoldKey(
-		model.FoldKey(cfg.FoldKey(memo.NewKey("msort-figure10")))).
-		Float(oh.Alpha.Float()).Float(oh.Beta.Float()).
-		Int(totalLines).Int(int(kind)).Ints(threadCounts).Key()
-	if v, ok := memo.Lookup[[]Figure10Point](c, key); ok {
-		return v
-	}
-	pts := Figure10Parallel(cfg, model, oh, totalLines, kind, threadCounts, parallel)
 	memo.Store(c, key, pts)
 	return pts
 }
