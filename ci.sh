@@ -40,6 +40,15 @@ for bin in "$bindir"/*; do
     fi
 done
 
+# A sweep point never builds its own machine: exp.Run hands each point its
+# worker's MachinePool, and a point that declares the pool as `_` ignores
+# it and pays for a machine per point (internal/exp package comment).
+step "sweep points take their worker's MachinePool"
+if grep -rn --include='*.go' --exclude='*_test.go' '_ \*exp\.MachinePool' internal cmd; then
+    echo "ci.sh: a sweep point above ignores its worker's MachinePool; take a machine from it" >&2
+    exit 1
+fi
+
 step "knl-lint -tests ./... (archiving lint.json)"
 # Archive the machine-readable findings even on a clean run ([]): CI
 # consumers diff lint.json across runs. -tests extends coverage to

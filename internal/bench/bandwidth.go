@@ -72,8 +72,7 @@ func MeasureCacheBandwidths(cfg knl.Config, o Options, sizes []int) CacheBandwid
 	key := o.KeyFor("table1-bandwidth", cfg).Ints(sizes).Key()
 	vals := exp.RunMemo(o.Parallel, o.Memo, key,
 		len(rows)*len(sizes), func(pool *exp.MachinePool, i int) float64 {
-			po := o
-			po.pool = pool
+			po := o.withPool(pool)
 			r := rows[i/len(sizes)]
 			return copyOnce(cfg, po, r.owner, r.st, sizes[i%len(sizes)], r.read)
 		})
@@ -155,8 +154,7 @@ func MeasureCopyBySize(cfg knl.Config, o Options, sizesBytes []int) []SizePoint 
 	key := o.KeyFor("fig5-copy-by-size", cfg).Ints(sizesBytes).Key()
 	pts := exp.RunMemo(o.Parallel, o.Memo, key,
 		len(placements)*perPl, func(pool *exp.MachinePool, i int) SizePoint {
-			po := o
-			po.pool = pool
+			po := o.withPool(pool)
 			pl := placements[i/perPl]
 			st := states[(i%perPl)/len(sizesBytes)]
 			lines := sizesBytes[i%len(sizesBytes)] / knl.LineSize

@@ -112,23 +112,23 @@ func (o Options) KeyFor(workload string, cfg knl.Config) *memo.KeyWriter {
 		Float(o.WindowNs).Uint(o.Seed).Int(o.StreamLines).Int(o.BuffersPerThread)
 }
 
+// withPool returns o measuring on the machines of pool: every sweep point
+// installs its worker's pool this way before it acquires a machine.
+func (o Options) withPool(pool *exp.MachinePool) Options {
+	o.pool = pool
+	return o
+}
+
 // acquire hands out the point's machine for cfg — recycled when a sweep
 // installed a pool, freshly built otherwise.
 func (o Options) acquire(cfg knl.Config) *machine.Machine {
-	if o.pool == nil {
-		return machine.NewWithParams(cfg, o.params())
-	}
 	return o.pool.Get(cfg, o.params(), cfg.YieldSeed)
 }
 
 // release returns a machine taken from acquire once its point is done.
 // Only machines whose simulation ran to completion may be released — Reset
 // refuses non-quiescent machines.
-func (o Options) release(m *machine.Machine) {
-	if o.pool != nil {
-		o.pool.Put(m)
-	}
-}
+func (o Options) release(m *machine.Machine) { o.pool.Put(m) }
 
 // DefaultOptions returns measurement parameters sized for interactive runs.
 func DefaultOptions() Options {

@@ -256,9 +256,9 @@ func TestStreamPeakAboveMedian(t *testing.T) {
 func TestMaxMedianPicksBest(t *testing.T) {
 	o := quick()
 	cfg := knl.DefaultConfig().WithModes(knl.Quadrant, knl.Flat)
-	best := MaxMedianBandwidth(cfg, o, KernelRead, knl.DDR, true,
-		[]int{4, 32}, []knl.Schedule{knl.FillTiles})
 	four := MeasureMemBandwidth(cfg, o, KernelRead, knl.DDR, true, 4, knl.FillTiles)
+	best := maxMedian([]MemBWPoint{four,
+		MeasureMemBandwidth(cfg, o, KernelRead, knl.DDR, true, 32, knl.FillTiles)})
 	if best.GBs < four.GBs {
 		t.Errorf("max-median (%.1f) below the 4-thread point (%.1f)", best.GBs, four.GBs)
 	}

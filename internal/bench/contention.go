@@ -34,8 +34,7 @@ func MeasureContention(cfg knl.Config, o Options, ns []int) ContentionResult {
 	key := o.KeyFor("table1-contention", cfg).Ints(ns).Key()
 	res.Medians = exp.RunMemo(o.Parallel, o.Memo, key, len(ns),
 		func(pool *exp.MachinePool, i int) float64 {
-			po := o
-			po.pool = pool
+			po := o.withPool(pool)
 			n := ns[i]
 			m := po.acquire(cfg)
 			shared := m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)
@@ -96,8 +95,8 @@ func MeasureCongestion(cfg knl.Config, o Options, pairs int) CongestionResult {
 	if pairs <= 0 {
 		pairs = 12
 	}
-	run := func(numPairs int) (float64, float64) {
-		m := o.acquire(cfg)
+	run := func(po Options, numPairs int) (float64, float64) {
+		m := po.acquire(cfg)
 		type pair struct {
 			a, b knl.Place
 			buf  memmode.Buffer
@@ -157,15 +156,15 @@ func MeasureCongestion(cfg knl.Config, o Options, pairs int) CongestionResult {
 			panic(err)
 		}
 		med, util := stats.Median(medians), m.Fabric.Utilization()
-		o.release(m)
+		po.release(m)
 		return med, util
 	}
 	type pt struct{ Med, Util float64 }
 	numPairs := []int{1, pairs}
 	key := o.KeyFor("table1-congestion", cfg).Int(pairs).Key()
 	res := exp.RunMemo(o.Parallel, o.Memo, key,
-		len(numPairs), func(_ *exp.MachinePool, i int) pt {
-			med, util := run(numPairs[i])
+		len(numPairs), func(pool *exp.MachinePool, i int) pt {
+			med, util := run(o.withPool(pool), numPairs[i])
 			return pt{med, util}
 		})
 	single, many := res[0].Med, res[1].Med

@@ -185,8 +185,7 @@ func MeasureCacheLatencies(cfg knl.Config, o Options, remoteTargets int) CacheLa
 	key := o.KeyFor("table1-latency", cfg).Int(remoteTargets).Key()
 	meds := exp.RunMemo(o.Parallel, o.Memo, key, len(pts),
 		func(pool *exp.MachinePool, i int) float64 {
-			po := o
-			po.pool = pool
+			po := o.withPool(pool)
 			m := po.acquire(cfg)
 			b := m.Alloc.MustAlloc(knl.DDR, 0, int64(o.ChaseLen)*knl.LineSize)
 			prime := func() { m.Prime(b, pts[i].owner, pts[i].st) }
@@ -233,8 +232,7 @@ func MeasurePerCoreLatencies(cfg knl.Config, o Options, states []cache.State) []
 	}
 	pts := exp.RunMemo(o.Parallel, o.Memo, kw.Key(), len(states)*owners,
 		func(pool *exp.MachinePool, i int) PerCoreLatency {
-			po := o
-			po.pool = pool
+			po := o.withPool(pool)
 			st := states[i/owners]
 			owner := 1 + i%owners
 			m := po.acquire(cfg)
@@ -319,16 +317,12 @@ func MeasureMemLatencies(cfg knl.Config, o Options) MemLatencies {
 		if cfg.Cluster.NUMAVisible() {
 			n = cfg.Cluster.Clusters()
 		}
-		meds := exp.Run(o.Parallel, 2*n, func(_ *exp.MachinePool, i int) float64 {
+		meds := exp.Run(o.Parallel, 2*n, func(pool *exp.MachinePool, i int) float64 {
 			kind := knl.DDR
 			if i%2 == 1 {
 				kind = knl.MCDRAM
 			}
-			m := o.acquire(cfg)
-			b := m.Alloc.MustAlloc(kind, i/2, int64(o.ChaseLen)*knl.LineSize)
-			med := chase(m, 0, b, o, func() { m.FlushBuffer(b) }).Median
-			o.release(m)
-			return med
+			return memLatency(cfg, o.withPool(pool), kind, i/2)
 		})
 		var dr, mc []float64
 		for i := 0; i < len(meds); i += 2 {
@@ -340,4 +334,14 @@ func MeasureMemLatencies(cfg knl.Config, o Options) MemLatencies {
 	}
 	memo.Store(o.Memo, key, out)
 	return out
+}
+
+// memLatency is one flat-mode Table II latency point: the uncached pointer
+// chase against a buffer of kind allocated in cluster aff.
+func memLatency(cfg knl.Config, o Options, kind knl.MemKind, aff int) float64 {
+	m := o.acquire(cfg)
+	b := m.Alloc.MustAlloc(kind, aff, int64(o.ChaseLen)*knl.LineSize)
+	med := chase(m, 0, b, o, func() { m.FlushBuffer(b) }).Median
+	o.release(m)
+	return med
 }

@@ -282,31 +282,10 @@ func MeasureStreamPeak(cfg knl.Config, o Options, k StreamKernel,
 	return peak
 }
 
-// MaxMedianBandwidth sweeps thread counts and schedules and returns the
-// best per-configuration median, which is what Table II reports ("the
-// maximum median achieved across a set of experiments").
-func MaxMedianBandwidth(cfg knl.Config, o Options, k StreamKernel,
-	kind knl.MemKind, nt bool, threadCounts []int, scheds []knl.Schedule) MemBWPoint {
-	if len(threadCounts) == 0 {
-		threadCounts = []int{16, 64, 128}
-	}
-	if len(scheds) == 0 {
-		scheds = []knl.Schedule{knl.FillTiles, knl.Compact}
-	}
-	kw := o.KeyFor("maxmedian-bw", cfg).
-		Int(int(k)).Int(int(kind)).Bool(nt).Ints(threadCounts).Int(len(scheds))
-	for _, sc := range scheds {
-		kw = kw.Int(int(sc))
-	}
-	pts := exp.RunMemo(o.Parallel, o.Memo, kw.Key(),
-		len(scheds)*len(threadCounts),
-		func(pool *exp.MachinePool, i int) MemBWPoint {
-			po := o
-			po.pool = pool
-			sc := scheds[i/len(threadCounts)]
-			n := threadCounts[i%len(threadCounts)]
-			return MeasureMemBandwidth(cfg, po, k, kind, nt, n, sc)
-		})
+// maxMedian returns the point with the highest median bandwidth, the first
+// such point on ties: Table II reports "the maximum median achieved across
+// a set of experiments".
+func maxMedian(pts []MemBWPoint) MemBWPoint {
 	var best MemBWPoint
 	for _, p := range pts {
 		if p.GBs > best.GBs {
@@ -327,8 +306,7 @@ func TriadSweep(cfg knl.Config, o Options, sched knl.Schedule, counts []int) []M
 	pts := exp.RunMemo(o.Parallel, o.Memo, key,
 		len(kinds)*len(counts),
 		func(pool *exp.MachinePool, i int) MemBWPoint {
-			po := o
-			po.pool = pool
+			po := o.withPool(pool)
 			return MeasureMemBandwidth(cfg, po, KernelTriad, kinds[i/len(counts)], true,
 				counts[i%len(counts)], sched)
 		})

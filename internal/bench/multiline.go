@@ -41,8 +41,7 @@ func MeasureMultiLine(cfg knl.Config, o Options, st cache.State, lineCounts []in
 	key := o.KeyFor("multiline-fit", cfg).Int(int(st)).Ints(lineCounts).Key()
 	out.Medians = exp.RunMemo(o.Parallel, o.Memo, key,
 		len(lineCounts), func(pool *exp.MachinePool, i int) float64 {
-			po := o
-			po.pool = pool
+			po := o.withPool(pool)
 			n := lineCounts[i]
 			m := po.acquire(cfg)
 			src := m.Alloc.MustAlloc(knl.DDR, 0, int64(n)*knl.LineSize)

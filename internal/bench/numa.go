@@ -55,14 +55,15 @@ func MeasureNUMAAblation(cfg knl.Config, o Options, threads int) []NUMAPoint {
 	policies := []NUMAPolicy{NUMALocal, NUMANode0, NUMARoundRobin}
 	key := o.KeyFor("numa-ablation", cfg).Int(threads).Key()
 	pts := exp.RunMemo(o.Parallel, o.Memo, key,
-		len(policies), func(_ *exp.MachinePool, pi int) NUMAPoint {
+		len(policies), func(pool *exp.MachinePool, pi int) NUMAPoint {
+			po := o.withPool(pool)
 			pol := policies[pi]
-			m := o.acquire(cfg)
+			m := po.acquire(cfg)
 			places := placesFor(knl.FillTiles, threads)
 			fp := knl.NewFloorplan(cfg.YieldSeed)
 			nClusters := cfg.Cluster.Clusters()
-			bufs := make([][]int, len(places)) // per-thread buffer indices (pool below)
-			var pool []bufHandle
+			bufs := make([][]int, len(places)) // per-thread indices into all
+			var all []memmode.Buffer
 			for r, pl := range places {
 				aff := 0
 				switch pol {
@@ -74,10 +75,8 @@ func MeasureNUMAAblation(cfg knl.Config, o Options, threads int) []NUMAPoint {
 					aff = r % nClusters
 				}
 				for b := 0; b < o.BuffersPerThread; b++ {
-					pool = append(pool, bufHandle{
-						buf: m.Alloc.MustAlloc(knl.DDR, aff, int64(o.StreamLines)*knl.LineSize),
-					})
-					bufs[r] = append(bufs[r], len(pool)-1)
+					all = append(all, m.Alloc.MustAlloc(knl.DDR, aff, int64(o.StreamLines)*knl.LineSize))
+					bufs[r] = append(bufs[r], len(all)-1)
 				}
 			}
 			rng := stats.NewRNG(o.Seed)
@@ -90,11 +89,11 @@ func MeasureNUMAAblation(cfg knl.Config, o Options, threads int) []NUMAPoint {
 			}
 			setup := func(iter int) {
 				for r := range places {
-					m.FlushBuffer(pool[picks[iter][r]].buf)
+					m.FlushBuffer(all[picks[iter][r]])
 				}
 			}
-			maxes := RunStreamWindows(m, places, o, setup, func(rank, iter int) machine.KernelOp {
-				src := pool[picks[iter][rank]].buf
+			maxes := RunStreamWindows(m, places, po, setup, func(rank, iter int) machine.KernelOp {
+				src := all[picks[iter][rank]]
 				return machine.KernelOp{Kind: machine.StreamRead, Src: src, N: src.NumLines(), Vector: true}
 			})
 			counted := float64(threads) * float64(o.StreamLines) * knl.LineSize
@@ -102,10 +101,8 @@ func MeasureNUMAAblation(cfg knl.Config, o Options, threads int) []NUMAPoint {
 			for i, d := range maxes {
 				vals[i] = counted / d
 			}
-			o.release(m)
+			po.release(m)
 			return NUMAPoint{Policy: pol, Threads: threads, GBs: stats.Median(vals)}
 		})
 	return pts
 }
-
-type bufHandle struct{ buf memmode.Buffer }

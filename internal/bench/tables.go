@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"knlcap/internal/exp"
 	"knlcap/internal/knl"
 )
 
@@ -44,26 +45,58 @@ type TableII struct {
 }
 
 // MeasureTableII regenerates one Table II column. threadCounts/scheds
-// bound the max-median sweep (nil for defaults).
+// bound the max-median sweep (nil for defaults). The column is one fan-out:
+// every (kind, kernel, schedule, thread count) median and every STREAM peak
+// is a point on its worker's pooled machine, and each bandwidth row is the
+// maximum median over its kernel's points.
 func MeasureTableII(cfg knl.Config, o Options, threadCounts []int, scheds []knl.Schedule) TableII {
+	if len(threadCounts) == 0 {
+		threadCounts = []int{16, 64, 128}
+	}
+	if len(scheds) == 0 {
+		scheds = []knl.Schedule{knl.FillTiles, knl.Compact}
+	}
 	out := TableII{Config: cfg, Latency: MeasureMemLatencies(cfg, o)}
 	kinds := []knl.MemKind{knl.DDR}
 	if cfg.Memory == knl.Flat || cfg.Memory == knl.Hybrid {
 		kinds = append(kinds, knl.MCDRAM)
 	}
-	for _, kind := range kinds {
+	// Per kind: each max-median kernel's sweep, then the two STREAM peaks.
+	// The peaks come last because their 64 and 128 threads grow the pooled
+	// machine the most; run early, they raise the heap every later point
+	// allocates on top of (engine peak_rss_mb read +10% against +5%).
+	kernels := []StreamKernel{KernelCopy, KernelRead, KernelWrite, KernelTriad} // StreamKernel order
+	peaks := []StreamKernel{KernelCopy, KernelTriad}
+	sweep := len(scheds) * len(threadCounts)
+	nsweep := len(kernels) * sweep
+	perKind := nsweep + len(peaks)
+	pts := exp.Run(o.Parallel, len(kinds)*perKind, func(pool *exp.MachinePool, i int) MemBWPoint {
+		po := o.withPool(pool)
+		kind, j := kinds[i/perKind], i%perKind
+		if j >= nsweep {
+			threads := 64
+			if kind == knl.MCDRAM {
+				threads = 128
+			}
+			return MemBWPoint{GBs: MeasureStreamPeak(cfg, po, peaks[j-nsweep], kind, threads, knl.FillTiles)}
+		}
+		k, sp := kernels[j/sweep], j%sweep
+		return MeasureMemBandwidth(cfg, po, k, kind, true,
+			threadCounts[sp%len(threadCounts)], scheds[sp/len(threadCounts)])
+	})
+	for ki, kind := range kinds {
+		at := pts[ki*perKind : (ki+1)*perKind]
+		best := func(k StreamKernel) float64 {
+			return maxMedian(at[int(k)*sweep : int(k+1)*sweep]).GBs
+		}
 		blk := TableIIKind{
-			CopyNT:  MaxMedianBandwidth(cfg, o, KernelCopy, kind, true, threadCounts, scheds).GBs,
-			Read:    MaxMedianBandwidth(cfg, o, KernelRead, kind, true, threadCounts, scheds).GBs,
-			Write:   MaxMedianBandwidth(cfg, o, KernelWrite, kind, true, threadCounts, scheds).GBs,
-			TriadNT: MaxMedianBandwidth(cfg, o, KernelTriad, kind, true, threadCounts, scheds).GBs,
+			CopyNT:     best(KernelCopy),
+			StreamCopy: at[nsweep].GBs,
+			Read:       best(KernelRead),
+			Write:      best(KernelWrite),
+			TriadNT:    best(KernelTriad),
+			StreamTrd:  at[nsweep+1].GBs,
 		}
-		peakThreads := 64
-		if kind == knl.MCDRAM {
-			peakThreads = 128
-		}
-		blk.StreamCopy = MeasureStreamPeak(cfg, o, KernelCopy, kind, peakThreads, knl.FillTiles)
-		blk.StreamTrd = MeasureStreamPeak(cfg, o, KernelTriad, kind, peakThreads, knl.FillTiles)
 		if kind == knl.DDR {
 			out.DRAM = blk
 		} else {

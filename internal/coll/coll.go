@@ -12,6 +12,7 @@ import (
 
 	"knlcap/internal/bench"
 	"knlcap/internal/core"
+	"knlcap/internal/exp"
 	"knlcap/internal/knl"
 	"knlcap/internal/machine"
 	"knlcap/internal/memmode"
@@ -232,7 +233,15 @@ func envelopeFor(model *core.Model, op Op, numNodes, threads int) (lo, hi units.
 // the measured distribution plus the model envelope.
 func Measure(cfg knl.Config, model *core.Model, o bench.Options, op Op,
 	alg Algorithm, p Params) Result {
-	m := machine.New(cfg)
+	return measure(nil, cfg, model, o, op, alg, p)
+}
+
+// measure is Measure on a machine from pool (nil builds a fresh one),
+// returned to the pool once the result is validated. The machine runs
+// machine.New's default protocol constants.
+func measure(pool *exp.MachinePool, cfg knl.Config, model *core.Model,
+	o bench.Options, op Op, alg Algorithm, p Params) Result {
+	m := pool.Get(cfg, machine.DefaultParams(), cfg.YieldSeed)
 	places := knl.Pin(p.Schedule, m.NumTiles(), p.Threads)
 	g := buildGroup(places)
 
@@ -286,6 +295,7 @@ func Measure(cfg knl.Config, model *core.Model, o bench.Options, op Op,
 		Summary:   stats.Summarize(maxes),
 		Validated: runner.validate(m, o.Iterations),
 	}
+	pool.Put(m)
 	if alg == Tuned {
 		res.ModelLo, res.ModelHi = envelopeFor(model, op, len(g.leaders), p.Threads)
 	}

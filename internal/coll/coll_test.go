@@ -15,7 +15,7 @@ func quick() bench.Options {
 	return o
 }
 
-func measure(t *testing.T, op Op, alg Algorithm, threads int, sched knl.Schedule) Result {
+func mustMeasure(t *testing.T, op Op, alg Algorithm, threads int, sched knl.Schedule) Result {
 	t.Helper()
 	cfg := knl.DefaultConfig()
 	model := core.Default()
@@ -33,7 +33,7 @@ func TestAllCollectivesValidate(t *testing.T) {
 	for _, op := range []Op{Barrier, Bcast, Reduce} {
 		for _, alg := range []Algorithm{Tuned, OMP, MPI} {
 			for _, n := range []int{2, 8, 32} {
-				measure(t, op, alg, n, knl.Scatter)
+				mustMeasure(t, op, alg, n, knl.Scatter)
 			}
 		}
 	}
@@ -43,15 +43,15 @@ func TestFillTilesSchedule(t *testing.T) {
 	// 64 threads fill-tiles: two threads per tile exercises the intra-tile
 	// stages of the tuned algorithms.
 	for _, op := range []Op{Barrier, Bcast, Reduce} {
-		measure(t, op, Tuned, 64, knl.FillTiles)
+		mustMeasure(t, op, Tuned, 64, knl.FillTiles)
 	}
 }
 
 func TestTunedBeatsBaselines(t *testing.T) {
 	for _, op := range []Op{Barrier, Bcast, Reduce} {
-		tuned := measure(t, op, Tuned, 32, knl.Scatter)
-		omp := measure(t, op, OMP, 32, knl.Scatter)
-		mpi := measure(t, op, MPI, 32, knl.Scatter)
+		tuned := mustMeasure(t, op, Tuned, 32, knl.Scatter)
+		omp := mustMeasure(t, op, OMP, 32, knl.Scatter)
+		mpi := mustMeasure(t, op, MPI, 32, knl.Scatter)
 		if tuned.Summary.Med >= omp.Summary.Med {
 			t.Errorf("%v: tuned (%.0f ns) not faster than OMP baseline (%.0f ns)",
 				op, tuned.Summary.Med, omp.Summary.Med)
@@ -92,7 +92,7 @@ func TestModelEnvelopeBracketsTuned(t *testing.T) {
 	// threads, so require median <= worst and best <= ~1.5x median.
 	for _, op := range []Op{Barrier, Bcast, Reduce} {
 		for _, n := range []int{8, 32, 64} {
-			res := measure(t, op, Tuned, n, knl.Scatter)
+			res := mustMeasure(t, op, Tuned, n, knl.Scatter)
 			if res.ModelLo <= 0 || res.ModelHi <= res.ModelLo {
 				t.Fatalf("%v n=%d: bad envelope [%v,%v]", op, n, res.ModelLo, res.ModelHi)
 			}
@@ -109,8 +109,8 @@ func TestModelEnvelopeBracketsTuned(t *testing.T) {
 }
 
 func TestCollectivesScaleWithThreads(t *testing.T) {
-	small := measure(t, Barrier, Tuned, 4, knl.Scatter)
-	large := measure(t, Barrier, Tuned, 64, knl.Scatter)
+	small := mustMeasure(t, Barrier, Tuned, 4, knl.Scatter)
+	large := mustMeasure(t, Barrier, Tuned, 64, knl.Scatter)
 	if large.Summary.Med <= small.Summary.Med {
 		t.Errorf("64-thread barrier (%.0f) not slower than 4-thread (%.0f)",
 			large.Summary.Med, small.Summary.Med)

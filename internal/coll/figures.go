@@ -34,17 +34,18 @@ func MeasureFigure(cfg knl.Config, model *core.Model, o bench.Options, op Op,
 	if len(counts) == 0 {
 		counts = []int{2, 4, 8, 16, 32, 64}
 	}
-	// Each (thread count, algorithm) measurement runs on its own machine;
-	// fan the 3*len(counts) points out and reassemble per-count triples.
+	// Each (thread count, algorithm) measurement is one point on its
+	// worker's pooled machine; fan the 3*len(counts) points out and
+	// reassemble per-count triples.
 	// The memo key covers the model because the tuned algorithm's shape (and
 	// its min-max envelope) is derived from the capability parameters.
 	algs := []Algorithm{Tuned, OMP, MPI}
 	key := model.FoldKey(o.KeyFor("coll-figure", cfg)).
 		Int(int(op)).Int(int(sched)).Ints(counts).Key()
 	flat := exp.RunMemo(o.Parallel, o.Memo, key,
-		len(counts)*len(algs), func(_ *exp.MachinePool, i int) Result {
+		len(counts)*len(algs), func(pool *exp.MachinePool, i int) Result {
 			p := DefaultParams(counts[i/len(algs)], sched)
-			return Measure(cfg, model, o, op, algs[i%len(algs)], p)
+			return measure(pool, cfg, model, o, op, algs[i%len(algs)], p)
 		})
 	out := make([]FigurePoint, len(counts))
 	for ci, n := range counts {

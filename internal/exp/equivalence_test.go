@@ -6,9 +6,12 @@ import (
 
 	"knlcap/internal/bench"
 	"knlcap/internal/cache"
+	"knlcap/internal/coll"
+	"knlcap/internal/core"
 	"knlcap/internal/exp"
 	"knlcap/internal/knl"
 	"knlcap/internal/machine"
+	"knlcap/internal/msort"
 	"knlcap/internal/stats"
 )
 
@@ -63,6 +66,53 @@ func TestParallelEquivalence(t *testing.T) {
 		parallel := bench.TriadSweep(cfg, withPar(base, 4), knl.FillTiles, counts)
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("Figure 9 triad sweep differs between -parallel 1 and -parallel 4:\nserial:   %+v\nparallel: %+v",
+				serial, parallel)
+		}
+	})
+
+	t.Run("TableII", func(t *testing.T) {
+		// One column's fan-out of max-median and STREAM-peak points, each
+		// on its worker's pooled machine, plus the eight pooled latency
+		// chases of SNC4.
+		o := base
+		o.Iterations = 4
+		counts := []int{2, 8}
+		scheds := []knl.Schedule{knl.FillTiles, knl.Compact}
+		serial := bench.MeasureTableII(cfg, withPar(o, 1), counts, scheds)
+		parallel := bench.MeasureTableII(cfg, withPar(o, 3), counts, scheds)
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("Table II differs between -parallel 1 and -parallel 3:\nserial:   %+v\nparallel: %+v",
+				serial, parallel)
+		}
+	})
+
+	t.Run("Fig10", func(t *testing.T) {
+		// The overhead fit and one small panel, each sort on its worker's
+		// pooled machine.
+		model := core.Default()
+		measure := func(p int) (core.OverheadModel, []msort.Figure10Point) {
+			oh := msort.FitOverheadMemo(cfg, model, knl.DDR, []int{1, 4, 16}, p, nil)
+			return oh, msort.Figure10Memo(cfg, model, oh, 256, knl.DDR, []int{1, 4, 16}, p, nil)
+		}
+		sOH, serial := measure(1)
+		pOH, parallel := measure(3)
+		if sOH != pOH || !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("Figure 10 differs between -parallel 1 and -parallel 3:\nserial:   %+v %+v\nparallel: %+v %+v",
+				sOH, serial, pOH, parallel)
+		}
+	})
+
+	t.Run("Fig6", func(t *testing.T) {
+		// Two thread counts of the barrier figure: six collective points.
+		o := base
+		o.Iterations = 8
+		o.WindowNs = 4e5
+		model := core.Default()
+		counts := []int{4, 16}
+		serial := coll.MeasureFigure(cfg, model, withPar(o, 1), coll.Barrier, knl.Scatter, counts)
+		parallel := coll.MeasureFigure(cfg, model, withPar(o, 3), coll.Barrier, knl.Scatter, counts)
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("Figure 6 differs between -parallel 1 and -parallel 3:\nserial:   %+v\nparallel: %+v",
 				serial, parallel)
 		}
 	})

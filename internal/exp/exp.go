@@ -2,9 +2,9 @@
 //
 // Every evaluation artifact of the paper — the table columns, the per-core
 // latency sweep, the thread-count and message-size scans — is a set of
-// independent simulation points: each point builds (or takes from its
-// worker's MachinePool) a machine.Machine from an explicit configuration
-// and seed, runs to completion, and reduces to a few numbers. Run fans
+// independent simulation points: each point takes a machine.Machine for an
+// explicit configuration and seed from its worker's MachinePool, runs to
+// completion, returns the machine, and reduces to a few numbers. Run fans
 // those points out over a bounded worker pool and collects the results in
 // submission order, so a sweep's output is a pure function of its inputs:
 // bit-identical whether it ran on one worker or sixteen, in whatever order
@@ -17,6 +17,13 @@
 // simulator half of this statically). Everything a point needs it builds
 // itself from value-type inputs or takes from the pool it is handed;
 // per-point randomness derives from PointSeed(base, i).
+//
+// A sweep point never builds its own machine; it takes one from its
+// worker's pool and puts it back when its run has completed. A recycled
+// machine is digest-identical to a fresh one (the Machine.Reset contract),
+// so pooling changes no result, and a worker pays for a machine's
+// construction and the tag blocks its points touch once per sweep instead
+// of once per point. ci.sh rejects a point that ignores its pool.
 package exp
 
 import (
@@ -31,9 +38,8 @@ import (
 // owns one MachinePool and hands it to every point it runs: a worker runs
 // its points strictly one after another, so the pool needs no locking,
 // and by the Machine.Reset contract a recycled machine cannot leak state
-// from one point into the next. Points that build their own machine
-// ignore the pool. A panic inside a point is re-raised on the caller,
-// lowest index first.
+// from one point into the next. A panic inside a point is re-raised on
+// the caller, lowest index first.
 func Run[T any](parallel, n int, point func(pool *MachinePool, i int) T) []T {
 	if n <= 0 {
 		return nil

@@ -15,7 +15,9 @@ import (
 // pooled sweeps produce bit-identical results to unpooled ones.
 //
 // A pool is NOT safe for concurrent use; Run gives each worker its own,
-// which also keeps every machine on the worker that built it.
+// which also keeps every machine on the worker that built it. A nil pool
+// is valid and recycles nothing: Get builds a fresh machine and Put drops
+// it, so a point's code runs the same inside a sweep and outside one.
 type MachinePool struct {
 	free []*machine.Machine
 }
@@ -24,6 +26,9 @@ type MachinePool struct {
 // machine.NewSeededWithParams(cfg, p, seed) constructs — recycled when the
 // pool holds one of a matching configuration, freshly built otherwise.
 func (mp *MachinePool) Get(cfg knl.Config, p machine.Params, seed uint64) *machine.Machine {
+	if mp == nil {
+		return machine.NewSeededWithParams(cfg, p, seed)
+	}
 	for i := len(mp.free) - 1; i >= 0; i-- {
 		m := mp.free[i]
 		if m.Cfg == cfg {
@@ -38,7 +43,7 @@ func (mp *MachinePool) Get(cfg knl.Config, p machine.Params, seed uint64) *machi
 // Put returns a machine to the pool once its point is done with it. The
 // caller must not use the machine afterwards.
 func (mp *MachinePool) Put(m *machine.Machine) {
-	if m == nil {
+	if mp == nil || m == nil {
 		return
 	}
 	mp.free = append(mp.free, m)

@@ -44,11 +44,18 @@ func DefaultSimParams(totalLines, threads int, kind knl.MemKind) SimParams {
 	}
 }
 
-// Simulate replays the parallel merge sort's memory traffic on the
+// Simulate replays the parallel merge sort's memory traffic on a fresh
 // simulated machine and returns the completion time. Each thread runs as
 // a step kernel (see sortPlan.program).
 func Simulate(cfg knl.Config, p SimParams) units.Nanos {
-	m := machine.New(cfg)
+	return simulate(nil, cfg, p)
+}
+
+// simulate is Simulate on a machine from pool (nil builds a fresh one),
+// returned to the pool once the sort has completed. The machine runs
+// machine.New's default protocol constants.
+func simulate(pool *exp.MachinePool, cfg knl.Config, p SimParams) units.Nanos {
+	m := pool.Get(cfg, machine.DefaultParams(), cfg.YieldSeed)
 	threads := effectiveThreads(p.TotalLines*16, p.Threads)
 	places := knl.Pin(p.Schedule, m.NumTiles(), threads)
 
@@ -80,6 +87,7 @@ func Simulate(cfg knl.Config, p SimParams) units.Nanos {
 	if _, err := m.Run(); err != nil {
 		panic(err)
 	}
+	pool.Put(m)
 	return units.Nanos(finish)
 }
 
@@ -181,10 +189,10 @@ func FitOverhead(cfg knl.Config, model *core.Model, kind knl.MemKind,
 }
 
 // FitOverheadMemo is FitOverhead with the thread-count points fanned over
-// `parallel` workers (each Simulate owns its machine; the fit is identical
-// at every setting) and backed by a result cache: the fit is returned from
-// the cache when the configuration, model, and sweep are unchanged, and
-// stored after a cold run. A nil cache always simulates.
+// `parallel` workers (each point sorts on its worker's pooled machine; the
+// fit is identical at every setting) and backed by a result cache: the fit
+// is returned from the cache when the configuration, model, and sweep are
+// unchanged, and stored after a cold run. A nil cache always simulates.
 func FitOverheadMemo(cfg knl.Config, model *core.Model, kind knl.MemKind,
 	threadCounts []int, parallel int, c *memo.Cache) core.OverheadModel {
 	// Simulate runs on machine.New's default protocol constants, so they
@@ -203,10 +211,10 @@ func FitOverheadMemo(cfg knl.Config, model *core.Model, kind knl.MemKind,
 	for i, tc := range threadCounts {
 		xs[i] = float64(tc)
 	}
-	ys := exp.Run(parallel, len(threadCounts), func(_ *exp.MachinePool, i int) float64 {
+	ys := exp.Run(parallel, len(threadCounts), func(pool *exp.MachinePool, i int) float64 {
 		tc := threadCounts[i]
 		sp := DefaultSimParams(lines, tc, kind)
-		measured := Simulate(cfg, sp)
+		measured := simulate(pool, cfg, sp)
 		mp := core.DefaultSortParams(model, lines, effectiveThreads(lines*16, tc), kind)
 		mem := model.SortCost(mp, true)
 		resid := measured - mem
@@ -258,14 +266,14 @@ func Figure10Memo(cfg knl.Config, model *core.Model, oh core.OverheadModel,
 	if len(threadCounts) == 0 {
 		threadCounts = []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
 	}
-	pts := exp.Run(parallel, len(threadCounts), func(_ *exp.MachinePool, i int) Figure10Point {
+	pts := exp.Run(parallel, len(threadCounts), func(pool *exp.MachinePool, i int) Figure10Point {
 		tc := threadCounts[i]
 		eff := effectiveThreads(totalLines*16, tc)
 		sp := DefaultSimParams(totalLines, tc, kind)
 		mp := core.DefaultSortParams(model, totalLines, eff, kind)
 		return Figure10Point{
 			Threads:    tc,
-			MeasuredNs: Simulate(cfg, sp),
+			MeasuredNs: simulate(pool, cfg, sp),
 			MemLatNs:   model.SortCost(mp, false),
 			MemBWNs:    model.SortCost(mp, true),
 			FullLatNs:  model.FullSortCost(mp, oh, false),
