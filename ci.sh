@@ -102,14 +102,14 @@ if [ "$quick" = 0 ]; then
     # Tier 2: the zero-allocation guarantee the hotalloc analyzer enforces
     # statically, re-proved dynamically: the steady-state event, step-handoff
     # and line paths, and Prime/FlushBuffer on a warm machine, must report
-    # 0 allocs/op under -benchmem.
+    # 0 allocs/op under -benchmem. awk echoes the benchmark lines itself:
+    # `tee /dev/stderr` reopens a redirected log at offset 0, which
+    # overwrote the log's head under `./ci.sh > ci.log 2>&1`.
     step "tier-2: zero-alloc gate (-benchmem, allocs/op must be 0)"
     go test -bench='BenchmarkEngineEventThroughput|BenchmarkStepHandoff' -benchtime=5000x -benchmem -run '^$' ./internal/sim |
-        tee /dev/stderr |
-        awk '/allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
+        awk '{ print } /allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
     go test -bench='BenchmarkLoadLineHotPath|BenchmarkStoreLineHotPath|BenchmarkPrimeFlush' -benchtime=5000x -benchmem -run '^$' ./internal/machine |
-        tee /dev/stderr |
-        awk '/allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
+        awk '{ print } /allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
 
     # Tier 2: memo determinism gate. Two identical -cache invocations into a
     # fresh cache directory must (a) print byte-identical results and (b) run

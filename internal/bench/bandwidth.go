@@ -26,26 +26,37 @@ type CacheBandwidths struct {
 // buffer, re-priming between iterations.
 func copyOnce(cfg knl.Config, o Options, owner int, st cache.State, lines int, read bool) float64 {
 	m := o.acquire(cfg)
+	vals := copyTimes(m, o, owner, st, lines, read)
+	o.release(m)
+	bytes := float64(lines * knl.LineSize)
+	for i, ns := range vals {
+		vals[i] = bytes / ns
+	}
+	return stats.Median(vals)
+}
+
+// copyTimes times o.Iterations copies (read: vectorized reads) from core 0
+// of a `lines`-line message held by core owner in state st into a local
+// buffer, priming both buffers before each, and returns the elapsed ns of
+// each iteration.
+func copyTimes(m *machine.Machine, o Options, owner int, st cache.State, lines int, read bool) []float64 {
 	src := m.Alloc.MustAlloc(knl.DDR, 0, int64(lines)*knl.LineSize)
 	dst := m.Alloc.MustAlloc(knl.DDR, 0, int64(lines)*knl.LineSize)
-	vals := make([]float64, 0, o.Iterations)
-	bytes := float64(lines * knl.LineSize)
 	body := machine.KernelOp{Kind: machine.StreamCopy, Dst: dst, Src: src, N: lines}
 	if read {
 		body = machine.KernelOp{Kind: machine.StreamRead, Src: src, N: lines, Vector: true}
 	}
-	runConverged(m, knl.Place{Tile: 0, Core: 0}, o.ConvergeAfter, o.Iterations,
-		func() {
+	vals := make([]float64, 0, o.Iterations)
+	passLoop{
+		passes: o.Iterations, n: 1, k: o.ConvergeAfter,
+		setup: func() {
 			m.Prime(src, owner, st)
 			m.Prime(dst, 0, cache.Modified)
 		},
-		body,
-		func(elapsed float64) { vals = append(vals, bytes/elapsed) })
-	if _, err := m.Run(); err != nil {
-		panic(err)
-	}
-	o.release(m)
-	return stats.Median(vals)
+		op:     body,
+		record: func(ns float64) { vals = append(vals, ns) },
+	}.run(m)
+	return vals
 }
 
 // MeasureCacheBandwidths regenerates the Table I bandwidth rows: the

@@ -32,6 +32,7 @@ package bench
 
 import (
 	"math"
+	"slices"
 
 	"knlcap/internal/knl"
 	"knlcap/internal/machine"
@@ -64,7 +65,7 @@ func (t *opTrace) reset() {
 	t.segs = t.segs[:0]
 }
 
-// mark closes the current segment (one chase access).
+// mark closes the current segment (one access).
 func (t *opTrace) mark() { t.segs = append(t.segs, len(t.kinds)) }
 
 // selfCheck reports whether replaying the recorded program from start
@@ -75,121 +76,192 @@ func (t *opTrace) selfCheck(start, end float64) bool {
 	return vt == end
 }
 
-// opsEqual compares two op programs bit-for-bit.
-func opsEqual(ka []sim.TimeOp, aa []float64, kb []sim.TimeOp, ab []float64) bool {
-	if len(ka) != len(kb) {
-		return false
+// passLoop is one timed-pass measurement: passes timed passes of n ops
+// each, issued by a kernel on core 0. Every single-thread number is
+// measured this way — the pointer chases (a pass of ChaseLen dependent
+// loads) and the iteration-style copies (a pass of one stream op).
+type passLoop struct {
+	passes int
+	n      int
+	// k > 0 enables the convergence gate: once k consecutive passes agree,
+	// the remaining ones are replayed instead of simulated.
+	k int
+	// setup re-establishes the machine state before each simulated pass; it
+	// must take no simulated time. Replayed passes skip it.
+	setup func()
+	// draw runs before every pass, replayed ones included, so that host
+	// random streams (the chase's permutation) advance as in the exact loop.
+	draw func()
+	// op is the pass's one op (n = 1). With line set, access i is instead
+	// the single-line op.Kind on line line(i) of op.B; line runs at the
+	// instant access i-1 completed and, with the gate on, must depend on i
+	// and draw alone.
+	op   machine.KernelOp
+	line func(i int) int
+	// record receives each pass's elapsed time divided by n.
+	record func(v float64)
+}
+
+// run spawns the loop's kernel and runs the machine to completion. With
+// k > 0 it gates: a pass counts towards k when its value, its canonical
+// profile and the self-check agree with the previous pass; at k the
+// settled profile is replayed for the remaining passes on a virtual clock.
+//
+// The profile keys access i of a line pass by (line, visit): which line it
+// touched and how many times the pass had touched that line before. That
+// is a bijection onto [0, n) only when every line is visited equally
+// often, so the gate stays off unless n is a multiple of op.B's line count.
+func (l passLoop) run(m *machine.Machine) {
+	r := &passRun{passLoop: l, prevEnd: m.Env.Now()}
+	if r.draw == nil {
+		r.draw = func() {}
 	}
-	for i := range ka {
-		if ka[i] != kb[i] || math.Float64bits(aa[i]) != math.Float64bits(ab[i]) {
-			return false
+	if l.line != nil {
+		r.nl = l.op.B.NumLines()
+		r.visits = l.n / r.nl
+		if l.n%r.nl != 0 {
+			r.k = 0
 		}
 	}
+	if r.k > 0 {
+		r.slots = make([]int, l.n) // an op pass's one slot is 0
+	}
+	// A closure, not a method value: the kernel takes each op by value, and
+	// a method value's wrapper would copy every op once more.
+	proc := m.SpawnKernel(knl.Place{}, func(now float64, _ uint64) (machine.KernelOp, bool) {
+		if r.i > 0 && r.k > 0 {
+			r.tr.mark()
+		}
+		if (r.i == 0 || r.i == r.n) && !r.turn(now) {
+			return machine.KernelOp{}, false
+		}
+		i := r.i
+		r.i++
+		if r.line == nil {
+			return r.op, true
+		}
+		li := r.line(i)
+		if r.k > 0 {
+			r.slots[i] = li*r.visits + i/r.nl
+		}
+		return machine.KernelOp{Kind: r.op.Kind, B: r.op.B, Li: li}, true
+	})
+	if r.k > 0 {
+		r.tr.p = proc
+		m.Env.OnOp = r.tr.onOp
+	}
+	if _, err := m.Run(); err != nil {
+		panic(err)
+	}
+	m.Env.OnOp = nil
+}
+
+// passRun is the state of one passLoop run, one allocation for the
+// kernel's lifetime. Past the first passes, which grow the trace and
+// profile buffers, a run allocates nothing per pass or per access.
+type passRun struct {
+	passLoop
+	tr opTrace
+	// prof is the canonical profile of the last pass while streak > 0.
+	prof profile
+	// slots[i] is access i's slot in the profile of the current pass.
+	slots  []int
+	nl     int // lines of op.B, for a line pass
+	visits int // visits per line and pass, for a line pass
+	// start is the current pass's start; prevVal and prevEnd are the value
+	// and end of the previous pass.
+	start, prevVal, prevEnd float64
+	streak                  int // consecutive agreeing passes
+	pass                    int // passes done, simulated or replayed
+	i                       int // ops issued in the current pass
+}
+
+// turn runs between passes, at the instant the kernel reaches it: it
+// closes the pass that just completed, if any (record it, run the gate and,
+// once settled, replay the remaining passes), then opens the next one
+// (setup, draw) or reports that none is left.
+func (r *passRun) turn(now float64) bool {
+	if r.i == r.n {
+		val := (now - r.start) / float64(r.n)
+		r.record(val)
+		r.pass++
+		if r.k > 0 && r.settled(now, val) {
+			for vt := now; r.pass < r.passes; r.pass++ {
+				r.draw()
+				if r.line != nil {
+					for i := range r.slots {
+						r.slots[i] = r.line(i)*r.visits + i/r.nl
+					}
+				}
+				s := vt
+				vt = r.prof.replay(vt, r.slots)
+				r.record((vt - s) / float64(r.n))
+			}
+		}
+	}
+	r.i = 0
+	if r.pass >= r.passes {
+		return false
+	}
+	if r.setup != nil {
+		r.setup()
+	}
+	r.draw()
+	r.tr.reset()
+	r.start = now
 	return true
 }
 
-// runConverged spawns an iteration-style measurement kernel pinned to
-// place: iters timed iterations of the body op, machine state
-// re-established by setup (at zero simulated cost) before each, elapsed
-// nanoseconds reported through record. The caller runs the machine. With
-// k <= 0 every iteration is simulated. With k > 0, iterations whose whole
-// op program, elapsed value, and self-check agree k times in a row stop
-// the simulation; the remaining iterations are interpreted from the
-// settled program on a virtual clock, reproducing the exact timings the
-// simulator would have produced.
-func runConverged(m *machine.Machine, place knl.Place, k, iters int,
-	setup func(), body machine.KernelOp, record func(elapsed float64)) {
-	var tr opTrace
-	var prevKinds []sim.TimeOp
-	var prevArgs []float64
-	var prevElapsed, start float64
-	prevEnd := m.Env.Now()
-	run, it := 0, 0
-	inBody := false
-	proc := m.SpawnKernel(place, func(now float64, _ uint64) (machine.KernelOp, bool) {
-		if inBody {
-			inBody = false
-			elapsed := now - start
-			record(elapsed)
-			it++
-			if k > 0 {
-				// start == prevEnd guards against setup consuming simulated
-				// time, which replay (which skips setup) could not reproduce.
-				ok := start == prevEnd && tr.selfCheck(start, now)
-				switch {
-				case ok && run > 0 && math.Float64bits(elapsed) == math.Float64bits(prevElapsed) &&
-					opsEqual(tr.kinds, tr.args, prevKinds, prevArgs):
-					run++
-				case ok:
-					run = 1
-				default:
-					run = 0
-				}
-				prevKinds = append(prevKinds[:0], tr.kinds...)
-				prevArgs = append(prevArgs[:0], tr.args...)
-				prevElapsed, prevEnd = elapsed, now
-				if run >= k {
-					for vt := now; it < iters; it++ {
-						s := vt
-						vt, _ = sim.Replay(vt, vt, prevKinds, prevArgs)
-						record(vt - s)
-					}
-				}
-			}
-		}
-		if it >= iters {
-			if k > 0 {
-				m.Env.OnOp = nil
-			}
-			return machine.KernelOp{}, false
-		}
-		setup()
-		tr.reset()
-		start = now
-		inBody = true
-		return body, true
-	})
-	if k > 0 {
-		tr.p = proc
-		m.Env.OnOp = tr.onOp
+// settled runs the gate on the pass that ended at now with value val and
+// reports whether k consecutive passes now agree.
+func (r *passRun) settled(now, val float64) bool {
+	// start == prevEnd guards against setup consuming simulated time, which
+	// replay (which skips setup) could not reproduce.
+	ok := r.start == r.prevEnd && r.tr.selfCheck(r.start, now)
+	switch {
+	case !ok:
+		r.streak = 0
+	case r.streak > 0 && math.Float64bits(val) == math.Float64bits(r.prevVal) && r.prof.matches(&r.tr, r.slots):
+		r.streak++ // prof already holds this pass's canonical profile
+	default:
+		r.prof.build(&r.tr, r.slots)
+		r.streak = 1
 	}
+	r.prevVal, r.prevEnd = val, now
+	return r.streak >= r.k
 }
 
-// chaseProfile is the canonical per-(line, visit) op profile of one chase
-// pass. Successive passes visit the lines in different random orders, so
-// raw traces are not comparable access-by-access; keyed by which line an
-// access touched and how many times that line had been touched in the
-// pass, the profile is permutation-invariant. The mapping is a bijection —
-// every block of nl accesses visits each line exactly once, so (line,
-// visit) identifies exactly one access — which makes the canonical profile
-// a permutation of the per-access trace segments.
-type chaseProfile struct {
+// profile is the canonical op profile of one pass: the per-access trace
+// segments reordered by slot. Successive chase passes visit the lines in
+// different random orders, so raw traces are not comparable
+// access-by-access; keyed by (line, visit) slots, the profile is
+// permutation-invariant. An iteration is the one-slot case.
+type profile struct {
 	off   []int // len slots+1; slot s owns kinds/args[off[s]:off[s+1]]
 	kinds []sim.TimeOp
 	args  []float64
 }
 
-// build canonicalizes the pass trace in tr (one segment per access, access
-// i touching line perm[i%nl] on visit i/nl).
-func (cp *chaseProfile) build(tr *opTrace, perm []int, nl, visits int) {
-	slots := nl * visits
-	if cap(cp.off) < slots+1 {
-		cp.off = make([]int, slots+1)
+// build canonicalizes the pass trace in tr (one segment per access,
+// access i landing in slots[i]).
+func (cp *profile) build(tr *opTrace, slots []int) {
+	n := len(slots)
+	if cap(cp.off) < n+1 {
+		cp.off = make([]int, n+1)
 	}
-	cp.off = cp.off[:slots+1]
+	cp.off = cp.off[:n+1]
 	for i := range cp.off {
 		cp.off[i] = 0
 	}
 	segStart := 0
 	for i, segEnd := range tr.segs {
-		slot := perm[i%nl]*visits + i/nl
-		cp.off[slot+1] = segEnd - segStart
+		cp.off[slots[i]+1] = segEnd - segStart
 		segStart = segEnd
 	}
-	for s := 0; s < slots; s++ {
+	for s := 0; s < n; s++ {
 		cp.off[s+1] += cp.off[s]
 	}
-	total := cp.off[slots]
+	total := cp.off[n]
 	if cap(cp.kinds) < total {
 		cp.kinds = make([]sim.TimeOp, total)
 		cp.args = make([]float64, total)
@@ -198,34 +270,42 @@ func (cp *chaseProfile) build(tr *opTrace, perm []int, nl, visits int) {
 	cp.args = cp.args[:total]
 	segStart = 0
 	for i, segEnd := range tr.segs {
-		slot := perm[i%nl]*visits + i/nl
-		copy(cp.kinds[cp.off[slot]:], tr.kinds[segStart:segEnd])
-		copy(cp.args[cp.off[slot]:], tr.args[segStart:segEnd])
+		s := slots[i]
+		copy(cp.kinds[cp.off[s]:], tr.kinds[segStart:segEnd])
+		copy(cp.args[cp.off[s]:], tr.args[segStart:segEnd])
 		segStart = segEnd
 	}
 }
 
-// equal compares two canonical profiles bit-for-bit.
-func (cp *chaseProfile) equal(o *chaseProfile) bool {
-	if len(cp.off) != len(o.off) {
+// matches reports whether the pass trace in tr, canonicalized by slots as
+// build would, equals cp bit-for-bit.
+func (cp *profile) matches(tr *opTrace, slots []int) bool {
+	if len(cp.off) != len(tr.segs)+1 {
 		return false
 	}
-	for i := range cp.off {
-		if cp.off[i] != o.off[i] {
+	segStart := 0
+	for i, segEnd := range tr.segs {
+		lo, hi := cp.off[slots[i]], cp.off[slots[i]+1]
+		if hi-lo != segEnd-segStart || !slices.Equal(cp.kinds[lo:hi], tr.kinds[segStart:segEnd]) {
 			return false
 		}
+		for j, a := range tr.args[segStart:segEnd] {
+			if math.Float64bits(a) != math.Float64bits(cp.args[lo+j]) {
+				return false
+			}
+		}
+		segStart = segEnd
 	}
-	return opsEqual(cp.kinds, cp.args, o.kinds, o.args)
+	return true
 }
 
 // replay interprets one extrapolated pass on the virtual clock vt,
-// consuming the per-access programs in the access order the pass would
-// have used (perm), and returns the advanced clock.
-func (cp *chaseProfile) replay(vt float64, perm []int, chaseLen, nl, visits int) float64 {
+// consuming the per-access programs in slot order, and returns the
+// advanced clock.
+func (cp *profile) replay(vt float64, slots []int) float64 {
 	anchor := vt
-	for i := 0; i < chaseLen; i++ {
-		slot := perm[i%nl]*visits + i/nl
-		lo, hi := cp.off[slot], cp.off[slot+1]
+	for _, s := range slots {
+		lo, hi := cp.off[s], cp.off[s+1]
 		vt, anchor = sim.Replay(vt, anchor, cp.kinds[lo:hi], cp.args[lo:hi])
 	}
 	return vt

@@ -21,7 +21,7 @@ func chaseRun(t *testing.T, o Options, owner int, st cache.State, flush bool) (S
 	if flush {
 		prime = func() { m.FlushBuffer(b) }
 	}
-	s := chase(m, 0, b, o, prime)
+	s := chase(m, b, o, prime)
 	if m.Env.OnOp != nil {
 		t.Fatal("chase left the OnOp hook installed")
 	}
@@ -36,17 +36,20 @@ func TestChaseConvergedBitIdentical(t *testing.T) {
 	base := DefaultOptions()
 	base.Averages, base.Passes = 8, 4
 	base.NoJitter = true
+	// seqOn/seqOff pin the events each run schedules: the gate must
+	// settle on the same pass as it always has, not merely early enough.
 	cases := []struct {
-		name  string
-		owner int
-		st    cache.State
-		flush bool
+		name          string
+		owner         int
+		st            cache.State
+		flush         bool
+		seqOn, seqOff uint64
 	}{
-		{"local-E", 0, cache.Exclusive, false},
-		{"tile-M", 1, cache.Modified, false},
-		{"remote-M", knl.NumCores / 2, cache.Modified, false},
-		{"remote-S", knl.NumCores - 2, cache.Shared, false},
-		{"mem-flush", 0, cache.Invalid, true},
+		{"local-E", 0, cache.Exclusive, false, 257, 1025},
+		{"tile-M", 1, cache.Modified, false, 97, 1025},
+		{"remote-M", knl.NumCores / 2, cache.Modified, false, 3137, 12545},
+		{"remote-S", knl.NumCores - 2, cache.Shared, false, 2297, 9185},
+		{"mem-flush", 0, cache.Invalid, true, 2521, 11521},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,6 +64,9 @@ func TestChaseConvergedBitIdentical(t *testing.T) {
 			}
 			if seqOn*2 >= seqOff {
 				t.Errorf("gate did not fire: %d events gated vs %d exact", seqOn, seqOff)
+			}
+			if seqOn != tc.seqOn || seqOff != tc.seqOff {
+				t.Errorf("events: %d gated, %d exact; pinned %d, %d", seqOn, seqOff, tc.seqOn, tc.seqOff)
 			}
 		})
 	}
@@ -86,27 +92,18 @@ func TestChaseJitteredGateIsInert(t *testing.T) {
 }
 
 // TestRunConvergedBitIdentical covers the iteration-style gate (copy and
-// multi-line kernels) the same way: identical recorded values, fewer events.
+// multi-line kernels, the one-slot pass loop) the same way: identical
+// recorded values, fewer events, settling on the pinned pass.
 func TestRunConvergedBitIdentical(t *testing.T) {
 	cfg := knl.DefaultConfig()
 	o := DefaultOptions()
 	o.NoJitter = true
+	o.Iterations = 40
 	run := func(k int) ([]float64, uint64) {
 		m := machine.NewWithParams(cfg, o.params())
-		src := m.Alloc.MustAlloc(knl.DDR, 0, 8*knl.LineSize)
-		dst := m.Alloc.MustAlloc(knl.DDR, 0, 8*knl.LineSize)
-		vals := make([]float64, 0, 40)
-		owner := knl.NumCores / 2
-		runConverged(m, knl.Place{Tile: 0, Core: 0}, k, 40,
-			func() {
-				m.Prime(src, owner, cache.Exclusive)
-				m.Prime(dst, 0, cache.Modified)
-			},
-			machine.KernelOp{Kind: machine.StreamCopy, Dst: dst, Src: src, N: 8},
-			func(elapsed float64) { vals = append(vals, elapsed) })
-		if _, err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
+		po := o
+		po.ConvergeAfter = k
+		vals := copyTimes(m, po, knl.NumCores/2, cache.Exclusive, 8, false)
 		return vals, m.Env.Seq()
 	}
 	exact, seqOff := run(0)
@@ -116,6 +113,9 @@ func TestRunConvergedBitIdentical(t *testing.T) {
 	}
 	if seqOn*2 >= seqOff {
 		t.Errorf("gate did not fire: %d events gated vs %d exact", seqOn, seqOff)
+	}
+	if seqOn != 52 || seqOff != 681 {
+		t.Errorf("events: %d gated, %d exact; pinned 52, 681", seqOn, seqOff)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestChaseOddChaseLenFallsBack(t *testing.T) {
 		b := m.Alloc.MustAlloc(knl.DDR, 0, 32*knl.LineSize)
 		po := o
 		po.ConvergeAfter = k
-		return chase(m, 0, b, po, func() { m.Prime(b, 1, cache.Exclusive) })
+		return chase(m, b, po, func() { m.Prime(b, 1, cache.Exclusive) })
 	}
 	if off, on := run(0), run(3); !reflect.DeepEqual(off, on) {
 		t.Errorf("fallback sample differs: off %+v on %+v", off, on)
@@ -155,7 +155,7 @@ func BenchmarkChasePass(b *testing.B) {
 		m := machine.NewWithParams(cfg, o.params())
 		buf := m.Alloc.MustAlloc(knl.DDR, 0, int64(o.ChaseLen)*knl.LineSize)
 		b.StartTimer()
-		chase(m, 0, buf, o, func() { m.Prime(buf, 1, cache.Exclusive) })
+		chase(m, buf, o, func() { m.Prime(buf, 1, cache.Exclusive) })
 	}
 }
 
@@ -172,7 +172,7 @@ func TestChaseAllocsFlat(t *testing.T) {
 		return testing.AllocsPerRun(3, func() {
 			m := machine.NewWithParams(cfg, o.params())
 			buf := m.Alloc.MustAlloc(knl.DDR, 0, int64(o.ChaseLen)*knl.LineSize)
-			chase(m, 0, buf, o, func() { m.Prime(buf, 1, cache.Exclusive) })
+			chase(m, buf, o, func() { m.Prime(buf, 1, cache.Exclusive) })
 		})
 	}
 	short := run(2, 2)

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"math"
-
 	"knlcap/internal/cache"
 	"knlcap/internal/exp"
 	"knlcap/internal/knl"
@@ -13,122 +11,42 @@ import (
 )
 
 // chase measures BenchIT-style pointer-chasing latency on machine m from
-// the given core: Averages averages, each of Passes passes of ChaseLen
+// core 0: Averages averages, each of Passes passes of ChaseLen
 // dependent accesses over the buffer, re-establishing the cache state with
-// prime before every pass. It returns the per-access latency sample.
+// prime and drawing a fresh visiting order before every pass. It returns
+// the per-access latency sample.
 //
-// The kernel runs as a spawned chase, with the host callbacks doing the
-// work between passes: prime, draw the permutation, fold the per-pass
-// latency into the running average. With ConvergeAfter k > 0 they also run
-// the convergence gate (converge.go): exact simulated passes until k
-// consecutive passes agree, replayed passes after. The gate needs every
-// line visited equally often per pass, i.e. ChaseLen a multiple of the
-// line count; otherwise, and with k <= 0, no hook is installed and every
-// pass is simulated. The bench RNG draws one permutation per pass either
-// way — including for replayed passes — so the random stream, and with it
-// every subsequent draw, is identical to the ungated loop's.
-//
-// The sample slice and the per-pass permutation are allocated once up
-// front; the ungated loop allocates nothing per pass (PermInto refills the
-// scratch permutation in place).
-func chase(m *machine.Machine, core int, b memmode.Buffer, o Options,
-	prime func()) Sample {
+// With ConvergeAfter > 0 the pass loop's gate (converge.go) replays the
+// passes after ConvergeAfter agreeing ones, provided ChaseLen is a
+// multiple of the line count. The permutation is drawn for replayed passes
+// too, so the random stream is identical to the exact loop's.
+func chase(m *machine.Machine, b memmode.Buffer, o Options, prime func()) Sample {
 	rng := stats.NewRNG(o.Seed ^ 0xc1a5e)
 	nl := b.NumLines()
-	avgs := make([]float64, 0, o.Averages)
 	perm := make([]int, nl)
-	place := knl.Place{Tile: core / knl.CoresPerTile, Core: core}
-	k := o.ConvergeAfter
-	if o.ChaseLen%nl != 0 {
-		k = 0
-	}
-	visits := o.ChaseLen / nl
-	var tr opTrace
-	var cur, prev *chaseProfile
-	if k > 0 {
-		cur, prev = &chaseProfile{}, &chaseProfile{}
-	}
-	var prevVal, start, vt, total float64
-	prevEnd := m.Env.Now()
-	run, a, p := 0, 0, 0
-	settled := false
+	return passLoop{
+		k:     o.ConvergeAfter,
+		setup: prime,
+		draw:  func() { rng.PermInto(perm) },
+		op:    machine.KernelOp{Kind: machine.KernelLoad, B: b},
+		line:  func(i int) int { return perm[i%nl] },
+	}.sample(m, o)
+}
 
-	// endPass closes one pass of the (Averages x Passes) accounting grid.
-	endPass := func() {
-		if p++; p == o.Passes {
-			avgs = append(avgs, total/float64(o.Passes))
+// sample runs l as BenchIT's grid — Averages averages of Passes passes of
+// ChaseLen ops — and returns the sample of per-access averages.
+func (l passLoop) sample(m *machine.Machine, o Options) Sample {
+	avgs := make([]float64, 0, o.Averages)
+	total, p, passes := 0.0, 0, o.Passes
+	l.passes, l.n = o.Averages*passes, o.ChaseLen
+	l.record = func(v float64) {
+		total += v
+		if p++; p == passes {
+			avgs = append(avgs, total/float64(passes))
 			total, p = 0, 0
-			a++
 		}
 	}
-
-	ops := machine.ChaseOps{
-		B: b, Perm: perm, Len: o.ChaseLen,
-		NextPass: func() bool {
-			for {
-				if a >= o.Averages {
-					if k > 0 {
-						m.Env.OnOp = nil
-					}
-					return false
-				}
-				if settled {
-					// Extrapolate this pass from the settled profile on the
-					// virtual clock; no simulation happens.
-					rng.PermInto(perm)
-					s := vt
-					vt = prev.replay(vt, perm, o.ChaseLen, nl, visits)
-					total += (vt - s) / float64(o.ChaseLen)
-					endPass()
-					continue
-				}
-				prime()
-				rng.PermInto(perm)
-				if k > 0 {
-					tr.reset()
-					start = m.Env.Now()
-				}
-				return true
-			}
-		},
-		PassDone: func(elapsed float64) {
-			val := elapsed / float64(o.ChaseLen)
-			total += val
-			if k > 0 {
-				end := m.Env.Now()
-				// start == prevEnd guards against prime consuming simulated
-				// time, which replay (which skips prime) could not reproduce.
-				ok := start == prevEnd && tr.selfCheck(start, end)
-				cur.build(&tr, perm, nl, visits)
-				switch {
-				case ok && run > 0 && math.Float64bits(val) == math.Float64bits(prevVal) && cur.equal(prev):
-					run++
-				case ok:
-					run = 1
-				default:
-					run = 0
-				}
-				cur, prev = prev, cur
-				prevVal, prevEnd = val, end
-				if run >= k {
-					settled = true
-					vt = end
-				}
-			}
-			endPass()
-		},
-	}
-	if k > 0 {
-		ops.AccessDone = tr.mark
-	}
-	proc := m.SpawnChase(place, ops)
-	if k > 0 {
-		tr.p = proc
-		m.Env.OnOp = tr.onOp
-	}
-	if _, err := m.Run(); err != nil {
-		panic(err)
-	}
+	l.run(m)
 	return NewSample(avgs)
 }
 
@@ -189,7 +107,7 @@ func MeasureCacheLatencies(cfg knl.Config, o Options, remoteTargets int) CacheLa
 			m := po.acquire(cfg)
 			b := m.Alloc.MustAlloc(knl.DDR, 0, int64(o.ChaseLen)*knl.LineSize)
 			prime := func() { m.Prime(b, pts[i].owner, pts[i].st) }
-			med := chase(m, 0, b, po, prime).Median
+			med := chase(m, b, po, prime).Median
 			po.release(m)
 			return med
 		})
@@ -243,7 +161,7 @@ func MeasurePerCoreLatencies(cfg knl.Config, o Options, states []cache.State) []
 			} else {
 				prime = func() { m.Prime(b, owner, st) }
 			}
-			s := chase(m, 0, b, po, prime)
+			s := chase(m, b, po, prime)
 			po.release(m)
 			return PerCoreLatency{Core: owner, State: st, Latency: s.Median}
 		})
@@ -272,43 +190,19 @@ func MeasureMemLatencies(cfg knl.Config, o Options) MemLatencies {
 		// reflects the hit/miss mix.
 		m := o.acquire(cfg)
 		b := m.Alloc.MustAlloc(knl.DDR, 0, 2*cfg.MCDRAMCacheBytes())
-		prime := func() {} // keep the side cache warm; flush only L1/L2
 		rng := stats.NewRNG(o.Seed)
 		nl := b.NumLines()
-		avgs := make([]float64, 0, o.Averages)
-		// Per access: draw the line, flush it, load it.
-		a, p, i := 0, 0, 0
-		var total, start float64
-		inPass := false
-		m.SpawnKernel(knl.Place{}, func(now float64, _ uint64) (machine.KernelOp, bool) {
-			if inPass && i == o.ChaseLen {
-				total += (now - start) / float64(o.ChaseLen)
-				inPass = false
-				if p++; p == o.Passes {
-					avgs = append(avgs, total/float64(o.Passes))
-					total, p = 0, 0
-					a++
-				}
-			}
-			if !inPass {
-				if a >= o.Averages {
-					return machine.KernelOp{}, false
-				}
-				prime()
-				start, i = now, 0
-				inPass = true
-			}
-			li := rng.Intn(nl)
-			m.FlushLine(b.Line(li))
-			i++
-			return machine.KernelOp{Kind: machine.KernelLoad, B: b, Li: li}, true
-		})
-		if _, err := m.Run(); err != nil {
-			panic(err)
-		}
-		s := NewSample(avgs)
-		lo, hi := s.CILo, s.CIHi
-		out.Cache = Range{Lo: lo, Hi: hi}
+		// Per access: draw the line, flush it, load it. No setup keeps the
+		// side cache warm between passes.
+		s := passLoop{
+			op: machine.KernelOp{Kind: machine.KernelLoad, B: b},
+			line: func(int) int {
+				li := rng.Intn(nl)
+				m.FlushLine(b.Line(li))
+				return li
+			},
+		}.sample(m, o)
+		out.Cache = Range{Lo: s.CILo, Hi: s.CIHi}
 		o.release(m)
 	} else {
 		// Flat mode: in SNC modes the band spans local vs remote cluster
@@ -341,7 +235,7 @@ func MeasureMemLatencies(cfg knl.Config, o Options) MemLatencies {
 func memLatency(cfg knl.Config, o Options, kind knl.MemKind, aff int) float64 {
 	m := o.acquire(cfg)
 	b := m.Alloc.MustAlloc(kind, aff, int64(o.ChaseLen)*knl.LineSize)
-	med := chase(m, 0, b, o, func() { m.FlushBuffer(b) }).Median
+	med := chase(m, b, o, func() { m.FlushBuffer(b) }).Median
 	o.release(m)
 	return med
 }

@@ -4,7 +4,6 @@ import (
 	"knlcap/internal/cache"
 	"knlcap/internal/exp"
 	"knlcap/internal/knl"
-	"knlcap/internal/machine"
 	"knlcap/internal/stats"
 )
 
@@ -42,21 +41,8 @@ func MeasureMultiLine(cfg knl.Config, o Options, st cache.State, lineCounts []in
 	out.Medians = exp.RunMemo(o.Parallel, o.Memo, key,
 		len(lineCounts), func(pool *exp.MachinePool, i int) float64 {
 			po := o.withPool(pool)
-			n := lineCounts[i]
 			m := po.acquire(cfg)
-			src := m.Alloc.MustAlloc(knl.DDR, 0, int64(n)*knl.LineSize)
-			dst := m.Alloc.MustAlloc(knl.DDR, 0, int64(n)*knl.LineSize)
-			vals := make([]float64, 0, o.Iterations)
-			runConverged(m, knl.Place{Tile: 0, Core: 0}, o.ConvergeAfter, o.Iterations,
-				func() {
-					m.Prime(src, owner, st)
-					m.Prime(dst, 0, cache.Modified)
-				},
-				machine.KernelOp{Kind: machine.StreamCopy, Dst: dst, Src: src, N: n},
-				func(elapsed float64) { vals = append(vals, elapsed) })
-			if _, err := m.Run(); err != nil {
-				panic(err)
-			}
+			vals := copyTimes(m, po, owner, st, lineCounts[i], false)
 			po.release(m)
 			return stats.Median(vals)
 		})

@@ -141,7 +141,7 @@ func TestParallelEquivalence(t *testing.T) {
 // digestPoint runs a small seeded mixed workload on its own machine and
 // returns the digest of the final simulated state.
 func digestPoint(cfg knl.Config, seed uint64) uint64 {
-	m := machine.NewSeeded(cfg, seed)
+	m := machine.NewSeededWithParams(cfg, machine.DefaultParams(), seed)
 	rng := stats.NewRNG(seed)
 	buf := m.Alloc.MustAlloc(knl.DDR, 0, 64*knl.LineSize)
 	flag := m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)

@@ -15,9 +15,7 @@ import (
 // The program callback runs at the completion instant of the previous op,
 // so benchmark logic (priming, RNG permutation draws, convergence gating,
 // window accounting) runs between ops at the exact simulated instant a
-// thread would reach it. Script builds Programs from straight-line code;
-// SpawnChase builds the pointer-chase Program whose pass state machine the
-// latency and convergence-gated chases share.
+// thread would reach it. Script builds Programs from straight-line code.
 
 // KernelOpKind enumerates the kernel operations: the stream ops plus the
 // single-line protocol walks and the flag-word primitives.
@@ -221,53 +219,3 @@ func (m *Machine) SpawnKernel(place knl.Place, prog Program) *sim.Proc {
 
 // Run executes the simulation to completion and returns the final time.
 func (m *Machine) Run() (sim.Time, error) { return m.Env.Run() }
-
-// ChaseOps describes a pointer-chase kernel: passes of Len dependent
-// single-line loads over B, visiting lines in the permutation order Perm
-// (access i touches Perm[i%len(Perm)], so the caller may refill Perm
-// between passes). The callbacks run between loads, at these simulated
-// instants:
-//
-//   - NextPass before each pass (prime the cache state, draw the next
-//     permutation); returning false ends the kernel.
-//   - AccessDone after each completed load (convergence-trace marks).
-//   - PassDone with the pass's elapsed simulated time.
-type ChaseOps struct {
-	B          memmode.Buffer
-	Perm       []int
-	Len        int
-	NextPass   func() bool
-	AccessDone func()
-	PassDone   func(elapsed float64)
-}
-
-// SpawnChase starts a pointer-chase kernel pinned to place and returns its
-// process identity (so observation hooks can filter on it).
-func (m *Machine) SpawnChase(place knl.Place, o ChaseOps) *sim.Proc {
-	nl := len(o.Perm)
-	i := 0
-	passStart := 0.0
-	inPass := false
-	return m.SpawnKernel(place, func(now float64, _ uint64) (KernelOp, bool) {
-		if inPass {
-			if o.AccessDone != nil {
-				o.AccessDone()
-			}
-			i++
-			if i < o.Len {
-				return KernelOp{Kind: KernelLoad, B: o.B, Li: o.Perm[i%nl]}, true
-			}
-			inPass = false
-			if o.PassDone != nil {
-				o.PassDone(now - passStart)
-			}
-		}
-		if !o.NextPass() {
-			return KernelOp{}, false
-		}
-		i = 0
-		passStart = now
-		inPass = true
-		return KernelOp{Kind: KernelLoad, B: o.B, Li: o.Perm[0]}, true
-	})
-}

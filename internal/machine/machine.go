@@ -99,13 +99,6 @@ func New(cfg knl.Config) *Machine {
 	return NewWithParams(cfg, DefaultParams())
 }
 
-// NewSeeded builds a machine whose jitter stream derives from an explicit
-// seed instead of cfg.YieldSeed, so parallel sweeps can give every point a
-// decorrelated machine (exp.PointSeed) without varying the configuration.
-func NewSeeded(cfg knl.Config, seed uint64) *Machine {
-	return NewSeededWithParams(cfg, DefaultParams(), seed)
-}
-
 // NewWithParams builds a machine with explicit timing parameters.
 func NewWithParams(cfg knl.Config, p Params) *Machine {
 	return NewSeededWithParams(cfg, p, cfg.YieldSeed)
