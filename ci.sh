@@ -132,6 +132,50 @@ if [ "$quick" = 0 ]; then
         echo "ci.sh: second -cache run invoked the simulator (expected misses=0 stores=0)" >&2
         exit 1
     fi
+
+    # Tier 2: the committed artifacts are the oracle. Every results/ file
+    # is regenerated with its command from results/README.md, by the
+    # binaries built above, and must be byte-identical to its committed
+    # copy. This replaces listing byte-identical CLI runs by hand.
+    step "tier-2: results/ regenerate byte-identical (every committed artifact)"
+    resdir="$bindir/results"
+    mkdir "$resdir"
+    bad=0
+    while read -r file cmd; do
+        # $cmd is a binary name and its flags, split on purpose.
+        # shellcheck disable=SC2086
+        if ! "$bindir"/$cmd > "$resdir/$file" 2> "$resdir/$file.err"; then
+            echo "ci.sh: $cmd failed:" >&2
+            cat "$resdir/$file.err" >&2
+            exit 1
+        fi
+        if ! cmp -s "results/$file" "$resdir/$file"; then
+            echo "ci.sh: results/$file differs from its regeneration ($cmd):" >&2
+            diff "results/$file" "$resdir/$file" | head -20 >&2 || true
+            bad=1
+        fi
+    done <<'RESULTS'
+table1.txt knl-bench -table 1 -quick
+table2_flat.txt knl-bench -table 2 -memmode flat -quick
+table2_cache.txt knl-bench -table 2 -memmode cache -quick
+table2_hybrid.txt knl-bench -table 2 -memmode hybrid -quick
+fig4.txt knl-sweep -fig 4 -quick
+fig5.txt knl-sweep -fig 5 -quick
+fig6.txt knl-coll -fig 6 -quick
+fig7.txt knl-coll -fig 7 -quick
+fig8.txt knl-coll -fig 8 -quick
+fig9.txt knl-sweep -fig 9 -quick
+fig10_dram.txt knl-sort -kind dram
+fig10_mcdram.txt knl-sort -kind mcdram -lines 4096
+speedups.txt knl-coll -speedups -quick
+RESULTS
+    for f in results/*.txt; do
+        if [ ! -e "$resdir/$(basename "$f")" ]; then
+            echo "ci.sh: $f has no regeneration command in ci.sh" >&2
+            bad=1
+        fi
+    done
+    [ "$bad" = 0 ] || exit 1
 fi
 
 echo "ci.sh: all gates passed"

@@ -79,21 +79,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			printAnalyzerList(stderr)
 			return 2
 		}
-		known := map[string]bool{}
-		for _, a := range analyzers {
-			known[a.Name] = true
-		}
-		for _, n := range selected {
-			if !known[n] {
-				cli.Fprintf(stderr, "knl-lint: unknown analyzer %q; the analyzers are:\n", n)
-				printAnalyzerList(stderr)
-				return 2
-			}
-		}
 		var err error
-		analyzers, err = analysis.ByName(selected)
-		if err != nil {
-			return c.Usagef("%v", err)
+		if analyzers, err = analysis.ByName(selected); err != nil {
+			cli.Fprintf(stderr, "knl-lint: %v; the analyzers are:\n", err)
+			printAnalyzerList(stderr)
+			return 2
 		}
 	}
 
@@ -106,8 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return c.Usagef("%v", err)
 	}
-	cfg := analysis.DefaultConfig()
-	cfg.IncludeTests = *tests
 	loader.IncludeTests = *tests
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
@@ -117,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return c.Usagef("no packages matched %s", strings.Join(patterns, " "))
 	}
 
-	findings, timings := analysis.RunTimed(cfg, pkgs, analyzers)
+	findings, timings := analysis.RunTimed(analysis.DefaultConfig(), pkgs, analyzers)
 	if *timing {
 		parts := make([]string, 0, len(timings))
 		for _, tm := range timings {

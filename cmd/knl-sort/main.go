@@ -95,8 +95,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 					"Full lat", "Full BW", ">10% overhead"},
 			}
 			for _, p := range pts {
-				t.AddRow(p.Threads, p.MeasuredNs, p.MemLatNs, p.MemBWNs,
-					p.FullLatNs, p.FullBWNs, p.OverCutoff)
+				t.AddRow(p.Threads, p.MeasuredNs.Float(), p.MemLatNs.Float(), p.MemBWNs.Float(),
+					p.FullLatNs.Float(), p.FullBWNs.Float(), p.OverCutoff)
 			}
 			if c.CSV {
 				t.CSV(stdout)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -44,5 +45,22 @@ func TestHelpExits0(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "-kind") {
 		t.Errorf("-h usage lacks -kind: %q", stderr.String())
+	}
+}
+
+// The table prints compact numbers, as the committed results/fig10_*.txt
+// do: a units.Nanos cell handed to report.Table.AddRow as is falls
+// through to %v and prints at full precision, in exponent form from 1e6
+// up (1.0685290013925526e+06 where the table wants 1068529).
+func TestTableHasNoExponentForm(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-kind", "dram", "-lines", "4096"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code = %d, want 0; stderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "Threads") {
+		t.Fatalf("no table on stdout: %q", stdout.String())
+	}
+	if m := regexp.MustCompile(`[0-9]e[+-][0-9]+`).FindString(stdout.String()); m != "" {
+		t.Errorf("table prints an exponent-form number (%s):\n%s", m, stdout.String())
 	}
 }

@@ -13,10 +13,6 @@
 //     or explicitly discarded with `_ =`.
 //   - printban: library packages may not print to stdout; user output goes
 //     through cmd/ or internal/report.
-//   - envshare: outside internal/exp, a *sim.Env or
-//     *machine.Machine may not be captured by a go statement or sent over a
-//     channel — parallel experiments stay deterministic only while every
-//     point owns its environment.
 //   - linemap: the simulator hot-path packages may not declare maps keyed
 //     by cache.Line — per-line protocol state belongs in the dense line
 //     tables (DESIGN.md §4), which the PR introducing this analyzer showed
@@ -56,7 +52,14 @@
 // they run once over the full loaded package set, on top of the
 // basic-block CFG (cfg.go), the class-hierarchy call graph (callgraph.go)
 // and the def-use dataflow layer (dataflow.go) this package exposes as
-// reusable infrastructure.
+// reusable infrastructure. The CFG models only the control flow the
+// repository writes; a function that a flow analyzer reaches and that
+// uses goto, a label, select or fallthrough is reported (analyzer "lint")
+// rather than analyzed through a wrong graph.
+//
+// Each analyzer is proved on the real tree by a seeded mutation
+// (TestAnalyzersCatchSeededMutations): a bug of its class, applied
+// through Loader.Overlay, that it must report.
 //
 // Findings print as "file:line:col: analyzer: message"; knl-lint -json
 // emits the same findings as a sorted JSON array (see JSONFinding). A
@@ -124,16 +127,6 @@ type Config struct {
 	ModelPkgs []string
 	// OutputPkgs are the designated output layer, exempt from printban.
 	OutputPkgs []string
-	// ErrCheckAllow adds entries to the errcheck callee allowlist, in
-	// types.Func.FullName form (e.g. "(*os.File).Close").
-	ErrCheckAllow []string
-	// EnvShareTypes are the shared-simulator-state types (as "pkgpath.Name")
-	// that the envshare analyzer forbids capturing in go statements or
-	// sending over channels.
-	EnvShareTypes []string
-	// EnvShareExempt are packages allowed to share those types across
-	// goroutines: the experiment runner.
-	EnvShareExempt []string
 	// LineMapPkgs are the simulator hot-path packages where the linemap
 	// analyzer forbids maps keyed by the line types in LineKeyTypes.
 	LineMapPkgs []string
@@ -177,11 +170,6 @@ type Config struct {
 	// whose call-graph closure the purity analyzer requires to be free of
 	// time/rand/os calls and package-level writes.
 	PurityRoots []string
-	// PurityBannedPkgs overrides the banned import paths; nil means the
-	// default {"time", "math/rand", "os"}.
-	PurityBannedPkgs []string
-	// IncludeTests makes the loader include in-package _test.go files.
-	IncludeTests bool
 }
 
 // A MemoEntry describes one memo-cache entry point for the memokey
@@ -214,13 +202,6 @@ func DefaultConfig() *Config {
 		},
 		OutputPkgs: []string{
 			"knlcap/internal/report",
-		},
-		EnvShareTypes: []string{
-			"knlcap/internal/sim.Env",
-			"knlcap/internal/machine.Machine",
-		},
-		EnvShareExempt: []string{
-			"knlcap/internal/exp",
 		},
 		LineMapPkgs: []string{
 			"knlcap/internal/machine",
@@ -337,9 +318,28 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...interface{})
 	})
 }
 
+// flowGraph builds the control-flow graph of a function body for a flow
+// analyzer. A construct the graph does not model (cfg.go) is reported as
+// a "lint" finding at its position: the analyzer still scans the body,
+// but through a conservative one-block graph, and a clean lint run must
+// not rest on that. Every flow analyzer reports the same finding, so the
+// copies collapse in Run's dedupe.
+func (p *ProgramPass) flowGraph(body *ast.BlockStmt) *CFG {
+	g := BuildCFG(body)
+	if g.Unmodeled != nil {
+		*p.findings = append(*p.findings, Finding{
+			Pos:      p.Fset.Position(g.Unmodeled.Pos()),
+			Analyzer: "lint",
+			Message: unmodeledName(g.Unmodeled) +
+				" is not modeled by the flow analyzers' control-flow graph; write this function with if/for/switch and unlabeled break/continue",
+		})
+	}
+	return g
+}
+
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, FloatCmp, ErrCheck, PrintBan, EnvShare, LineMap, UnitCheck, StateCov, HotAlloc, MemoKey, Purity}
+	return []*Analyzer{Determinism, FloatCmp, ErrCheck, PrintBan, LineMap, UnitCheck, StateCov, HotAlloc, MemoKey, Purity}
 }
 
 // AnalyzerNames returns the sorted names of the full suite.

@@ -9,16 +9,14 @@ import (
 // fixtureCfg scopes the analyzers to the testdata module's packages.
 func fixtureCfg() *Config {
 	return &Config{
-		SimulatorPkgs:  []string{"fix.example/simpkg"},
-		ModelPkgs:      []string{"fix.example/modelpkg", "fix.example/edgeig"},
-		OutputPkgs:     []string{"fix.example/outpkg"},
-		EnvShareTypes:  []string{"fix.example/fakesim.Env", "fix.example/fakesim.Machine"},
-		EnvShareExempt: []string{"fix.example/fakesim"},
-		LineMapPkgs:    []string{"fix.example/linemappkg"},
-		LineKeyTypes:   []string{"fix.example/fakecache.Line"},
-		UnitsPkg:       "fix.example/units",
-		UnitPkgs:       []string{"fix.example/unitpkg"},
-		UnitSigPkgs:    []string{"fix.example/unitpkg"},
+		SimulatorPkgs: []string{"fix.example/simpkg"},
+		ModelPkgs:     []string{"fix.example/modelpkg", "fix.example/edgeig"},
+		OutputPkgs:    []string{"fix.example/outpkg"},
+		LineMapPkgs:   []string{"fix.example/linemappkg"},
+		LineKeyTypes:  []string{"fix.example/fakecache.Line"},
+		UnitsPkg:      "fix.example/units",
+		UnitPkgs:      []string{"fix.example/unitpkg"},
+		UnitSigPkgs:   []string{"fix.example/unitpkg"},
 		StateCovTypes: []string{
 			"fix.example/statecov.Machine",
 			"fix.example/statecov.Queue",
@@ -36,6 +34,7 @@ func fixtureCfg() *Config {
 			"(*fix.example/puritypkg.Trace).OnWaitGood",
 			"(*fix.example/puritypkg.Trace).OnWaitBad",
 			"(*fix.example/puritypkg.Trace).OnMarkGuarded",
+			"fix.example/unmodeled.Root",
 		},
 	}
 }
@@ -157,19 +156,6 @@ func TestPrintBanGolden(t *testing.T) {
 
 func TestPrintBanOutputLayerExempt(t *testing.T) {
 	diff(t, runOn(t, "fix.example/outpkg", "printban"), nil)
-}
-
-func TestEnvShareGolden(t *testing.T) {
-	diff(t, runOn(t, "fix.example/envpkg", "envshare"), []string{
-		`testdata/src/envpkg/envpkg.go:11:3: envshare: go statement shares fix.example/fakesim.Env "env" across goroutines: each worker must build its own machine; fan points out via internal/exp`,
-		`testdata/src/envpkg/envpkg.go:17:13: envshare: go statement shares fix.example/fakesim.Machine "m" across goroutines: each worker must build its own machine; fan points out via internal/exp`,
-		`testdata/src/envpkg/envpkg.go:24:5: envshare: fix.example/fakesim.Env sent over a channel: simulator state must stay owned by one goroutine; fan points out via internal/exp`,
-		`testdata/src/envpkg/envpkg.go:30:3: envshare: go statement shares fix.example/fakesim.Env "env" across goroutines: each worker must build its own machine; fan points out via internal/exp`,
-	})
-}
-
-func TestEnvShareMechanismExempt(t *testing.T) {
-	diff(t, runOn(t, "fix.example/fakesim", "envshare"), nil)
 }
 
 func TestFileIgnoreDirective(t *testing.T) {
@@ -327,9 +313,9 @@ func TestSuiteOverFixtures(t *testing.T) {
 	pkgsByPath := loadFixtures(t)
 	var pkgs []*Package
 	for _, path := range []string{
-		"fix.example/badlint", "fix.example/edgeig", "fix.example/envpkg",
+		"fix.example/badlint", "fix.example/edgeig",
 		"fix.example/errpkg", "fix.example/fakecache", "fix.example/fakememo",
-		"fix.example/fakesim", "fix.example/fakexp", "fix.example/fileig",
+		"fix.example/fakexp", "fix.example/fileig",
 		"fix.example/hotpkg", "fix.example/linemapfree", "fix.example/linemappkg",
 		"fix.example/memokeypkg", "fix.example/modelpkg", "fix.example/outpkg",
 		"fix.example/printpkg", "fix.example/puritypkg", "fix.example/simfree",
@@ -352,7 +338,6 @@ func TestSuiteOverFixtures(t *testing.T) {
 		"floatcmp":    3, // modelpkg's three; edgeig's one is suppressed
 		"errcheck":    7, // errpkg's four + badlint's one + edgeig's two
 		"printban":    4, // printpkg's two + errpkg's fmt.Println + edgeig's
-		"envshare":    4, // envpkg's two go captures, one send, one arg pass
 		"lint":        3, // badlint's + edgeig's unknown name + late file-ignore
 		"linemap":     3, // linemappkg's var, result type, composite literal
 		"unitcheck":   9,

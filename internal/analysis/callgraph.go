@@ -58,21 +58,6 @@ func (g *CallGraph) LookupName(full string) *CallNode {
 	return g.byName[full]
 }
 
-// Nodes returns every node with a declaration in the loaded packages,
-// sorted by FullName.
-func (g *CallGraph) Nodes() []*CallNode {
-	var out []*CallNode
-	for _, n := range g.nodes {
-		if n.Decl != nil {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Func.FullName() < out[j].Func.FullName()
-	})
-	return out
-}
-
 // Reachable returns every node reachable from the roots (inclusive),
 // together with a witness root for each: the first root, in the given
 // order, from which the node was discovered. Traversal is breadth-first

@@ -6,11 +6,19 @@ import (
 )
 
 // This file is the basic-block control-flow graph underlying the
-// flow-aware analyzers (hotalloc today; anything that needs to reason
-// about *paths* through a function rather than its syntax tree). The
-// graph is built from the AST alone — no SSA, no go/types — which keeps
-// it cheap enough to construct on demand for every function the call
-// graph reaches.
+// flow-aware analyzers (hotalloc, purity and memokey: anything that needs
+// to reason about *paths* through a function rather than its syntax
+// tree). The graph is built from the AST alone — no SSA, no go/types —
+// which keeps it cheap enough to construct on demand for every function
+// the call graph reaches.
+//
+// It models the control flow this repository writes: if, for, range,
+// switch and type switch, unlabeled break and continue, return, and panic.
+// goto, labeled statements (and so labeled break/continue), select and
+// fallthrough appear in no non-test file, so they are not modeled. A body
+// that contains one is marked Unmodeled and gets a conservative one-block
+// graph instead of a silently wrong one; the analyzers that build it
+// report the construct as a "lint" finding (ProgramPass.flowGraph).
 //
 // Blocks hold the function's "simple" statements plus the header
 // expressions of control statements (an if condition, a switch tag, a
@@ -45,6 +53,12 @@ type Block struct {
 type CFG struct {
 	Blocks []*Block
 	Entry  *Block
+	// Unmodeled is the first goto, labeled statement, select or
+	// fallthrough of the body (outside function literals), nil when the
+	// graph models every construct. When it is set the graph is a single
+	// entry block holding the whole body and reaching the exit: nothing is
+	// exempted as doomed, and every node is still scanned once.
+	Unmodeled ast.Node
 }
 
 // ReachesExit reports whether any path from the block reaches the
@@ -57,41 +71,69 @@ func (g *CFG) ReachesExit(b *Block) bool { return b.reachesExit }
 // body (a declaration without a Go implementation) yields a graph with a
 // single empty entry block.
 func BuildCFG(body *ast.BlockStmt) *CFG {
-	b := &cfgBuilder{g: &CFG{}, labels: map[string]*Block{}}
+	b := &cfgBuilder{g: &CFG{}}
 	b.g.Entry = b.newBlock()
 	b.cur = b.g.Entry
 	if body != nil {
+		if b.g.Unmodeled = unmodeled(body); b.g.Unmodeled != nil {
+			b.add(body)
+			b.g.Entry.reachesExit = true
+			return b.g
+		}
 		b.stmtList(body.List)
 	}
 	// The block control falls out of is the implicit return.
 	b.exits = append(b.exits, b.cur)
-	b.resolveGotos()
 	b.markExitReachability()
 	return b.g
 }
 
-// branchTarget is one enclosing breakable/continuable construct.
-type branchTarget struct {
-	label          string // "" for unlabeled constructs
-	brk, cont      *Block // cont is nil for switch/select
-	acceptsUnlabel bool   // switches/loops take bare break; only loops take bare continue
+// unmodeled returns the first construct of body that the graph does not
+// model, skipping function literals (their bodies get their own graphs).
+func unmodeled(body *ast.BlockStmt) ast.Node {
+	var found ast.Node
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found != nil {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.LabeledStmt, *ast.SelectStmt:
+			found = n
+		case *ast.BranchStmt:
+			if n.Tok == token.GOTO || n.Tok == token.FALLTHROUGH {
+				found = n
+			}
+		}
+		return found == nil
+	})
+	return found
 }
 
-type pendingGoto struct {
-	from  *Block
-	label string
+// unmodeledName names an Unmodeled construct for findings.
+func unmodeledName(n ast.Node) string {
+	switch n := n.(type) {
+	case *ast.LabeledStmt:
+		return "labeled statement"
+	case *ast.SelectStmt:
+		return "select statement"
+	case *ast.BranchStmt:
+		return n.Tok.String() + " statement"
+	}
+	return "statement"
+}
+
+// branchTarget is one enclosing breakable/continuable construct.
+type branchTarget struct {
+	brk, cont *Block // cont is nil for a switch
 }
 
 type cfgBuilder struct {
 	g       *CFG
 	cur     *Block
 	targets []branchTarget
-	labels  map[string]*Block
-	gotos   []pendingGoto
 	exits   []*Block
-	// pendingLabel is the label of an enclosing LabeledStmt, consumed by
-	// the next loop/switch/select so `break L` / `continue L` resolve.
-	pendingLabel string
 }
 
 func (b *cfgBuilder) newBlock() *Block {
@@ -127,33 +169,21 @@ func (b *cfgBuilder) stmtList(list []ast.Stmt) {
 	}
 }
 
-// takeLabel consumes the pending label for a breakable construct.
-func (b *cfgBuilder) takeLabel() string {
-	l := b.pendingLabel
-	b.pendingLabel = ""
-	return l
-}
-
 func (b *cfgBuilder) push(t branchTarget) { b.targets = append(b.targets, t) }
 func (b *cfgBuilder) pop()                { b.targets = b.targets[:len(b.targets)-1] }
 
-func (b *cfgBuilder) findBreak(label string) *Block {
-	for i := len(b.targets) - 1; i >= 0; i-- {
-		t := b.targets[i]
-		if (label == "" && t.acceptsUnlabel) || (label != "" && t.label == label) {
-			return t.brk
-		}
+// findBreak returns the exit of the innermost loop or switch.
+func (b *cfgBuilder) findBreak() *Block {
+	if len(b.targets) == 0 {
+		return nil
 	}
-	return nil
+	return b.targets[len(b.targets)-1].brk
 }
 
-func (b *cfgBuilder) findContinue(label string) *Block {
+// findContinue returns the continue target of the innermost loop.
+func (b *cfgBuilder) findContinue() *Block {
 	for i := len(b.targets) - 1; i >= 0; i-- {
-		t := b.targets[i]
-		if t.cont == nil {
-			continue
-		}
-		if label == "" || t.label == label {
+		if t := b.targets[i]; t.cont != nil {
 			return t.cont
 		}
 	}
@@ -175,15 +205,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.BlockStmt:
 		b.stmtList(s.List)
-
-	case *ast.LabeledStmt:
-		lbl := b.newBlock()
-		b.edge(b.cur, lbl)
-		b.cur = lbl
-		b.labels[s.Label.Name] = lbl
-		b.pendingLabel = s.Label.Name
-		b.stmt(s.Stmt)
-		b.pendingLabel = ""
 
 	case *ast.IfStmt:
 		if s.Init != nil {
@@ -210,7 +231,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.cur = join
 
 	case *ast.ForStmt:
-		label := b.takeLabel()
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
@@ -232,7 +252,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			post = b.newBlock()
 			cont = post
 		}
-		b.push(branchTarget{label: label, brk: exit, cont: cont, acceptsUnlabel: true})
+		b.push(branchTarget{brk: exit, cont: cont})
 		b.cur = body
 		b.stmt(s.Body)
 		b.pop()
@@ -245,7 +265,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.cur = exit
 
 	case *ast.RangeStmt:
-		label := b.takeLabel()
 		head := b.newBlock()
 		b.edge(b.cur, head)
 		b.cur = head
@@ -260,7 +279,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		exit := b.newBlock()
 		b.edge(head, body)
 		b.edge(head, exit)
-		b.push(branchTarget{label: label, brk: exit, cont: head, acceptsUnlabel: true})
+		b.push(branchTarget{brk: exit, cont: head})
 		b.cur = body
 		b.stmt(s.Body)
 		b.pop()
@@ -268,43 +287,20 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.cur = exit
 
 	case *ast.SwitchStmt:
-		label := b.takeLabel()
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
 		if s.Tag != nil {
 			b.add(s.Tag)
 		}
-		b.switchClauses(label, s.Body.List, func(c ast.Stmt) ([]ast.Node, []ast.Stmt, bool) {
-			cc := c.(*ast.CaseClause)
-			var hdr []ast.Node
-			for _, e := range cc.List {
-				hdr = append(hdr, e)
-			}
-			return hdr, cc.Body, cc.List == nil
-		}, true)
+		b.switchClauses(s.Body.List, true)
 
 	case *ast.TypeSwitchStmt:
-		label := b.takeLabel()
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
 		b.add(s.Assign)
-		b.switchClauses(label, s.Body.List, func(c ast.Stmt) ([]ast.Node, []ast.Stmt, bool) {
-			cc := c.(*ast.CaseClause)
-			return nil, cc.Body, cc.List == nil
-		}, false)
-
-	case *ast.SelectStmt:
-		label := b.takeLabel()
-		b.switchClauses(label, s.Body.List, func(c ast.Stmt) ([]ast.Node, []ast.Stmt, bool) {
-			cc := c.(*ast.CommClause)
-			var hdr []ast.Node
-			if cc.Comm != nil {
-				hdr = append(hdr, cc.Comm)
-			}
-			return hdr, cc.Body, false // select blocks; no implicit fallthrough to exit
-		}, false)
+		b.switchClauses(s.Body.List, false)
 
 	case *ast.ReturnStmt:
 		b.add(s)
@@ -312,28 +308,15 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.terminate()
 
 	case *ast.BranchStmt:
-		label := ""
-		if s.Label != nil {
-			label = s.Label.Name
+		// Only unlabeled break and continue get here (see unmodeled).
+		t := b.findBreak()
+		if s.Tok == token.CONTINUE {
+			t = b.findContinue()
 		}
-		switch s.Tok {
-		case token.BREAK:
-			if t := b.findBreak(label); t != nil {
-				b.edge(b.cur, t)
-			}
-			b.terminate()
-		case token.CONTINUE:
-			if t := b.findContinue(label); t != nil {
-				b.edge(b.cur, t)
-			}
-			b.terminate()
-		case token.GOTO:
-			b.gotos = append(b.gotos, pendingGoto{from: b.cur, label: label})
-			b.terminate()
-		case token.FALLTHROUGH:
-			// Handled by switchClauses via fallthrough edges; ending the
-			// block here would sever the pre-wired edge, so keep it.
+		if t != nil {
+			b.edge(b.cur, t)
 		}
+		b.terminate()
 
 	case *ast.ExprStmt:
 		b.add(s)
@@ -347,65 +330,37 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	}
 }
 
-// switchClauses wires the clause blocks of a switch/type-switch/select:
-// every clause body is entered from the current (header) block, ends at a
-// shared exit, and — for expression switches — may fall through to the
-// next clause's body.
-func (b *cfgBuilder) switchClauses(label string, clauses []ast.Stmt,
-	split func(ast.Stmt) (hdr []ast.Node, body []ast.Stmt, isDefault bool),
-	allowFallthrough bool) {
-
+// switchClauses wires the clause blocks of a switch or type switch:
+// every clause body is entered from the current (header) block and ends
+// at a shared exit. caseExprs adds an expression switch's case
+// expressions to their clause's block (a type switch's case types are
+// not expressions).
+func (b *cfgBuilder) switchClauses(clauses []ast.Stmt, caseExprs bool) {
 	head := b.cur
 	exit := b.newBlock()
-	blocks := make([]*Block, len(clauses))
-	for i := range clauses {
-		blocks[i] = b.newBlock()
-		b.edge(head, blocks[i])
-	}
 	hasDefault := false
-	for i, c := range clauses {
-		hdr, body, isDef := split(c)
-		if isDef {
+	for _, c := range clauses {
+		cc := c.(*ast.CaseClause)
+		if cc.List == nil {
 			hasDefault = true
 		}
-		blk := blocks[i]
-		blk.Nodes = append(blk.Nodes, hdr...)
-		b.push(branchTarget{label: label, brk: exit, acceptsUnlabel: true})
+		blk := b.newBlock()
+		b.edge(head, blk)
+		if caseExprs {
+			for _, e := range cc.List {
+				blk.Nodes = append(blk.Nodes, e)
+			}
+		}
+		b.push(branchTarget{brk: exit})
 		b.cur = blk
-		if allowFallthrough && i+1 < len(clauses) && endsInFallthrough(body) {
-			b.edge(blk, blocks[i+1]) // pre-wire; body statements may move cur
-		}
-		b.stmtList(body)
+		b.stmtList(cc.Body)
 		b.pop()
-		if allowFallthrough && i+1 < len(clauses) && endsInFallthrough(body) {
-			b.edge(b.cur, blocks[i+1])
-		} else {
-			b.edge(b.cur, exit)
-		}
+		b.edge(b.cur, exit)
 	}
-	if !hasDefault && len(clauses) > 0 {
-		b.edge(head, exit)
-	}
-	if len(clauses) == 0 {
+	if !hasDefault {
 		b.edge(head, exit)
 	}
 	b.cur = exit
-}
-
-func endsInFallthrough(body []ast.Stmt) bool {
-	if len(body) == 0 {
-		return false
-	}
-	br, ok := body[len(body)-1].(*ast.BranchStmt)
-	return ok && br.Tok == token.FALLTHROUGH
-}
-
-func (b *cfgBuilder) resolveGotos() {
-	for _, g := range b.gotos {
-		if t, ok := b.labels[g.label]; ok {
-			b.edge(g.from, t)
-		}
-	}
 }
 
 // markExitReachability runs a reverse BFS from the exit blocks, setting

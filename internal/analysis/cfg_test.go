@@ -112,49 +112,6 @@ func f(vs []int) int {
 	}
 }
 
-// TestCFGSwitchFallthrough: a fallthrough clause reaches the exit through
-// the next clause's body; a panicking default stays doomed.
-func TestCFGSwitchFallthrough(t *testing.T) {
-	g := cfgFor(t, `
-func f(v int) int {
-	switch v {
-	case 0:
-		first(v)
-		fallthrough
-	case 1:
-		return second(v)
-	default:
-		panic(boom(v))
-	}
-}`, "f")
-	if b := blockCalling(t, g, "first"); !g.ReachesExit(b) {
-		t.Error("fallthrough clause does not reach exit")
-	}
-	if b := blockCalling(t, g, "second"); !g.ReachesExit(b) {
-		t.Error("return clause does not reach exit")
-	}
-	if b := blockCalling(t, g, "boom"); g.ReachesExit(b) {
-		t.Error("panicking default clause reaches exit; should be doomed")
-	}
-}
-
-// TestCFGGotoLoop: a goto back edge is resolved, so the loop body keeps
-// reaching the exit.
-func TestCFGGotoLoop(t *testing.T) {
-	g := cfgFor(t, `
-func f(v int) int {
-loop:
-	v = step(v)
-	if v > 0 {
-		goto loop
-	}
-	return v
-}`, "f")
-	if b := blockCalling(t, g, "step"); !g.ReachesExit(b) {
-		t.Error("goto loop body does not reach exit")
-	}
-}
-
 // TestCFGNodesAppearOnce: every statement and control-header expression
 // of the function body lands in exactly one block, so a per-block scan
 // visits each allocation site once.
@@ -189,135 +146,29 @@ func f(v int) int {
 	}
 }
 
-// TestCFGLabeledBreakInSelectLoop: a labeled break inside a select clause
-// must escape the enclosing for — the select header alone has no exit
-// edge, so only the labeled branch keeps the clause (and the loop body)
-// alive. This is the event-loop shape the dataflow layer walks.
-func TestCFGLabeledBreakInSelectLoop(t *testing.T) {
-	g := cfgFor(t, `
-func f(a, b chan int) int {
-	s := 0
-loop:
-	for {
-		select {
-		case v := <-a:
-			s += keep(v)
-		case <-b:
-			break loop
-		}
-	}
-	return done(s)
-}`, "f")
-	for _, callee := range []string{"keep", "done"} {
-		if b := blockCalling(t, g, callee); !g.ReachesExit(b) {
-			t.Errorf("block calling %s does not reach exit", callee)
-		}
-	}
-}
-
-// TestCFGLabeledContinueInSelectLoop: labeled continue targets the loop
-// head, not the select; without another way out, every block of the loop
-// is doomed, and a labeled break elsewhere un-dooms them.
-func TestCFGLabeledContinueInSelectLoop(t *testing.T) {
-	// No escape: continue loop only re-enters the loop head.
-	g := cfgFor(t, `
-func f(a chan int) int {
-	s := 0
-loop:
-	for {
-		select {
-		case v := <-a:
-			s += keep(v)
-			continue loop
-		}
-	}
-}`, "f")
-	if b := blockCalling(t, g, "keep"); g.ReachesExit(b) {
-		t.Error("escape-free select loop reaches exit; should be doomed")
-	}
-
-	// Same loop with a guarded labeled break: now the continue path is
-	// live because the loop head can reach the break clause.
-	g = cfgFor(t, `
-func f(a, b chan int) int {
-	s := 0
-loop:
-	for {
-		select {
-		case v := <-a:
-			s += keep(v)
-			continue loop
-		case <-b:
-			break loop
-		}
-	}
-	return done(s)
-}`, "f")
-	for _, callee := range []string{"keep", "done"} {
-		if b := blockCalling(t, g, callee); !g.ReachesExit(b) {
-			t.Errorf("block calling %s does not reach exit", callee)
-		}
-	}
-}
-
-// TestCFGNestedFallthrough: fallthrough inside a switch that is itself a
-// switch clause must chain within the inner switch only; the outer
-// switch's later clauses are not fallthrough targets.
-func TestCFGNestedFallthrough(t *testing.T) {
-	g := cfgFor(t, `
-func f(v, w int) int {
-	switch v {
-	case 0:
-		switch w {
-		case 0:
-			inner0(w)
-			fallthrough
-		case 1:
-			return inner1(w)
-		default:
-			panic(boom(w))
-		}
-	case 1:
-		return outer1(v)
-	}
-	return done(v)
-}`, "f")
-	for _, callee := range []string{"inner0", "inner1", "outer1", "done"} {
-		if b := blockCalling(t, g, callee); !g.ReachesExit(b) {
-			t.Errorf("block calling %s does not reach exit", callee)
-		}
-	}
-	// inner0 falls through to inner1 (one block hop), never to outer1:
-	// the only edge out of inner0's block is the inner case-1 clause.
-	inner0 := blockCalling(t, g, "inner0")
-	inner1 := blockCalling(t, g, "inner1")
-	outer1 := blockCalling(t, g, "outer1")
-	if len(inner0.Succs) != 1 || inner0.Succs[0] != inner1 {
-		t.Errorf("fallthrough from inner0 does not target the inner case 1 clause")
-	}
-	for _, s := range inner0.Succs {
-		if s == outer1 {
-			t.Error("fallthrough escaped the inner switch into the outer clause")
-		}
-	}
-}
-
-// TestCFGSelectClausesBlock: select has no implicit exit edge through the
-// header, but each comm clause reaches the exit through its body.
-func TestCFGSelectClausesBlock(t *testing.T) {
-	g := cfgFor(t, `
-func f(a, b chan int) int {
-	select {
-	case v := <-a:
-		return got(v)
-	case <-b:
-		panic(boom())
-	}
-}`, "f")
-	if b := blockCalling(t, g, "got"); !g.ReachesExit(b) {
-		t.Error("select clause does not reach exit")
-	}
-	if b := blockCalling(t, g, "boom"); g.ReachesExit(b) {
-		t.Error("panicking select clause reaches exit; should be doomed")
+// TestCFGRejectsUnmodeledConstructs: a body with goto, a label, select
+// or fallthrough gets no graph of its real control flow. It is marked
+// Unmodeled, and each flow analyzer that reaches it reports a "lint"
+// finding at the construct instead of reading a wrong graph.
+func TestCFGRejectsUnmodeledConstructs(t *testing.T) {
+	const msg = " is not modeled by the flow analyzers' control-flow graph; write this function with if/for/switch and unlabeled break/continue"
+	for _, tc := range []struct{ name, want string }{
+		{"goto", "testdata/src/unmodeled/unmodeled.go:16:3: lint: goto statement" + msg},
+		{"label", "testdata/src/unmodeled/unmodeled.go:24:1: lint: labeled statement" + msg},
+		{"select", "testdata/src/unmodeled/unmodeled.go:36:2: lint: select statement" + msg},
+		{"fallthrough", "testdata/src/unmodeled/unmodeled.go:48:3: lint: fallthrough statement" + msg},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, a := range []string{"hotalloc", "purity"} {
+				got := runOn(t, "fix.example/unmodeled", a)
+				found := false
+				for _, f := range got {
+					found = found || f == tc.want
+				}
+				if !found {
+					t.Errorf("%s: no finding %q; got %v", a, tc.want, got)
+				}
+			}
+		})
 	}
 }

@@ -41,9 +41,10 @@ type ReachingDefs struct {
 	in      []map[int]bool
 }
 
-// NewReachingDefs builds the reaching-definitions solution for body.
-func NewReachingDefs(info *types.Info, body *ast.BlockStmt) *ReachingDefs {
-	r := &ReachingDefs{info: info, cfg: BuildCFG(body)}
+// NewReachingDefs builds the reaching-definitions solution over a
+// function body's control-flow graph.
+func NewReachingDefs(info *types.Info, cfg *CFG) *ReachingDefs {
+	r := &ReachingDefs{info: info, cfg: cfg}
 	r.byBlock = make([][]int, len(r.cfg.Blocks))
 	for _, b := range r.cfg.Blocks {
 		for _, n := range b.Nodes {
@@ -264,16 +265,17 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 // Config.YieldSeed. Struct copies (p := o) carry no field reads of their
 // own; the reads surface where individual fields are later selected.
 type FieldFlow struct {
-	graph   *CallGraph
+	pass    *ProgramPass
 	tracked map[*types.Var]bool
 	direct  map[*CallNode]map[*types.Var]bool
 	trans   map[*CallNode]map[*types.Var]bool
 }
 
-// NewFieldFlow prepares a field-read oracle for the tracked field set.
-func NewFieldFlow(graph *CallGraph, tracked map[*types.Var]bool) *FieldFlow {
+// NewFieldFlow prepares a field-read oracle for the tracked field set over
+// the pass's call graph.
+func NewFieldFlow(pass *ProgramPass, tracked map[*types.Var]bool) *FieldFlow {
 	return &FieldFlow{
-		graph:   graph,
+		pass:    pass,
 		tracked: tracked,
 		direct:  map[*CallNode]map[*types.Var]bool{},
 		trans:   map[*CallNode]map[*types.Var]bool{},
@@ -295,7 +297,7 @@ func (ff *FieldFlow) DirectReads(n *CallNode) map[*types.Var]bool {
 	if n.Decl == nil || n.Decl.Body == nil {
 		return out
 	}
-	cfg := BuildCFG(n.Decl.Body)
+	cfg := ff.pass.flowGraph(n.Decl.Body)
 	for _, blk := range cfg.Blocks {
 		if !cfg.ReachesExit(blk) {
 			continue
@@ -315,7 +317,7 @@ func (ff *FieldFlow) TransitiveReads(n *CallNode) map[*types.Var]bool {
 	}
 	out := map[*types.Var]bool{}
 	ff.trans[n] = out
-	for m := range ff.graph.Reachable([]*CallNode{n}) {
+	for m := range ff.pass.Graph.Reachable([]*CallNode{n}) {
 		for v := range ff.DirectReads(m) {
 			out[v] = true
 		}

@@ -49,7 +49,7 @@ func runErrCheck(pass *Pass) {
 			// Calls through function values still discard errors.
 			name = types.ExprString(call.Fun)
 		} else {
-			if errCheckAllow[name] || matchPkg(pass.Cfg.ErrCheckAllow, name) {
+			if errCheckAllow[name] {
 				return
 			}
 			if fmtFprint[name] && benignWriter(pass, call) {

@@ -83,7 +83,7 @@ func runHotAlloc(pass *ProgramPass) {
 			selfAppend: map[*ast.CallExpr]bool{},
 			handledLit: map[*ast.CompositeLit]bool{},
 		}
-		cfg := BuildCFG(n.Decl.Body)
+		cfg := pass.flowGraph(n.Decl.Body)
 		for _, blk := range cfg.Blocks {
 			if !cfg.ReachesExit(blk) {
 				continue // doomed: every path out panics

@@ -34,9 +34,9 @@ type Loader struct {
 	IncludeTests bool
 	// Overlay substitutes file contents by path (as constructed by the
 	// loader: filepath.Join of the cleaned directory and base name). Tests
-	// use it to type-check a deliberately mutated tree — the memokey
-	// seeded-mutation test drops a fold from a real FoldKey — without
-	// touching the working copy.
+	// use it to type-check a deliberately mutated tree — the seeded
+	// mutations of TestAnalyzersCatchSeededMutations — without touching
+	// the working copy.
 	Overlay map[string][]byte
 
 	fset *token.FileSet
@@ -60,9 +60,6 @@ func NewLoader(moduleDir string) (*Loader, error) {
 		std:        importer.ForCompiler(fset, "source", nil),
 	}, nil
 }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)

@@ -115,7 +115,7 @@ func newMemoKeyPass(pass *ProgramPass) *memoKeyPass {
 			}
 		}
 	}
-	mk.ff = NewFieldFlow(pass.Graph, mk.tracked)
+	mk.ff = NewFieldFlow(pass, mk.tracked)
 	return mk
 }
 
@@ -176,7 +176,7 @@ func (mk *memoKeyPass) checkDecl(pkg *Package, fd *ast.FuncDecl) {
 			return true
 		}
 		if rd == nil {
-			rd = NewReachingDefs(pkg.Info, fd.Body)
+			rd = NewReachingDefs(pkg.Info, mk.pass.flowGraph(fd.Body))
 		}
 		mk.checkSite(pkg, fd, rd, call, entry)
 		return true

@@ -6,10 +6,10 @@ import (
 	"sort"
 )
 
-// defaultPurityBannedPkgs are the import paths whose calls the purity
-// analyzer forbids on hook paths when Config.PurityBannedPkgs is nil:
-// wall-clock time, the global random source, and the operating system.
-var defaultPurityBannedPkgs = []string{"math/rand", "os", "time"}
+// purityBanned are the import paths whose calls the purity analyzer
+// forbids on hook paths: wall-clock time, the global random source, and
+// the operating system.
+var purityBanned = map[string]bool{"math/rand": true, "os": true, "time": true}
 
 // Purity guards the replay contract of the convergence gate and the
 // result cache: the op-trace hook (opTrace.onOp on sim.Env.OnOp) records
@@ -37,15 +37,6 @@ func runPurity(pass *ProgramPass) {
 	if len(roots) == 0 {
 		return
 	}
-	banned := map[string]bool{}
-	paths := pass.Cfg.PurityBannedPkgs
-	if paths == nil {
-		paths = defaultPurityBannedPkgs
-	}
-	for _, p := range paths {
-		banned[p] = true
-	}
-
 	witness := pass.Graph.Reachable(roots)
 	var nodes []*CallNode
 	for n := range witness {
@@ -57,8 +48,8 @@ func runPurity(pass *ProgramPass) {
 		return nodes[i].Func.FullName() < nodes[j].Func.FullName()
 	})
 	for _, n := range nodes {
-		s := &purityScanner{pass: pass, info: n.Pkg.Info, banned: banned, rootName: witness[n].Func.FullName()}
-		cfg := BuildCFG(n.Decl.Body)
+		s := &purityScanner{pass: pass, info: n.Pkg.Info, rootName: witness[n].Func.FullName()}
+		cfg := pass.flowGraph(n.Decl.Body)
 		for _, blk := range cfg.Blocks {
 			if !cfg.ReachesExit(blk) {
 				continue // doomed: every path out panics
@@ -74,7 +65,6 @@ func runPurity(pass *ProgramPass) {
 type purityScanner struct {
 	pass     *ProgramPass
 	info     *types.Info
-	banned   map[string]bool
 	rootName string
 }
 
@@ -83,7 +73,7 @@ func (s *purityScanner) scan(root ast.Node) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			fn := staticCallee(s.info, n)
-			if fn != nil && fn.Pkg() != nil && s.banned[fn.Pkg().Path()] && !isMethod(fn) {
+			if fn != nil && fn.Pkg() != nil && purityBanned[fn.Pkg().Path()] && !isMethod(fn) {
 				s.pass.Reportf(n.Pos(), "call to %s.%s on the hook path from %s; hooks must stay a pure function of the simulation",
 					fn.Pkg().Name(), fn.Name(), s.rootName)
 			}

@@ -13,10 +13,10 @@
 //
 // The contract a point function must honor is isolation: it must not touch
 // a sim.Env, machine.Machine, or any other mutable state shared with
-// another point (the envshare analyzer in internal/analysis enforces the
-// simulator half of this statically). Everything a point needs it builds
-// itself from value-type inputs or takes from the pool it is handed;
-// per-point randomness derives from PointSeed(base, i).
+// another point (ci.sh runs TestParallelEquivalence, which drives the
+// bench, coll and msort sweeps, under -race). Everything a point needs
+// it builds itself from value-type inputs or takes from the pool it is
+// handed; per-point randomness derives from PointSeed(base, i).
 //
 // A sweep point never builds its own machine; it takes one from its
 // worker's pool and puts it back when its run has completed. A recycled
