@@ -172,3 +172,125 @@ func TestCFGRejectsUnmodeledConstructs(t *testing.T) {
 		})
 	}
 }
+
+// assertUnmodeled checks the conservative graph of a body the CFG does
+// not model: Unmodeled names the expected construct, the graph is one
+// entry block that reaches the exit, and every listed call lands in that
+// block, so none of them is exempted as doomed.
+func assertUnmodeled(t *testing.T, g *CFG, construct string, callees ...string) {
+	t.Helper()
+	if g.Unmodeled == nil {
+		t.Fatalf("graph not marked Unmodeled; want %s", construct)
+	}
+	if got := unmodeledName(g.Unmodeled); got != construct {
+		t.Errorf("Unmodeled is a %s; want %s", got, construct)
+	}
+	if len(g.Blocks) != 1 || g.Blocks[0] != g.Entry {
+		t.Errorf("unmodeled graph has %d blocks; want the entry block alone", len(g.Blocks))
+	}
+	for _, callee := range callees {
+		if b := blockCalling(t, g, callee); b != g.Entry || !g.ReachesExit(b) {
+			t.Errorf("call to %s is not in the exit-reaching entry block", callee)
+		}
+	}
+}
+
+// TestCFGLabeledBreakInSelectLoop: the event-loop shape — a labeled break
+// out of a select inside a for — is not modeled. The label is reported
+// first (it encloses the select), and the body keeps one block that
+// reaches the exit.
+func TestCFGLabeledBreakInSelectLoop(t *testing.T) {
+	g := cfgFor(t, `
+func f(a, b chan int) int {
+	s := 0
+loop:
+	for {
+		select {
+		case v := <-a:
+			s += keep(v)
+		case <-b:
+			break loop
+		}
+	}
+	return done(s)
+}`, "f")
+	assertUnmodeled(t, g, "labeled statement", "keep", "done")
+}
+
+// TestCFGLabeledContinueInSelectLoop: labeled continue is not modeled
+// either. Even the escape-free loop, whose body could only panic or spin,
+// is not marked doomed: the conservative graph exempts nothing.
+func TestCFGLabeledContinueInSelectLoop(t *testing.T) {
+	g := cfgFor(t, `
+func f(a chan int) int {
+	s := 0
+loop:
+	for {
+		select {
+		case v := <-a:
+			s += keep(v)
+			continue loop
+		}
+	}
+}`, "f")
+	assertUnmodeled(t, g, "labeled statement", "keep")
+
+	g = cfgFor(t, `
+func f(a, b chan int) int {
+	s := 0
+loop:
+	for {
+		select {
+		case v := <-a:
+			s += keep(v)
+			continue loop
+		case <-b:
+			break loop
+		}
+	}
+	return done(s)
+}`, "f")
+	assertUnmodeled(t, g, "labeled statement", "keep", "done")
+}
+
+// TestCFGSwitchFallthrough: a fallthrough clause is not modeled; the
+// switch keeps one block, so its panicking default is not exempted.
+func TestCFGSwitchFallthrough(t *testing.T) {
+	g := cfgFor(t, `
+func f(v int) int {
+	switch v {
+	case 0:
+		first(v)
+		fallthrough
+	case 1:
+		return second(v)
+	default:
+		panic(boom(v))
+	}
+}`, "f")
+	assertUnmodeled(t, g, "fallthrough statement", "first", "second", "boom")
+}
+
+// TestCFGNestedFallthrough: a fallthrough nested in an inner switch marks
+// the whole body Unmodeled, outer clauses included.
+func TestCFGNestedFallthrough(t *testing.T) {
+	g := cfgFor(t, `
+func f(v, w int) int {
+	switch v {
+	case 0:
+		switch w {
+		case 0:
+			inner0(w)
+			fallthrough
+		case 1:
+			return inner1(w)
+		default:
+			panic(boom(w))
+		}
+	case 1:
+		return outer1(v)
+	}
+	return done(v)
+}`, "f")
+	assertUnmodeled(t, g, "fallthrough statement", "inner0", "inner1", "outer1", "done", "boom")
+}
