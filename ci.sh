@@ -134,9 +134,10 @@ if [ "$quick" = 0 ]; then
     fi
 
     # Tier 2: the committed artifacts are the oracle. Every results/ file
-    # is regenerated with its command from results/README.md, by the
-    # binaries built above, and must be byte-identical to its committed
-    # copy. This replaces listing byte-identical CLI runs by hand.
+    # is regenerated by the binaries built above with its command from the
+    # RESULTS heredoc below (the gate's own list; results/README.md shows
+    # the same commands) and must be byte-identical to its committed copy.
+    # This replaces listing byte-identical CLI runs by hand.
     step "tier-2: results/ regenerate byte-identical (every committed artifact)"
     resdir="$bindir/results"
     mkdir "$resdir"

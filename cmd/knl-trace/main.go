@@ -11,8 +11,10 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"knlcap/internal/cache"
 	"knlcap/internal/cli"
@@ -20,7 +22,6 @@ import (
 	"knlcap/internal/machine"
 	"knlcap/internal/report"
 	"knlcap/internal/stats"
-	"knlcap/internal/trace"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -55,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := c.Config()
 	m := machine.New(cfg)
-	col := trace.NewCollector()
+	col := &collector{}
 	m.SetTracer(col)
 	spawn(m, *threads)
 	if _, err := m.Run(); err != nil {
@@ -63,13 +64,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cli.Fprintf(stdout, "workload %q on %s: %d traced operations over %.1f us\n\n",
-		*workload, cfg.Name(), col.Len(), m.Env.Now()/1e3)
+		*workload, cfg.Name(), len(col.records), m.Env.Now()/1e3)
 	t := &report.Table{
 		Title:   "Latency distribution by data source [ns]",
 		Headers: []string{"Source", "Count", "p25", "median", "p75", "max"},
 	}
-	for _, g := range col.Summaries(trace.BySource) {
-		t.AddRow(g.Key, g.Count, g.Summary.Q1, g.Summary.Med, g.Summary.Q3, g.Summary.Max)
+	for _, g := range summaries(col.records) {
+		t.AddRow(g.key, g.summary.N, g.summary.Q1, g.summary.Med, g.summary.Q3, g.summary.Max)
 	}
 	t.Write(stdout)
 
@@ -88,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return c.Fail(err)
 		}
-		err = col.WriteCSV(f)
+		err = writeCSV(f, col.records)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -98,6 +99,62 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cli.Fprintf(stdout, "raw trace written to %s\n", *csvPath)
 	}
 	return 0
+}
+
+// collector buffers every operation record the machine emits.
+type collector struct {
+	records []machine.OpRecord
+}
+
+// Record implements machine.Tracer.
+func (c *collector) Record(r machine.OpRecord) { c.records = append(c.records, r) }
+
+// bySource groups load records by where the data came from.
+func bySource(r machine.OpRecord) string {
+	if r.Kind != machine.OpLoad {
+		return r.Kind.String()
+	}
+	return "load/" + r.Source
+}
+
+// groupSummary is the latency distribution of one bucket.
+type groupSummary struct {
+	key     string
+	summary stats.Summary
+}
+
+// summaries reduces records into per-source latency distributions (see
+// bySource), sorted by key.
+func summaries(records []machine.OpRecord) []groupSummary {
+	buckets := map[string][]float64{}
+	for _, r := range records {
+		k := bySource(r)
+		buckets[k] = append(buckets[k], r.Latency())
+	}
+	keys := make([]string, 0, len(buckets))
+	for k := range buckets {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]groupSummary, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, groupSummary{key: k, summary: stats.Summarize(buckets[k])})
+	}
+	return out
+}
+
+// writeCSV dumps the records for external analysis.
+func writeCSV(w io.Writer, records []machine.OpRecord) error {
+	if _, err := fmt.Fprintln(w, "start_ns,end_ns,core,kind,source,line"); err != nil {
+		return err
+	}
+	for _, r := range records {
+		if _, err := fmt.Fprintf(w, "%.3f,%.3f,%d,%s,%s,%d\n",
+			r.Start, r.End, r.Core, r.Kind, r.Source, r.Line); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // contention reproduces the 1:N Table I benchmark under the tracer.

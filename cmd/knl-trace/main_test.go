@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -55,5 +58,31 @@ func TestPingPongRuns(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), `workload "pingpong" on SNC4-flat`) {
 		t.Errorf("unexpected output: %q", stdout.String())
+	}
+}
+
+// -csv writes one row per traced operation under a start_ns header, and
+// the row count matches the "N traced operations" line on stdout.
+func TestWriteCSV(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-workload", "mixed", "-csv", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code = %d, stderr %q", code, stderr.String())
+	}
+	var name string
+	var ops int
+	if _, err := fmt.Sscanf(stdout.String(), "workload %q on SNC4-flat: %d traced operations", &name, &ops); err != nil {
+		t.Fatalf("no operation count in %q: %v", stdout.String(), err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if !strings.HasPrefix(lines[0], "start_ns,") {
+		t.Errorf("bad header %q", lines[0])
+	}
+	if rows := len(lines) - 1; ops == 0 || rows != ops {
+		t.Errorf("csv has %d rows, stdout reports %d traced operations", rows, ops)
 	}
 }

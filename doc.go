@@ -22,5 +22,6 @@
 // See README.md for the layout, DESIGN.md for the system inventory,
 // substitution rationale and the determinism/lint rules (§7), and
 // EXPERIMENTS.md for paper-versus-measured results. The library packages
-// live under internal/; runnable examples are under examples/.
+// live under internal/; a checked godoc example of the machine API is
+// internal/machine's Example.
 package knlcap

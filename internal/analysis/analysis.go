@@ -194,6 +194,8 @@ func DefaultConfig() *Config {
 			"knlcap/internal/machine",
 			"knlcap/internal/mesh",
 			"knlcap/internal/cache",
+			"knlcap/internal/memory",
+			"knlcap/internal/memmode",
 		},
 		ModelPkgs: []string{
 			"knlcap/internal/core",
@@ -297,8 +299,8 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 }
 
 // ProgramPass is a whole-program analyzer's view of the full loaded
-// package set. The call graph is built once per Run and shared by every
-// whole-program analyzer in the batch.
+// package set. The call graph is built once per RunTimed call and shared
+// by every whole-program analyzer in the batch.
 type ProgramPass struct {
 	Analyzer *Analyzer
 	Cfg      *Config
@@ -323,7 +325,7 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...interface{})
 // a "lint" finding at its position: the analyzer still scans the body,
 // but through a conservative one-block graph, and a clean lint run must
 // not rest on that. Every flow analyzer reports the same finding, so the
-// copies collapse in Run's dedupe.
+// copies collapse in RunTimed's dedupe.
 func (p *ProgramPass) flowGraph(body *ast.BlockStmt) *CFG {
 	g := BuildCFG(body)
 	if g.Unmodeled != nil {
@@ -380,18 +382,12 @@ type Timing struct {
 	Elapsed time.Duration
 }
 
-// Run executes the analyzers over the packages, applies suppression
+// RunTimed executes the analyzers over the packages, applies suppression
 // directives, and returns the surviving findings sorted by position and
 // deduplicated: two analyzer paths reporting the identical diagnostic at
 // the identical position collapse to one finding, so -json output never
-// carries duplicates.
-func Run(cfg *Config, pkgs []*Package, analyzers []*Analyzer) []Finding {
-	findings, _ := RunTimed(cfg, pkgs, analyzers)
-	return findings
-}
-
-// RunTimed is Run plus per-analyzer wall times, sorted by name, for the
-// lint-stage cost trajectory (knl-lint -timing).
+// carries duplicates. It also returns per-analyzer wall times, sorted by
+// name, for the lint-stage cost trajectory (knl-lint -timing).
 func RunTimed(cfg *Config, pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing) {
 	var raw []Finding
 	elapsed := map[string]time.Duration{}
@@ -463,7 +459,7 @@ func RunTimed(cfg *Config, pkgs []*Package, analyzers []*Analyzer) ([]Finding, [
 }
 
 // fsetOf returns the shared FileSet of the loaded packages (all packages
-// of one Run come from one Loader).
+// of one RunTimed call come from one Loader).
 func fsetOf(pkgs []*Package) *token.FileSet {
 	for _, p := range pkgs {
 		if p.Fset != nil {

@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// runFindings is RunTimed without the timings.
+func runFindings(cfg *Config, pkgs []*Package, analyzers []*Analyzer) []Finding {
+	findings, _ := RunTimed(cfg, pkgs, analyzers)
+	return findings
+}
+
 // fixtureCfg scopes the analyzers to the testdata module's packages.
 func fixtureCfg() *Config {
 	return &Config{
@@ -85,7 +91,7 @@ func runOn(t *testing.T, pkgPath string, names ...string) []string {
 		t.Fatal(err)
 	}
 	var out []string
-	for _, f := range Run(fixtureCfg(), []*Package{pkg}, analyzers) {
+	for _, f := range runFindings(fixtureCfg(), []*Package{pkg}, analyzers) {
 		out = append(out, f.String())
 	}
 	return out
@@ -328,7 +334,7 @@ func TestSuiteOverFixtures(t *testing.T) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	findings := Run(fixtureCfg(), pkgs, All())
+	findings := runFindings(fixtureCfg(), pkgs, All())
 	perAnalyzer := map[string]int{}
 	for _, f := range findings {
 		perAnalyzer[f.Analyzer]++

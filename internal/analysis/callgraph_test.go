@@ -117,7 +117,7 @@ func TestRunDedupesIdenticalFindings(t *testing.T) {
 			pass.Reportf(pos, "distinct diagnostic")
 		},
 	}
-	got := Run(fixtureCfg(), []*Package{pkg}, []*Analyzer{dup})
+	got := runFindings(fixtureCfg(), []*Package{pkg}, []*Analyzer{dup})
 	if len(got) != 2 {
 		for _, f := range got {
 			t.Logf("finding: %s", f)

@@ -16,7 +16,7 @@ type JSONFinding struct {
 	Message  string `json:"message"`
 }
 
-// ToJSONFindings converts findings (already position-sorted by Run) to
+// ToJSONFindings converts findings (already position-sorted by RunTimed) to
 // their wire form. It never returns nil, so an empty run marshals as []
 // rather than null.
 func ToJSONFindings(findings []Finding) []JSONFinding {

@@ -16,7 +16,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("fixture package fix.example/unitpkg not loaded")
 	}
-	findings := Run(fixtureCfg(), []*Package{pkg}, All())
+	findings := runFindings(fixtureCfg(), []*Package{pkg}, All())
 	if len(findings) == 0 {
 		t.Fatal("expected findings from the unitpkg fixture")
 	}

@@ -32,6 +32,13 @@ var seededMutations = []seededMutation{
 		want:    "time.Now",
 	},
 	{
+		name: "determinism/map-ordered-digest", analyzer: "determinism",
+		file: "internal/memmode/memmode.go",
+		old:  "\tvar sum uint64\n\tfor e, s := range p.slices {\n",
+		new:  "\tvar sum uint64\n\tfor k := range map[int]int{0: 0, 1: 1} {\n\t\tsum = sum*31 + uint64(k)\n\t}\n\tfor e, s := range p.slices {\n",
+		want: "range over map",
+	},
+	{
 		name: "floatcmp/exact-zero-bandwidth", analyzer: "floatcmp",
 		file: "internal/core/sortmodel.go",
 		old:  "\tif bw <= 0 {\n",
@@ -140,7 +147,7 @@ func TestAnalyzersCatchSeededMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if found := Run(DefaultConfig(), clean, All()); len(found) != 0 {
+	if found := runFindings(DefaultConfig(), clean, All()); len(found) != 0 {
 		t.Fatalf("unmutated tree: %d findings, first: %s", len(found), found[0])
 	}
 
@@ -169,7 +176,7 @@ func TestAnalyzersCatchSeededMutations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			found := Run(DefaultConfig(), pkgs, analyzers)
+			found := runFindings(DefaultConfig(), pkgs, analyzers)
 			for _, f := range found {
 				if strings.Contains(f.Message, m.want) {
 					return

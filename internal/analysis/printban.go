@@ -14,7 +14,7 @@ var PrintBan = &Analyzer{
 	Name: "printban",
 	Doc:  "forbids fmt.Print*/print/println in library packages",
 	Applies: func(cfg *Config, pkg *Package) bool {
-		// main packages (cmd/, examples/) and the output layer may print.
+		// main packages (cmd/) and the output layer may print.
 		return pkg.Name != "main" && !matchPkg(cfg.OutputPkgs, pkg.Path)
 	},
 	Run: runPrintBan,

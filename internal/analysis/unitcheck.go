@@ -11,7 +11,7 @@ import (
 // two distinct named unit types directly; this analyzer closes the three
 // holes the language leaves open in unit-bearing packages:
 //
-//   - untyped conversions: float64(x) or units.Cycles(x) on a unit-typed x
+//   - untyped conversions: float64(x) or units.GBps(x) on a unit-typed x
 //     silently strips or rebrands the dimension. The blessed escapes are
 //     the greppable raw views (.Float()/.Int()) and the named converters
 //     in internal/units.

@@ -185,9 +185,6 @@ func RangeOf(xs []float64) Range {
 	return Range{Lo: stats.Min(xs), Hi: stats.Max(xs)}
 }
 
-// Contains reports whether v lies within the range (inclusive).
-func (r Range) Contains(v float64) bool { return v >= r.Lo && v <= r.Hi }
-
 // placesFor pins n threads with the schedule on the standard chip.
 func placesFor(sched knl.Schedule, n int) []knl.Place {
 	return knl.Pin(sched, knl.ActiveTiles, n)

@@ -20,15 +20,6 @@ type MultiLineFit struct {
 	R2      float64
 }
 
-// BytesPerSecAsymptote converts the fitted slope into the large-message
-// copy bandwidth in GB/s.
-func (f MultiLineFit) BytesPerSecAsymptote() float64 {
-	if f.Beta <= 0 {
-		return 0
-	}
-	return knl.LineSize / f.Beta
-}
-
 // MeasureMultiLine fits the alpha+beta*N latency model for copying N-line
 // messages held by a remote core in the given state.
 func MeasureMultiLine(cfg knl.Config, o Options, st cache.State, lineCounts []int) MultiLineFit {

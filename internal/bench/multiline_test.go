@@ -19,7 +19,7 @@ func TestMultiLineLinearFit(t *testing.T) {
 		t.Fatalf("slope = %v, want positive", fit.Beta)
 	}
 	// The slope's reciprocal is the remote copy bandwidth: ~7.5 GB/s.
-	if bw := fit.BytesPerSecAsymptote(); bw < 6 || bw > 9.5 {
+	if bw := knl.LineSize / fit.Beta; bw < 6 || bw > 9.5 {
 		t.Errorf("asymptotic copy bandwidth = %.2f GB/s, want ~7.5", bw)
 	}
 	// The intercept is the protocol startup: on the order of one remote

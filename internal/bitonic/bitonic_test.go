@@ -1,6 +1,8 @@
 package bitonic
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -27,6 +29,20 @@ func equal(a, b []int32) bool {
 }
 
 func TestSort16Exhaustive(t *testing.T) {
+	// Duplicates and the int32 extremes, which a compare-exchange that
+	// subtracted instead of compared would overflow on.
+	for _, v := range [][16]int32{
+		{math.MaxInt32, -1, 0, 0, math.MinInt32, 5, 5, 5, -7, 2, 2, math.MaxInt32, math.MinInt32, 3, 3, 0},
+		{math.MinInt32, math.MinInt32, math.MinInt32, math.MinInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32,
+			math.MinInt32, math.MinInt32, math.MinInt32, math.MinInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32},
+	} {
+		want := sorted32(v[:])
+		got := v
+		Sort16(&got)
+		if !equal(got[:], want) {
+			t.Fatalf("Sort16(%v) = %v, want %v", v, got, want)
+		}
+	}
 	rng := stats.NewRNG(1)
 	for trial := 0; trial < 2000; trial++ {
 		var v [16]int32
@@ -144,11 +160,29 @@ func TestMergeSortedPanicsOnBadSizes(t *testing.T) {
 
 func TestSortBlockSizes(t *testing.T) {
 	rng := stats.NewRNG(4)
-	for _, blocks := range []int{0, 1, 2, 3, 4, 7, 8, 16, 64, 100} {
+	for _, tc := range []struct {
+		blocks int
+		gen    func(i int) int32
+	}{
+		{0, nil}, {1, nil}, {2, nil}, {3, nil}, {4, nil}, {7, nil}, {8, nil}, {16, nil}, {64, nil}, {100, nil},
+		// Heavy duplicates: 128 values drawn from 100.
+		{8, func(int) int32 { return int32(rng.Intn(100)) }},
+		// Only the two extremes, alternating.
+		{5, func(i int) int32 {
+			if i%3 == 0 {
+				return math.MaxInt32
+			}
+			return math.MinInt32
+		}},
+	} {
+		blocks, gen := tc.blocks, tc.gen
+		if gen == nil {
+			gen = func(int) int32 { return int32(rng.Intn(10000) - 5000) }
+		}
 		n := blocks * Width
 		v := make([]int32, n)
 		for i := range v {
-			v[i] = int32(rng.Intn(10000) - 5000)
+			v[i] = gen(i)
 		}
 		want := sorted32(v)
 		SortBlock(v)
@@ -164,19 +198,10 @@ func TestSortBlockProperty(t *testing.T) {
 		v := append([]int32(nil), raw[:n]...)
 		want := sorted32(v)
 		SortBlock(v)
-		return equal(v, want) && IsSorted(v)
+		return equal(v, want) && slices.IsSorted(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIsSorted(t *testing.T) {
-	if !IsSorted([]int32{1, 2, 2, 3}) || IsSorted([]int32{2, 1}) {
-		t.Error("IsSorted misbehaves")
-	}
-	if !IsSorted(nil) {
-		t.Error("empty slice is sorted")
 	}
 }
 

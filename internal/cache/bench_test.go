@@ -17,7 +17,7 @@ func BenchmarkSetAssoc(b *testing.B) {
 	} {
 		full := func() (*SetAssoc, int) {
 			c := NewSetAssoc(g.name, g.cap, g.ways)
-			n := c.Sets() * c.Ways()
+			n := c.Sets() * c.ways
 			for i := 0; i < n; i++ {
 				c.Insert(Line(i), Exclusive)
 			}

@@ -117,12 +117,6 @@ func NewSetAssoc(name string, capacityBytes, ways int) *SetAssoc {
 // Sets returns the number of sets.
 func (c *SetAssoc) Sets() int { return c.sets }
 
-// Ways returns the associativity.
-func (c *SetAssoc) Ways() int { return c.ways }
-
-// CapacityBytes returns the modeled capacity.
-func (c *SetAssoc) CapacityBytes() int { return c.sets * c.ways * 64 }
-
 func (c *SetAssoc) setOf(l Line) int { return int(uint64(l) & uint64(c.sets-1)) }
 
 // row returns the ways of the set holding l, or nil while that set's block

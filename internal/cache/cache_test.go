@@ -47,8 +47,8 @@ func TestLineRoundTrip(t *testing.T) {
 
 func TestSetAssocGeometry(t *testing.T) {
 	c := NewSetAssoc("L1", 32<<10, 8)
-	if c.Sets() != 64 || c.Ways() != 8 || c.CapacityBytes() != 32<<10 {
-		t.Errorf("L1 geometry sets=%d ways=%d cap=%d", c.Sets(), c.Ways(), c.CapacityBytes())
+	if c.Sets() != 64 || c.ways != 8 {
+		t.Errorf("L1 geometry sets=%d ways=%d", c.Sets(), c.ways)
 	}
 	c2 := NewSetAssoc("L2", 1<<20, 16)
 	if c2.Sets() != 1024 {
@@ -371,16 +371,18 @@ func TestDirectMappedDirty(t *testing.T) {
 	}
 }
 
+// The probe counters behind memmode.Policy.HitRate: a fill is not a
+// probe, a present line is a hit and an absent one a miss.
 func TestDirectMappedHitRate(t *testing.T) {
 	d := NewDirectMapped("mcdram", 64*16)
-	if d.HitRate() != 0 {
-		t.Error("hit rate of untouched cache should be 0")
+	if h, m, _ := d.Stats(); h != 0 || m != 0 {
+		t.Errorf("untouched cache counted %d hits, %d misses", h, m)
 	}
 	d.Fill(1)
 	d.Probe(1)
 	d.Probe(2)
-	if got := d.HitRate(); got != 0.5 {
-		t.Errorf("hit rate = %v, want 0.5", got)
+	if h, m, _ := d.Stats(); h != 1 || m != 1 {
+		t.Errorf("counted %d hits, %d misses, want 1 and 1", h, m)
 	}
 }
 

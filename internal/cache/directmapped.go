@@ -122,12 +122,3 @@ func (d *DirectMapped) Reset() {
 func (d *DirectMapped) Stats() (hits, misses, evictions uint64) {
 	return d.hits, d.misses, d.evicted
 }
-
-// HitRate returns hits/(hits+misses), or 0 with no accesses.
-func (d *DirectMapped) HitRate() float64 {
-	total := d.hits + d.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(d.hits) / float64(total)
-}

@@ -201,20 +201,8 @@ func (m *Mapper) allChannels(kind knl.MemKind) []int {
 	return m.allDDR
 }
 
-// ChannelsFor exposes the channel set a cluster may use (for tests and
-// reporting).
-func (m *Mapper) ChannelsFor(kind knl.MemKind, cluster int) []int {
-	if !m.cfg.Cluster.NUMAVisible() {
-		return append([]int(nil), m.allChannels(kind)...)
-	}
-	return append([]int(nil), m.channelsOf(kind, cluster)...)
-}
-
 // ClusterOfTile returns the affinity cluster of a tile under the mapper's
 // mode.
 func (m *Mapper) ClusterOfTile(tile int) int {
 	return m.fp.TileCluster(m.cfg.Cluster, tile)
 }
-
-// Clusters returns the number of affinity clusters.
-func (m *Mapper) Clusters() int { return m.cfg.Cluster.Clusters() }

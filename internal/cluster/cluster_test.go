@@ -176,13 +176,15 @@ func TestCacheEDCA2AUsesAllEDCs(t *testing.T) {
 	}
 }
 
+// The channel sets Place interleaves over: all channels when the
+// clusters are transparent, the cluster's own half under SNC2.
 func TestChannelsFor(t *testing.T) {
 	m := mapperFor(knl.Quadrant) // transparent: all channels visible
-	if got := len(m.ChannelsFor(knl.DDR, 0)); got != knl.DDRChannels {
-		t.Errorf("transparent ChannelsFor = %d, want %d", got, knl.DDRChannels)
+	if got := len(m.allChannels(knl.DDR)); got != knl.DDRChannels {
+		t.Errorf("transparent channel set = %d, want %d", got, knl.DDRChannels)
 	}
 	ms := mapperFor(knl.SNC2)
-	if got := len(ms.ChannelsFor(knl.DDR, 0)); got != knl.DDRChannels/2 {
-		t.Errorf("SNC2 ChannelsFor = %d, want %d", got, knl.DDRChannels/2)
+	if got := len(ms.channelsOf(knl.DDR, 0)); got != knl.DDRChannels/2 {
+		t.Errorf("SNC2 cluster 0 channel set = %d, want %d", got, knl.DDRChannels/2)
 	}
 }

@@ -130,7 +130,7 @@ func (m *Model) SortCost(p SortParams, useBW bool) units.Nanos {
 	active := p.Threads / 2
 	out := perThread * 2
 	for active >= 1 && out <= totalLines {
-		cm := m.costMem(p, maxInt(active, 1), useBW)
+		cm := m.costMem(p, max(active, 1), useBW)
 		costPerLine := cm.Scale(2) // n reads + n writes
 		if out <= nL1 {
 			costPerLine = m.RL.Scale(2)
@@ -183,11 +183,4 @@ func (m *Model) FullSortCost(p SortParams, o OverheadModel, useBW bool) units.Na
 func (m *Model) EfficiencyCutoff(p SortParams, o OverheadModel) bool {
 	mem := m.SortCost(p, true)
 	return o.Overhead(p.Threads) > mem.Scale(0.1)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -16,7 +16,10 @@
 // another point (ci.sh runs TestParallelEquivalence, which drives the
 // bench, coll and msort sweeps, under -race). Everything a point needs
 // it builds itself from value-type inputs or takes from the pool it is
-// handed; per-point randomness derives from PointSeed(base, i).
+// handed. Its randomness comes from those inputs alone: the seed it passes
+// to MachinePool.Get (bench uses the configuration's YieldSeed) and
+// generators seeded from its options (bench.Options.Seed), so no draw
+// depends on which worker runs the point or when.
 //
 // A sweep point never builds its own machine; it takes one from its
 // worker's pool and puts it back when its run has completed. A recycled
@@ -99,14 +102,4 @@ func runPoint[T any](point func(pool *MachinePool, i int) T, pool *MachinePool, 
 	}()
 	results[i] = point(pool, i)
 	return nil
-}
-
-// PointSeed derives the seed for point i from a sweep-level base seed with
-// a splitmix64 mix, so neighboring points get decorrelated streams while
-// the mapping stays a pure function of (base, i).
-func PointSeed(base uint64, i int) uint64 {
-	z := base + uint64(i)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

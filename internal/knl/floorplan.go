@@ -2,6 +2,7 @@ package knl
 
 import (
 	"fmt"
+	"slices"
 
 	"knlcap/internal/stats"
 )
@@ -98,18 +99,10 @@ func (f *Floorplan) disableTiles() {
 		}
 	}
 	// Logical tile IDs follow slot order for stable, software-like numbering.
-	sortInts(act)
+	slices.Sort(act)
 	f.active = act
 	if len(f.active) != ActiveTiles {
 		panic(fmt.Sprintf("knl: %d active tiles, want %d", len(f.active), ActiveTiles))
-	}
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }
 
@@ -139,9 +132,6 @@ func (f *Floorplan) NumTiles() int { return len(f.active) }
 
 // TilePos returns the grid position of logical tile t.
 func (f *Floorplan) TilePos(t int) Pos { return f.slotPos[f.active[t]] }
-
-// TileSlot returns the physical slot index of logical tile t.
-func (f *Floorplan) TileSlot(t int) int { return f.active[t] }
 
 // TileQuadrant returns the quadrant (0..3) of logical tile t.
 func (f *Floorplan) TileQuadrant(t int) int { return quadrantOf(f.TilePos(t)) }
@@ -192,6 +182,3 @@ func (f *Floorplan) TilesInCluster(mode ClusterMode, cluster int) []int {
 	}
 	return out
 }
-
-// Seed returns the yield seed the floorplan was built with.
-func (f *Floorplan) Seed() uint64 { return f.seed }

@@ -126,13 +126,10 @@ const (
 	L2Bytes = 1 << 20 // per tile, shared by both cores
 	L2Ways  = 16
 
-	NumEDC        = 8 // MCDRAM controllers
-	NumIMC        = 2 // DDR controllers
-	DDRChannels   = 6 // 3 per IMC
-	MCDRAMBytes   = 16 << 30
-	DDRBytes      = 96 << 30
-	FreqGHz       = 1.3
-	CyclePeriodNs = 1.0 / FreqGHz
+	NumEDC      = 8 // MCDRAM controllers
+	NumIMC      = 2 // DDR controllers
+	DDRChannels = 6 // 3 per IMC
+	MCDRAMBytes = 16 << 30
 )
 
 // Typed views of the chip constants for the capability-model layers
@@ -146,13 +143,6 @@ const (
 	// L1Capacity / L2Capacity are the per-core L1 and per-tile L2 sizes.
 	L1Capacity units.Bytes = L1Bytes
 	L2Capacity units.Bytes = L2Bytes
-	// MCDRAMCapacity / DDRCapacity are the two memory technologies' sizes.
-	MCDRAMCapacity units.Bytes = MCDRAMBytes
-	DDRCapacity    units.Bytes = DDRBytes
-	// Freq is the 1.3 GHz core clock; CyclePeriod is its period. Cycles
-	// become Nanos only through Freq (units.Cycles.Nanos).
-	Freq        units.GHz   = FreqGHz
-	CyclePeriod units.Nanos = CyclePeriodNs
 )
 
 // Pos is a mesh coordinate. Tiles occupy the GridCols x GridRows interior;

@@ -174,7 +174,7 @@ func TestPinCounts(t *testing.T) {
 			}
 			seen := map[int]bool{}
 			for _, p := range places {
-				hw := p.HWThread()
+				hw := p.Core*ThreadsPerCore + p.HT
 				if seen[hw] {
 					t.Errorf("%v Pin(%d): duplicate hw thread %d", sched, n, hw)
 				}
@@ -190,9 +190,18 @@ func TestPinCounts(t *testing.T) {
 	}
 }
 
+// tilesUsed returns the number of distinct tiles covered by places.
+func tilesUsed(places []Place) int {
+	seen := map[int]bool{}
+	for _, p := range places {
+		seen[p.Tile] = true
+	}
+	return len(seen)
+}
+
 func TestPinScatterSpreadsTiles(t *testing.T) {
 	places := Pin(Scatter, ActiveTiles, 32)
-	if got := TilesUsed(places); got != 32 {
+	if got := tilesUsed(places); got != 32 {
 		t.Errorf("scatter 32 threads on %d tiles, want 32", got)
 	}
 	// 64 threads scatter: still 32 tiles, but 64 cores.
@@ -204,7 +213,7 @@ func TestPinScatterSpreadsTiles(t *testing.T) {
 
 func TestPinFillTilesPacksTiles(t *testing.T) {
 	places := Pin(FillTiles, ActiveTiles, 32)
-	if got := TilesUsed(places); got != 16 {
+	if got := tilesUsed(places); got != 16 {
 		t.Errorf("fill-tiles 32 threads on %d tiles, want 16", got)
 	}
 	if got := CoresUsed(places); got != 32 {
@@ -217,7 +226,7 @@ func TestPinCompactPacksCores(t *testing.T) {
 	if got := CoresUsed(places); got != 2 {
 		t.Errorf("compact 8 threads on %d cores, want 2", got)
 	}
-	if got := TilesUsed(places); got != 1 {
+	if got := tilesUsed(places); got != 1 {
 		t.Errorf("compact 8 threads on %d tiles, want 1", got)
 	}
 }

@@ -55,9 +55,6 @@ type Place struct {
 	HT   int
 }
 
-// HWThread returns the global hardware-thread index of the place.
-func (p Place) HWThread() int { return p.Core*ThreadsPerCore + p.HT }
-
 func (p Place) String() string {
 	return fmt.Sprintf("t%d/c%d/h%d", p.Tile, p.Core, p.HT)
 }
@@ -112,15 +109,6 @@ func Pin(sched Schedule, numTiles, n int) []Place {
 		panic("knl: unknown schedule")
 	}
 	return places
-}
-
-// TilesUsed returns the number of distinct tiles covered by places.
-func TilesUsed(places []Place) int {
-	seen := map[int]bool{}
-	for _, p := range places {
-		seen[p.Tile] = true
-	}
-	return len(seen)
 }
 
 // CoresUsed returns the number of distinct cores covered by places.

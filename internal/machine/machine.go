@@ -221,9 +221,7 @@ func (m *Machine) meshHopOps(c *sim.StepCtx, a, b knl.Pos) {
 	if a == b {
 		return
 	}
-	if m.Fabric != nil {
-		m.Fabric.OccupyCtx(c, a, b)
-	}
+	m.Fabric.OccupyCtx(c, a, b)
 	c.WaitJit(m, m.Router.Latency(a, b))
 }
 

@@ -70,8 +70,5 @@ func (m *Machine) ChannelTraffic() map[knl.MemKind][2]uint64 {
 
 // MeshUtilization returns the busiest ring direction's utilization.
 func (m *Machine) MeshUtilization() float64 {
-	if m.Fabric == nil {
-		return 0
-	}
 	return m.Fabric.Utilization()
 }

@@ -144,9 +144,6 @@ func (b Buffer) Line(i int) cache.Line {
 	return cache.LineOf(b.Base + uint64(i)*knl.LineSize)
 }
 
-// Addr returns the byte address at offset off.
-func (b Buffer) Addr(off int64) uint64 { return b.Base + uint64(off) }
-
 // Slice returns a sub-buffer of the given byte range (line-aligned).
 func (b Buffer) Slice(off, bytes int64) Buffer {
 	if off%knl.LineSize != 0 || bytes%knl.LineSize != 0 || off+bytes > b.Bytes {
@@ -227,29 +224,6 @@ func (a *Allocator) Reset() {
 	a.nextMCDRAM = MCDRAMBase
 	a.ddrBufs = a.ddrBufs[:0]
 	a.mcdramBufs = a.mcdramBufs[:0]
-}
-
-// FindBuffer returns the allocation containing the byte address, if any.
-// Used by the machine to recover kind/affinity of evicted lines.
-func (a *Allocator) FindBuffer(addr uint64) (Buffer, bool) {
-	bufs := a.ddrBufs
-	if KindOfAddr(addr) == knl.MCDRAM {
-		bufs = a.mcdramBufs
-	}
-	lo, hi := 0, len(bufs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		b := bufs[mid]
-		switch {
-		case addr < b.Base:
-			hi = mid
-		case addr >= b.Base+uint64(b.Bytes):
-			lo = mid + 1
-		default:
-			return b, true
-		}
-	}
-	return Buffer{}, false
 }
 
 // MustAlloc is Alloc that panics on error, for benchmark setup code.

@@ -132,10 +132,3 @@ func TestBufferLineAndSlice(t *testing.T) {
 	}()
 	b.Slice(32, 64)
 }
-
-func TestBufferAddr(t *testing.T) {
-	b := Buffer{Base: 1000 * 64, Bytes: 128, Kind: knl.DDR}
-	if b.Addr(64) != 1000*64+64 {
-		t.Errorf("Addr(64) = %d", b.Addr(64))
-	}
-}

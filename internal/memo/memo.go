@@ -142,9 +142,6 @@ func New(dir string) (*Cache, error) {
 	return &Cache{mem: map[Key][]byte{}, dir: dir}, nil
 }
 
-// Dir returns the disk directory, "" for memory-only caches.
-func (c *Cache) Dir() string { return c.dir }
-
 func (c *Cache) path(k Key) string {
 	return filepath.Join(c.dir, fmt.Sprintf("%016x%016x.memo", k.A, k.B))
 }

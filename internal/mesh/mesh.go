@@ -39,9 +39,6 @@ func NewRouter(fp *knl.Floorplan, p Params) *Router {
 	return &Router{fp: fp, p: p}
 }
 
-// Params returns the router's timing parameters.
-func (r *Router) Params() Params { return r.p }
-
 // Latency returns the one-way latency between two mesh positions.
 // Zero-distance traversals (same stop) cost nothing.
 func (r *Router) Latency(a, b knl.Pos) float64 {
@@ -75,36 +72,4 @@ func (r *Router) TileToIMC(tile, ch int) float64 {
 // DDR channel (used for cache-mode miss fills).
 func (r *Router) EDCToIMC(edc, ch int) float64 {
 	return r.Latency(r.fp.EDCPos[edc], r.fp.IMCPos[ch/3])
-}
-
-// MaxTileDistanceNs returns the largest tile-to-tile latency on the die,
-// useful for bounding model envelopes.
-func (r *Router) MaxTileDistanceNs() float64 {
-	var max float64
-	n := r.fp.NumTiles()
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			if l := r.TileToTile(a, b); l > max {
-				max = l
-			}
-		}
-	}
-	return max
-}
-
-// MeanTileDistanceNs returns the average latency over distinct tile pairs.
-func (r *Router) MeanTileDistanceNs() float64 {
-	var sum float64
-	var cnt int
-	n := r.fp.NumTiles()
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			sum += r.TileToTile(a, b)
-			cnt++
-		}
-	}
-	return sum / float64(cnt)
 }

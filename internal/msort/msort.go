@@ -26,7 +26,45 @@ const minParallelBlock = bitonic.Width
 // scratch buffer. Returns the number of threads actually used (a power of
 // two).
 func ParallelSort(v []int32, threads int) int {
-	return ParallelSortOf(v, threads)
+	n := len(v)
+	if n%bitonic.Width != 0 {
+		panic(fmt.Sprintf("msort: length %d not a multiple of %d", n, bitonic.Width))
+	}
+	if n == 0 {
+		return 0
+	}
+	p := effectiveThreads(n, threads)
+	bounds := chunkBounds(n, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			bitonic.SortBlock(v[lo:hi])
+		}(bounds[r], bounds[r+1])
+	}
+	wg.Wait()
+	scratch := make([]int32, n)
+	src, dst := v, scratch
+	for width := 1; width < p; width *= 2 {
+		var mg sync.WaitGroup
+		for r := 0; r < p; r += 2 * width {
+			lo := bounds[r]
+			mid := bounds[r+width]
+			hi := bounds[min(r+2*width, p)]
+			mg.Add(1)
+			go func(lo, mid, hi int) {
+				defer mg.Done()
+				bitonic.MergeSorted(dst[lo:hi], src[lo:mid], src[mid:hi])
+			}(lo, mid, hi)
+		}
+		mg.Wait()
+		src, dst = dst, src
+	}
+	if &src[0] != &v[0] {
+		copy(v, src)
+	}
+	return p
 }
 
 // effectiveThreads rounds the thread count down to a power of two and
@@ -55,55 +93,4 @@ func chunkBounds(n, p int) []int {
 	}
 	bounds[p] = n
 	return bounds
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// ParallelSortOf is the generic form of ParallelSort for any ordered
-// element type the bitonic networks support.
-func ParallelSortOf[T bitonic.Ordered](v []T, threads int) int {
-	n := len(v)
-	if n%bitonic.Width != 0 {
-		panic(fmt.Sprintf("msort: length %d not a multiple of %d", n, bitonic.Width))
-	}
-	if n == 0 {
-		return 0
-	}
-	p := effectiveThreads(n, threads)
-	bounds := chunkBounds(n, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			bitonic.SortBlockOf(v[lo:hi])
-		}(bounds[r], bounds[r+1])
-	}
-	wg.Wait()
-	scratch := make([]T, n)
-	src, dst := v, scratch
-	for width := 1; width < p; width *= 2 {
-		var mg sync.WaitGroup
-		for r := 0; r < p; r += 2 * width {
-			lo := bounds[r]
-			mid := bounds[r+width]
-			hi := bounds[min(r+2*width, p)]
-			mg.Add(1)
-			go func(lo, mid, hi int) {
-				defer mg.Done()
-				bitonic.MergeSortedOf(dst[lo:hi], src[lo:mid], src[mid:hi])
-			}(lo, mid, hi)
-		}
-		mg.Wait()
-		src, dst = dst, src
-	}
-	if &src[0] != &v[0] {
-		copy(v, src)
-	}
-	return p
 }

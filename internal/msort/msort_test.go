@@ -1,6 +1,7 @@
 package msort
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -20,8 +21,6 @@ func randomInput(n int, seed uint64) []int32 {
 	return v
 }
 
-func isSorted(v []int32) bool { return bitonic.IsSorted(v) }
-
 func TestParallelSortCorrect(t *testing.T) {
 	for _, n := range []int{0, 16, 256, 1024, 16 * 1000, 65536} {
 		for _, threads := range []int{1, 2, 3, 4, 8, 17, 64} {
@@ -29,7 +28,7 @@ func TestParallelSortCorrect(t *testing.T) {
 			want := append([]int32(nil), v...)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 			used := ParallelSort(v, threads)
-			if !isSorted(v) {
+			if !slices.IsSorted(v) {
 				t.Fatalf("n=%d threads=%d: output not sorted", n, threads)
 			}
 			for i := range v {
@@ -197,37 +196,5 @@ func BenchmarkParallelSort1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(scratch, v)
 		ParallelSort(scratch, 4)
-	}
-}
-
-func TestParallelSortOfInt64(t *testing.T) {
-	rng := stats.NewRNG(99)
-	v := make([]int64, 64*1024)
-	for i := range v {
-		v[i] = int64(rng.Uint64())
-	}
-	want := append([]int64(nil), v...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	ParallelSortOf(v, 8)
-	for i := range v {
-		if v[i] != want[i] {
-			t.Fatalf("int64 parallel sort mismatch at %d", i)
-		}
-	}
-}
-
-func TestParallelSortOfFloat64(t *testing.T) {
-	rng := stats.NewRNG(100)
-	v := make([]float64, 16*1024)
-	for i := range v {
-		v[i] = rng.NormFloat64() * 1e6
-	}
-	want := append([]float64(nil), v...)
-	sort.Float64s(want)
-	ParallelSortOf(v, 4)
-	for i := range v {
-		if v[i] != want[i] {
-			t.Fatalf("float64 parallel sort mismatch at %d", i)
-		}
 	}
 }

@@ -13,47 +13,45 @@ type Experiment struct {
 	Command string
 	// Bench is the testing.B benchmark covering it.
 	Bench string
-	// Modules lists the implementing packages.
-	Modules string
 }
 
 var registry = []Experiment{
 	{"fig1", "Model-tuned reduce tree for 64 cores (cache mode)",
-		"knl-tune -n 32 -cache", "BenchmarkFigure1TunedTree", "core, tune"},
+		"knl-tune -n 32 -cache", "BenchmarkFigure1TunedTree"},
 	{"table1", "Cache-to-cache latency/bandwidth/contention/congestion per cluster mode",
-		"knl-bench -table 1", "BenchmarkTableI*", "bench, machine"},
+		"knl-bench -table 1", "BenchmarkTableI*"},
 	{"table2-flat", "Memory latency and bandwidth, flat mode, per cluster mode",
-		"knl-bench -table 2 -memmode flat", "BenchmarkTableIIFlat", "bench, memory, memmode"},
+		"knl-bench -table 2 -memmode flat", "BenchmarkTableIIFlat"},
 	{"table2-cache", "Memory latency and bandwidth, cache mode",
-		"knl-bench -table 2 -memmode cache", "BenchmarkTableIICacheMode", "bench, memmode"},
+		"knl-bench -table 2 -memmode cache", "BenchmarkTableIICacheMode"},
 	{"fig4", "Latency from core 0 to every core, M/E/I states, SNC4-flat",
-		"knl-sweep -fig 4", "BenchmarkFigure4", "bench"},
+		"knl-sweep -fig 4", "BenchmarkFigure4"},
 	{"fig5", "Copy bandwidth vs size by placement and state, SNC4-cache",
-		"knl-sweep -fig 5", "BenchmarkFigure5", "bench"},
+		"knl-sweep -fig 5", "BenchmarkFigure5"},
 	{"fig6", "Barrier vs OpenMP/MPI baselines with min-max model",
-		"knl-coll -fig 6", "BenchmarkFigure6Barrier", "coll, tune, core"},
+		"knl-coll -fig 6", "BenchmarkFigure6Barrier"},
 	{"fig7", "Broadcast vs baselines",
-		"knl-coll -fig 7", "BenchmarkFigure7Broadcast", "coll, tune"},
+		"knl-coll -fig 7", "BenchmarkFigure7Broadcast"},
 	{"fig8", "Reduce vs baselines",
-		"knl-coll -fig 8", "BenchmarkFigure8Reduce", "coll, tune"},
+		"knl-coll -fig 8", "BenchmarkFigure8Reduce"},
 	{"fig9", "Triad bandwidth vs thread count, both schedules, SNC4-flat",
-		"knl-sweep -fig 9", "BenchmarkFigure9Triad", "bench"},
+		"knl-sweep -fig 9", "BenchmarkFigure9Triad"},
 	{"fig10", "Sort vs memory/overhead models across sizes and threads",
-		"knl-sort", "BenchmarkFigure10Sort", "msort, core"},
+		"knl-sort", "BenchmarkFigure10Sort"},
 	{"speedups", "Headline collective speedups over the baselines",
-		"knl-coll -speedups", "BenchmarkFigure6Barrier..8", "coll"},
+		"knl-coll -speedups", "BenchmarkFigure6Barrier..8"},
 	{"ext-allreduce", "Extension: fused tuned allreduce",
-		"go test -bench ExtensionAllreduce", "BenchmarkExtensionAllreduce", "coll"},
+		"go test -bench ExtensionAllreduce", "BenchmarkExtensionAllreduce"},
 	{"ext-allgather", "Extension: m-way dissemination allgather",
-		"go test -bench ExtensionAllgather", "BenchmarkExtensionAllgather", "coll"},
+		"go test -bench ExtensionAllgather", "BenchmarkExtensionAllgather"},
 	{"ext-scan", "Extension: Hillis-Steele prefix sum",
-		"go test -bench ExtensionScan", "BenchmarkExtensionScan", "coll"},
+		"go test -bench ExtensionScan", "BenchmarkExtensionScan"},
 	{"ext-numa", "Extension: NUMA-allocation ablation (SNC4)",
-		"go test -bench AblationNUMAAllocation", "BenchmarkAblationNUMAAllocation", "bench"},
+		"go test -bench AblationNUMAAllocation", "BenchmarkAblationNUMAAllocation"},
 	{"ext-roofline", "Extension: roofline-vs-capability critique",
-		"go test -bench RooflineVsCapability", "BenchmarkRooflineVsCapability", "roofline, core"},
+		"go test -bench RooflineVsCapability", "BenchmarkRooflineVsCapability"},
 	{"ext-advisor", "Extension: model-driven MCDRAM placement",
-		"knl-advise", "-", "advisor, core"},
+		"knl-advise", "-"},
 }
 
 // Experiments returns the registry sorted by ID.
@@ -61,16 +59,6 @@ func Experiments() []Experiment {
 	out := append([]Experiment(nil), registry...)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// FindExperiment looks an experiment up by ID.
-func FindExperiment(id string) (Experiment, bool) {
-	for _, e := range registry {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
 }
 
 // ExperimentsTable renders the registry as a Table.

@@ -217,26 +217,3 @@ func (p *Plot) String() string {
 	p.Write(&b)
 	return b.String()
 }
-
-// Markdown renders the table as a GitHub-flavored markdown table.
-func (t *Table) Markdown(w io.Writer) {
-	row := func(cells []string) {
-		fmt.Fprint(w, "|")
-		for _, c := range cells {
-			fmt.Fprintf(w, " %s |", strings.ReplaceAll(c, "|", "\\|"))
-		}
-		fmt.Fprintln(w)
-	}
-	if t.Title != "" {
-		fmt.Fprintf(w, "**%s**\n\n", t.Title)
-	}
-	row(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	row(sep)
-	for _, r := range t.Rows {
-		row(r)
-	}
-}

@@ -139,7 +139,7 @@ type mixedWorker struct {
 }
 
 func (w *mixedWorker) Step(c *StepCtx) {
-	e := c.Env()
+	e := c.p.env
 	//lint:ignore hotalloc test-only stepper; the formatted log is what the test compares
 	*w.log = append(*w.log, fmt.Sprintf("%s@%v/%d", w.name, e.Now(), e.Seq()))
 	if w.rel {

@@ -38,9 +38,6 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 	return &Resource{env: env, name: name, capacity: capacity}
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
 // acquireOrPark takes a slot when one is free, or queues p as a FIFO waiter
 // and accounts it as blocked. It reports whether the slot was obtained; on
 // a false return, Release will later transfer the slot and reschedule p
@@ -61,16 +58,6 @@ func (r *Resource) acquireOrPark(p *Proc) bool {
 	return false
 }
 
-// TryAcquire obtains a slot without blocking; it reports whether it succeeded.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
-		r.accountBusy()
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release frees one slot. If processes are waiting, the head of the queue is
 // resumed at the current simulated time and inherits the slot.
 func (r *Resource) Release() {
@@ -88,9 +75,6 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 }
-
-// InUse returns the number of slots currently held.
-func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes currently waiting.
 func (r *Resource) QueueLen() int { return len(r.waiters) }

@@ -191,14 +191,6 @@ func (e *Env) Now() Time { return e.now }
 // runs of the same workload must agree on both.
 func (e *Env) Seq() uint64 { return e.seq }
 
-// Live returns the number of processes that have been spawned and not yet
-// finished.
-func (e *Env) Live() int { return e.live }
-
-// Blocked returns the number of processes currently blocked with no pending
-// event (waiting on a Signal or a Resource).
-func (e *Env) Blocked() int { return e.blocked }
-
 // schedule queues a resumption of p at time at: on the same-instant ring
 // when at is the current time, on the heap otherwise. Either way the event
 // takes the next seq number, so Seq counts every scheduled event.

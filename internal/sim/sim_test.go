@@ -218,27 +218,6 @@ func TestResourceFIFOFairness(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	env := NewEnv()
-	res := NewResource(env, "r", 1)
-	env.GoSteps("t", junctures(func(c *StepCtx) {
-		if !res.TryAcquire() {
-			t.Error("first TryAcquire failed")
-		}
-		if res.TryAcquire() {
-			t.Error("second TryAcquire succeeded on full resource")
-		}
-		res.Release()
-		if !res.TryAcquire() {
-			t.Error("TryAcquire after release failed")
-		}
-		res.Release()
-	}))
-	if _, err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReleaseIdlePanics(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, "r", 1)
@@ -330,8 +309,8 @@ func TestDeadlockDetection(t *testing.T) {
 	if !errors.Is(err, ErrDeadlock) {
 		t.Errorf("err = %v, want ErrDeadlock", err)
 	}
-	if env.Blocked() != 1 {
-		t.Errorf("Blocked = %d, want 1", env.Blocked())
+	if env.blocked != 1 {
+		t.Errorf("Blocked = %d, want 1", env.blocked)
 	}
 }
 
@@ -418,8 +397,8 @@ func TestManyProcessesStress(t *testing.T) {
 	if count != n {
 		t.Errorf("finished %d, want %d", count, n)
 	}
-	if env.Live() != 0 {
-		t.Errorf("Live = %d, want 0", env.Live())
+	if env.live != 0 {
+		t.Errorf("Live = %d, want 0", env.live)
 	}
 	// 10000 unit-time jobs over capacity 4 => 2500 time units.
 	if env.Now() != 2500 {

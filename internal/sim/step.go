@@ -85,23 +85,11 @@ type Proc struct {
 	ended  bool // End called: retire once the op queue drains
 }
 
-// Name returns the process name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
 // StepCtx is the execution context handed to Stepper.Step: its primitives
 // queue micro-ops for the scheduler.
 type StepCtx struct {
 	p *Proc
 }
-
-// Proc returns the process identity, valid as a waiter or hook argument.
-func (c *StepCtx) Proc() *Proc { return c.p }
-
-// Env returns the environment the process runs in.
-func (c *StepCtx) Env() *Env { return c.p.env }
 
 // Now returns the current simulated time.
 func (c *StepCtx) Now() Time { return c.p.env.now }

@@ -136,8 +136,8 @@ func TestSignalWakeAfterWaiterRetired(t *testing.T) {
 	if wokeA != 10 || wokeB != 30 {
 		t.Errorf("wake times a=%v b=%v, want 10/30", wokeA, wokeB)
 	}
-	if env.Live() != 0 {
-		t.Errorf("Live = %d, want 0", env.Live())
+	if env.live != 0 {
+		t.Errorf("Live = %d, want 0", env.live)
 	}
 }
 
@@ -171,9 +171,9 @@ func TestStepFrameRecycled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if end != 7 || env.Live() != 0 || env.Blocked() != 0 {
+	if end != 7 || env.live != 0 || env.blocked != 0 {
 		t.Errorf("end/Live/Blocked = %v/%d/%d after Reset and Run, want 7/0/0",
-			end, env.Live(), env.Blocked())
+			end, env.live, env.blocked)
 	}
 }
 
@@ -186,8 +186,8 @@ func TestStepDeadlockDetection(t *testing.T) {
 	if _, err := env.Run(); err == nil {
 		t.Error("Run did not report the stuck step process")
 	}
-	if env.Blocked() != 1 {
-		t.Errorf("Blocked = %d, want 1", env.Blocked())
+	if env.blocked != 1 {
+		t.Errorf("Blocked = %d, want 1", env.blocked)
 	}
 }
 

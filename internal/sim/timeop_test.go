@@ -56,7 +56,7 @@ func runTimeOps(t *testing.T, j Jitterer, lat Time) ([]hookRec, Time, uint64) {
 	idle := NewResource(env, "idle", 1)
 	var recs []hookRec
 	env.OnOp = func(p *Proc, op TimeOp, d Time) {
-		recs = append(recs, hookRec{p.Name(), op, d, env.Now()})
+		recs = append(recs, hookRec{p.name, op, d, env.Now()})
 	}
 	env.GoSteps("blocker", junctures(func(c *StepCtx) { c.Use(r, tBlock) }))
 	var end Time

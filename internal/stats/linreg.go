@@ -2,7 +2,6 @@ package stats
 
 import (
 	"errors"
-	"math"
 
 	"knlcap/internal/units"
 )
@@ -54,9 +53,6 @@ func LinReg(x, y []float64) (LinearFit, error) {
 	return LinearFit{Alpha: alpha, Beta: beta, R2: r2, N: n}, nil
 }
 
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Alpha + f.Beta*x }
-
 // NanosFit is a LinearFit whose response variable is a time — the form every
 // fit in the paper takes (contention, multi-line latency, sort overhead).
 // Alpha is the intercept time and Beta the time per unit of the regressor.
@@ -71,30 +67,4 @@ type NanosFit struct {
 // LinearFit stays dimensionless for everything else.
 func (f LinearFit) Nanos() NanosFit {
 	return NanosFit{Alpha: units.Nanos(f.Alpha), Beta: units.Nanos(f.Beta), R2: f.R2, N: f.N}
-}
-
-// Predict evaluates the fitted line at x, yielding a time.
-func (f NanosFit) Predict(x float64) units.Nanos {
-	return f.Alpha + f.Beta.Scale(x)
-}
-
-// Residuals returns y[i] - Predict(x[i]) for all points.
-func (f LinearFit) Residuals(x, y []float64) []float64 {
-	res := make([]float64, len(x))
-	for i := range x {
-		res[i] = y[i] - f.Predict(x[i])
-	}
-	return res
-}
-
-// RMSE returns the root-mean-square error of the fit over (x, y).
-func (f LinearFit) RMSE(x, y []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var ss float64
-	for _, r := range f.Residuals(x, y) {
-		ss += r * r
-	}
-	return math.Sqrt(ss / float64(len(x)))
 }

@@ -57,27 +57,6 @@ func Mean(xs []float64) float64 {
 	return Sum(xs) / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance of xs.
-// It returns 0 for samples with fewer than two elements.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Sorted reports whether xs is in non-decreasing order.
-func Sorted(xs []float64) bool { return sort.Float64sAreSorted(xs) }
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. xs need not be sorted. It panics on an
 // empty slice or p outside [0,100].
@@ -108,16 +87,6 @@ func percentileSorted(s []float64, p float64) float64 {
 
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// MAD returns the median absolute deviation of xs (a robust spread measure).
-func MAD(xs []float64) float64 {
-	m := Median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - m)
-	}
-	return Median(dev)
-}
 
 // Summary is a five-number boxplot summary plus mean and sample count.
 type Summary struct {

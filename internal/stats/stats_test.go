@@ -80,23 +80,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEq(got, 32.0/7, 1e-12) {
-		t.Errorf("Variance = %v, want %v", got, 32.0/7)
-	}
-	if got := StdDev([]float64{5}); got != 0 {
-		t.Errorf("StdDev singleton = %v, want 0", got)
-	}
-}
-
-func TestMAD(t *testing.T) {
-	xs := []float64{1, 1, 2, 2, 4, 6, 9}
-	if got := MAD(xs); got != 1 {
-		t.Errorf("MAD = %v, want 1", got)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 100}
 	s := Summarize(xs)
@@ -153,10 +136,10 @@ func TestMedianProperties(t *testing.T) {
 		if m < Min(xs) || m > Max(xs) {
 			return false
 		}
-		perm := append([]float64(nil), xs...)
-		NewRNG(seed).Shuffle(len(perm), func(i, j int) {
-			perm[i], perm[j] = perm[j], perm[i]
-		})
+		perm := make([]float64, len(xs))
+		for i, j := range NewRNG(seed).Perm(len(xs)) {
+			perm[i] = xs[j]
+		}
 		return Median(perm) == m
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -242,7 +225,8 @@ func TestLinRegNoisy(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		xi := float64(i)
 		x = append(x, xi)
-		y = append(y, 10+0.5*xi+rng.NormFloat64())
+		// Uniform noise of unit variance.
+		y = append(y, 10+0.5*xi+(rng.Float64()-0.5)*math.Sqrt(12))
 	}
 	fit, err := LinReg(x, y)
 	if err != nil {
@@ -253,9 +237,6 @@ func TestLinRegNoisy(t *testing.T) {
 	}
 	if fit.R2 < 0.99 {
 		t.Errorf("R2 = %v, want > 0.99", fit.R2)
-	}
-	if rmse := fit.RMSE(x, y); rmse > 1.5 {
-		t.Errorf("RMSE = %v, want ~1", rmse)
 	}
 }
 
@@ -278,8 +259,8 @@ func TestLinRegResiduals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range fit.Residuals(x, y) {
-		if !almostEq(r, 0, 1e-9) {
+	for i := range x {
+		if r := y[i] - (fit.Alpha + fit.Beta*x[i]); !almostEq(r, 0, 1e-9) {
 			t.Errorf("residual[%d] = %v, want 0", i, r)
 		}
 	}
@@ -375,21 +356,5 @@ func TestRNGPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRNGNormMoments(t *testing.T) {
-	r := NewRNG(3)
-	const n = 200000
-	var sum, ss float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		ss += v * v
-	}
-	mean := sum / n
-	varc := ss/n - mean*mean
-	if !almostEq(mean, 0, 0.02) || !almostEq(varc, 1, 0.03) {
-		t.Errorf("normal moments mean=%v var=%v", mean, varc)
 	}
 }

@@ -2,14 +2,13 @@
 // Go types, so a nanoseconds-vs-cycles or GB-vs-GiB mix-up is a compile
 // error (or a unitcheck finding) instead of a silently wrong Figure 4-10
 // curve. The paper's model is pure arithmetic over dimensioned values —
-// Table I/II latencies in ns, bandwidths in GB/s, line counts, the 1.3 GHz
-// clock — and this package is the single place where dimensions may be
+// Table I/II latencies in ns, bandwidths in GB/s, line counts — and this
+// package is the single place where dimensions may be
 // combined or stripped.
 //
 // Conventions:
 //
-//   - Nanos is wall time in nanoseconds; Cycles is core clock cycles; the
-//     two convert only through an explicit GHz frequency.
+//   - Nanos is wall time in nanoseconds.
 //   - GBps is decimal gigabytes per second. Because 1 GB/s moves exactly
 //     one byte per nanosecond, Bytes/GBps division yields Nanos directly
 //     with no hidden scale factor (the conversion the paper's equations
@@ -32,11 +31,6 @@ package units
 // capability (RL, RR, RI, ...) and every model prediction.
 type Nanos float64
 
-// Cycles is a number of core clock cycles. The simulator's hardware tables
-// are naturally expressed in cycles; they become Nanos only through an
-// explicit core frequency.
-type Cycles float64
-
 // Bytes is an amount of data in bytes.
 type Bytes int64
 
@@ -46,42 +40,21 @@ type Lines int64
 // GBps is a bandwidth in decimal gigabytes per second (1 GB/s = 1 B/ns).
 type GBps float64
 
-// GHz is a clock frequency in gigahertz (1 GHz = 1 cycle/ns).
-type GHz float64
-
 // Float returns the raw nanosecond count for printing, persistence and
 // generic statistics. It is the blessed unit-stripping escape; a plain
 // float64(...) conversion of a Nanos value is a unitcheck finding.
 func (n Nanos) Float() float64 { return float64(n) }
 
-// Float returns the raw cycle count.
-func (c Cycles) Float() float64 { return float64(c) }
-
 // Float returns the raw GB/s value.
 func (b GBps) Float() float64 { return float64(b) }
 
-// Float returns the raw GHz value.
-func (f GHz) Float() float64 { return float64(f) }
-
-// Int returns the raw byte count.
-func (b Bytes) Int() int64 { return int64(b) }
-
-// Float returns the byte count as a float64 (for intensities and ratios).
-func (b Bytes) Float() float64 { return float64(b) }
-
 // Int returns the raw line count.
 func (l Lines) Int() int64 { return int64(l) }
-
-// Float returns the line count as a float64.
-func (l Lines) Float() float64 { return float64(l) }
 
 // Scale multiplies the duration by a dimensionless factor (thread counts,
 // per-level repetition, the min-max poll factor). Scaling preserves the
 // dimension, so it is the one arithmetic the analyzer lets literals into.
 func (n Nanos) Scale(k float64) Nanos { return Nanos(float64(n) * k) }
-
-// Scale multiplies the cycle count by a dimensionless factor.
-func (c Cycles) Scale(k float64) Cycles { return Cycles(float64(c) * k) }
 
 // Scale multiplies the bandwidth by a dimensionless factor.
 func (b GBps) Scale(k float64) GBps { return GBps(float64(b) * k) }
@@ -90,39 +63,13 @@ func (b GBps) Scale(k float64) GBps { return GBps(float64(b) * k) }
 // toward zero.
 func (b Bytes) Scale(k float64) Bytes { return Bytes(float64(b) * k) }
 
-// Scale multiplies the line count by a dimensionless factor, truncating
-// toward zero.
-func (l Lines) Scale(k float64) Lines { return Lines(float64(l) * k) }
-
-// Div divides the byte count by a dimensionless integer (exact for the
+// Div divides the line count by a dimensionless integer (exact for the
 // power-of-two capacity splits the model uses).
-func (b Bytes) Div(k int64) Bytes { return b / Bytes(k) }
-
-// Div divides the line count by a dimensionless integer.
 func (l Lines) Div(k int64) Lines { return l / Lines(k) }
-
-// Nanos converts cycles to time at the given core frequency.
-func (c Cycles) Nanos(f GHz) Nanos { return Nanos(float64(c) / float64(f)) }
-
-// Cycles converts time to cycles at the given core frequency.
-func (n Nanos) Cycles(f GHz) Cycles { return Cycles(float64(n) * float64(f)) }
-
-// NanosPerLine is the streaming time per cache line at bandwidth bw: the
-// per-line cost term of the sort model's bandwidth variant. 1 GB/s moves
-// 1 B/ns, so this is line/bw with no scale factor.
-func NanosPerLine(bw GBps, line Bytes) Nanos {
-	return Nanos(float64(line) / float64(bw))
-}
 
 // TransferNanos is the time to move b bytes at bandwidth bw.
 func (b Bytes) TransferNanos(bw GBps) Nanos {
 	return Nanos(float64(b) / float64(bw))
-}
-
-// PerNanos is the bandwidth achieved by moving b bytes in t nanoseconds —
-// the conversion every bandwidth benchmark ends with.
-func (b Bytes) PerNanos(t Nanos) GBps {
-	return GBps(float64(b) / float64(t))
 }
 
 // Lines converts a byte count to whole cache lines of the given size,
@@ -133,6 +80,3 @@ func (b Bytes) Lines(line Bytes) Lines {
 	}
 	return Lines((b + line - 1) / line)
 }
-
-// Bytes converts a line count back to bytes at the given line size.
-func (l Lines) Bytes(line Bytes) Bytes { return Bytes(l) * line }
