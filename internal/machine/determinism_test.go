@@ -132,7 +132,10 @@ func TestStateDigestSensitivity(t *testing.T) {
 
 	l := b.Line(0)
 	step("word store", func() { m.setWord(l, m.wordOf(l)^1) })
-	step("directory bit", func() { m.dirAdd(l, m.NumTiles()-1) })
+	step("directory bit", func() {
+		tab, _, i := m.lineState(l)
+		tab.addOwner(i, m.NumTiles()-1)
+	})
 	step("L2 tag array", func() { m.tiles[1].l2.Insert(b.Line(1), cache.Shared) })
 	step("L1 tag array", func() { m.cores[1].l1.Insert(b.Line(1), cache.Shared) })
 	step("watch slot", func() { m.markWatched(b.Line(2)) })

@@ -30,15 +30,7 @@ func strideKernel(m *Machine, buf memmode.Buffer, lines, n int, kind KernelOpKin
 // as ns_per_line_access; allocs/op must stay 0 (amortized — table growth
 // is one-time setup).
 func BenchmarkLoadLineHotPath(b *testing.B) {
-	m := noJitterF(knl.DefaultConfig())
-	const lines = 32768 // 2 MB: far beyond one tile's L2 share
-	buf := m.Alloc.MustAlloc(knl.DDR, 0, lines*knl.LineSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	strideKernel(m, buf, lines, b.N, KernelLoad)
-	if _, err := m.Run(); err != nil {
-		b.Fatal(err)
-	}
+	lineHotPath(b, knl.DefaultConfig(), KernelLoad)
 }
 
 // BenchmarkStoreLineHotPath is the store-side twin: the RFO walk (tag
@@ -46,12 +38,29 @@ func BenchmarkLoadLineHotPath(b *testing.B) {
 // 2 MB stride. ci.sh tier-2 gates it at 0 allocs/op alongside the load
 // path, so neither ported walk regrows per-op garbage.
 func BenchmarkStoreLineHotPath(b *testing.B) {
-	m := noJitterF(knl.DefaultConfig())
+	lineHotPath(b, knl.DefaultConfig(), KernelStore)
+}
+
+// BenchmarkCacheLoadLineHotPath and BenchmarkCacheStoreLineHotPath run the
+// same strides on SNC4-cache, so the memory read also takes the side-cache
+// probe and fill junctures; ci.sh tier-2 gates them at 0 allocs/op too.
+func BenchmarkCacheLoadLineHotPath(b *testing.B) {
+	lineHotPath(b, knl.DefaultConfig().WithModes(knl.SNC4, knl.CacheMode), KernelLoad)
+}
+
+func BenchmarkCacheStoreLineHotPath(b *testing.B) {
+	lineHotPath(b, knl.DefaultConfig().WithModes(knl.SNC4, knl.CacheMode), KernelStore)
+}
+
+// lineHotPath runs b.N single-line ops of kind on cfg, striding over a
+// 2 MB DDR buffer: far beyond one tile's L2 share.
+func lineHotPath(b *testing.B, cfg knl.Config, kind KernelOpKind) {
+	m := noJitterF(cfg)
 	const lines = 32768
 	buf := m.Alloc.MustAlloc(knl.DDR, 0, lines*knl.LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
-	strideKernel(m, buf, lines, b.N, KernelStore)
+	strideKernel(m, buf, lines, b.N, kind)
 	if _, err := m.Run(); err != nil {
 		b.Fatal(err)
 	}

@@ -44,7 +44,7 @@ import (
 // visible write touches no other memory.
 type lineSlot struct {
 	owners uint64 // tile bitset (live iff gen matches the buffer's)
-	gen    uint32 // buffer generation at the last dirAdd
+	gen    uint32 // buffer generation at the last addOwner
 	flags  uint8
 }
 
@@ -217,15 +217,10 @@ func (m *Machine) lineState(l cache.Line) (*lineTable, *lineSlot, int) {
 
 // --- directory ------------------------------------------------------------
 
-// dirAdd sets the tile's bit in the line's owner set in one slot access
-// (the former map did a lookup plus a write). A slot whose generation
-// lags its buffer's holds a retired entry and is treated as empty.
-func (m *Machine) dirAdd(l cache.Line, tile int) {
-	t, _, i := m.lineState(l)
-	t.addOwner(i, tile)
-}
-
-// addOwner is dirAdd for slot i, which the table already covers.
+// addOwner sets the tile's bit in the owner set of slot i, which the
+// table already covers, in one slot access (the former map did a lookup
+// plus a write). A slot whose generation lags its buffer's holds a retired
+// entry and is treated as empty.
 func (t *lineTable) addOwner(i, tile int) {
 	s, id := &t.slots[i], t.lineBuf[i]
 	g := t.bufGen[id]

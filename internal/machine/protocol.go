@@ -102,6 +102,15 @@ func (m *Machine) demoteOthers(l cache.Line, keep uint64) {
 	}
 }
 
+// ownerPortSvc is the forwarding tile's L2 port service time for a line
+// it holds in st.
+func (m *Machine) ownerPortSvc(st cache.State) float64 {
+	if st == cache.Modified {
+		return m.P.OwnerPortSvcMNs
+	}
+	return m.P.OwnerPortSvcNs
+}
+
 // ownerExtra is the forwarding tile's added latency for a line it holds
 // in st.
 func (m *Machine) ownerExtra(st cache.State) float64 {

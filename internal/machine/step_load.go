@@ -21,7 +21,9 @@ import (
 // spans several primitives only where no observable state access lies
 // between them (placeOf and the controller-position math are pure);
 // jittered durations use WaitJit/UseJit so every RNG draw lands at the
-// simulated instant its wait begins.
+// simulated instant its wait begins. A miss reads memory through the
+// memRead sub-walk (ldMem), shared with the store walk's RFO; a dirty L2
+// victim runs the wbState write-back (ldVictim).
 type loadStep struct {
 	m    *Machine
 	b    memmode.Buffer
@@ -30,31 +32,29 @@ type loadStep struct {
 	tile int
 	home int
 	fwd  int
-	edc  int
 
 	place cluster.LinePlace
-	base  float64 // unjittered memory tail (device latency + return flight)
 	tail  float64 // drawn tail paid after the directory release
 
 	pc    uint8
+	after uint8 // state to resume at once a victim write-back drains
 	cls   srcClass
 	newSt cache.State
 	fwdSt cache.State
 
-	wb wbState
+	mem memRead
+	wb  wbState
 }
 
 const (
 	ldStart = uint8(iota)
 	ldDir
-	ldProbe
-	ldFill
+	ldMem
 	ldMemTail
-	ldMemVictim
 	ldMemFinish
 	ldFwdCommit
-	ldFwdVictim
 	ldFwdFinish
+	ldVictim
 	ldDone
 )
 
@@ -127,95 +127,34 @@ func (k *loadStep) step(c *sim.StepCtx) {
 			// Holding the home CHA, after its service time.
 			if fwd, st, ok := m.forwarder(k.l, m.owners(k.l)); ok {
 				k.fwd, k.fwdSt = fwd, st
-				svc := m.P.OwnerPortSvcNs
-				if st == cache.Modified {
-					svc = m.P.OwnerPortSvcMNs
-				}
 				k.pc = ldFwdCommit
 				m.meshTileToTileOps(c, k.home, fwd)
-				c.UseJit(m.tiles[fwd].port, m, svc)
+				c.UseJit(m.tiles[fwd].port, m, m.ownerPortSvc(st))
 				return
 			}
 			// 4. Memory.
-			if m.Policy.Enabled() && k.place.Kind == knl.DDR {
-				k.edc = m.Mapper.CacheEDC(k.place.Channel, k.l)
-				k.pc = ldProbe
-				c.WaitJit(m, m.P.DirMissNs)
-				m.meshHopOps(c, m.FP.TilePos(k.home), m.FP.EDCPos[k.edc])
-				c.WaitJit(m, m.P.MCDRAMCacheTagNs)
+			k.mem.start()
+			k.pc = ldMem
+
+		case ldMem:
+			k.mem.step(m, c, k.l, k.tile, k.place)
+			if c.Blocked() {
 				return
 			}
-			var ctrlPos knl.Pos
-			var fromCtrl float64
-			if k.place.Kind == knl.DDR {
-				ctrlPos = m.FP.IMCPos[k.place.Channel/3]
-				fromCtrl = m.Router.TileToIMC(k.tile, k.place.Channel)
-			} else {
-				ctrlPos = m.FP.EDCPos[k.place.Channel]
-				fromCtrl = m.Router.TileToEDC(k.tile, k.place.Channel)
-			}
-			ch := m.Mem.Channel(k.place.Kind, k.place.Channel)
-			k.base = ch.DeviceLatencyNs() + fromCtrl
-			k.pc = ldMemTail
-			c.WaitJit(m, m.P.DirMissNs)
-			m.meshHopOps(c, m.FP.TilePos(k.home), ctrlPos)
-			ch.ServeReadCtx(c, 1)
-			return
-
-		case ldProbe:
-			// Side-cache tag result, after the MCDRAM tag-check wait.
-			if m.Policy.Probe(k.edc, k.l) {
-				ch := m.Mem.Channel(knl.MCDRAM, k.edc)
-				k.base = ch.DeviceLatencyNs() + m.Router.TileToEDC(k.tile, k.edc)
+			if k.mem.pc == mrDone {
 				k.pc = ldMemTail
-				ch.ServeReadCtx(c, 1)
-				return
 			}
-			// Miss: fetch from DDR; data goes to the requester and the
-			// MCDRAM cache simultaneously.
-			ddr := m.Mem.Channel(knl.DDR, k.place.Channel)
-			k.base = ddr.DeviceLatencyNs() + m.Router.TileToIMC(k.tile, k.place.Channel)
-			k.pc = ldFill
-			m.meshHopOps(c, m.FP.EDCPos[k.edc], m.FP.IMCPos[k.place.Channel/3])
-			ddr.ServeReadCtx(c, 1)
-			m.Mem.Channel(knl.MCDRAM, k.edc).ServeWriteCtx(c, 1)
-			return
-
-		case ldFill:
-			// Side-cache fill, after the DDR read and MCDRAM write ports.
-			if victim, dirty, ok := m.Policy.Fill(k.edc, k.l); ok && dirty {
-				if place, found := m.placeOfLine(victim); found {
-					k.pc = ldMemTail
-					m.Mem.Channel(knl.DDR, place.Channel).ServeWriteCtx(c, 1)
-					return
-				}
-			}
-			k.pc = ldMemTail
 
 		case ldMemTail:
 			// The transaction commit: the tail jitter draws here, once the
 			// memory ports have served the read.
-			k.tail = m.jitter(k.base)
+			k.tail = m.jitter(k.mem.base)
 			k.newSt = cache.Exclusive
 			if m.owners(k.l) != 0 {
 				k.newSt = cache.Forward // stale sharers exist; we become the forwarder
 				m.demoteOthers(k.l, 1<<uint(k.tile))
 			}
-			if victim, dirty := m.installL2Tags(k.tile, k.l, k.newSt); dirty {
-				k.wb.start(victim)
-				k.pc = ldMemVictim
-			} else {
-				k.pc = ldMemFinish
-			}
-
-		case ldMemVictim:
-			k.wb.step(m, c)
-			if c.Blocked() {
-				return
-			}
-			if k.wb.pc == wbDone {
-				k.pc = ldMemFinish
-			}
+			k.enterInstall(k.newSt, ldMemFinish)
 
 		case ldMemFinish:
 			m.cores[k.core].l1.Insert(k.l, k.newSt)
@@ -230,21 +169,7 @@ func (k *loadStep) step(c *sim.StepCtx) {
 			// us): the downgrades and the data-return tail commit.
 			k.tail = m.forwardCommit(k.l, k.fwd, k.tile, k.fwdSt)
 			m.demoteOthers(k.l, 1<<uint(k.tile)|1<<uint(k.fwd))
-			if victim, dirty := m.installL2Tags(k.tile, k.l, cache.Forward); dirty {
-				k.wb.start(victim)
-				k.pc = ldFwdVictim
-			} else {
-				k.pc = ldFwdFinish
-			}
-
-		case ldFwdVictim:
-			k.wb.step(m, c)
-			if c.Blocked() {
-				return
-			}
-			if k.wb.pc == wbDone {
-				k.pc = ldFwdFinish
-			}
+			k.enterInstall(cache.Forward, ldFwdFinish)
 
 		case ldFwdFinish:
 			m.cores[k.core].l1.Insert(k.l, cache.Forward)
@@ -254,8 +179,30 @@ func (k *loadStep) step(c *sim.StepCtx) {
 			c.Wait(k.tail)
 			return
 
+		case ldVictim:
+			k.wb.step(m, c)
+			if c.Blocked() {
+				return
+			}
+			if k.wb.pc == wbDone {
+				k.pc = k.after
+			}
+
 		default: // ldDone
 			return
 		}
 	}
+}
+
+// enterInstall commits the requester's L2 tag insert in state st and
+// routes through the victim write-back when the evicted line was dirty,
+// resuming at after (serialStep.enterInstall is the stream twin).
+func (k *loadStep) enterInstall(st cache.State, after uint8) {
+	if victim, dirty := k.m.installL2Tags(k.tile, k.l, st); dirty {
+		k.wb.start(victim)
+		k.after = after
+		k.pc = ldVictim
+		return
+	}
+	k.pc = after
 }

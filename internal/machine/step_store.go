@@ -19,13 +19,19 @@ import (
 // read-for-ownership, so its core-visible cost is small (the store is
 // posted) while the memory ports are charged for the write.
 //
+// Both paths embed the shared sub-walks instead of repeating them: an RFO
+// miss reads memory through memRead (ssMem), as the load walk does; a
+// dirty L2 victim and the NT store's posted line write both run wbState
+// (ssVictim, ntWrite), the write-back walk that fills the side cache.
+//
 // The directory-dependent waits force junctures the load walk doesn't
 // have: the CHA service time scales with the owner count read under the
 // directory lock, so the Acquire cannot co-queue its service wait (ssDir),
 // and the NT walk re-reads the owner set after acquiring (ntDir).
 // Jittered durations use WaitJit/UseJit so every RNG draw lands at the
 // simulated instant its wait begins; the memory tail draws both its
-// jitters eagerly at the commit juncture (ssMemTail).
+// jitters eagerly at the commit juncture (ssMemTail), while the load walk
+// defers its DeliverNs draw to the final wait.
 type storeStep struct {
 	m    *Machine
 	b    memmode.Buffer
@@ -34,25 +40,23 @@ type storeStep struct {
 	tile int
 	home int
 	fwd  int
-	edc  int
 
 	place cluster.LinePlace
-	base  float64 // unjittered memory tail (device latency + return flight)
 	tail  float64 // drawn tail paid after the directory release
 
 	pc          uint8
 	otherOwners int
 	fwdSt       cache.State
 
-	wb wbState
+	mem memRead
+	wb  wbState
 }
 
 const (
 	ssStart = uint8(iota)
 	ssDir
 	ssOwn
-	ssProbe
-	ssFill
+	ssMem
 	ssMemTail
 	ssFwdCommit
 	ssInv
@@ -64,8 +68,6 @@ const (
 	ntDir
 	ntInv
 	ntWrite
-	ntFill
-	ntMark
 	ntNotify
 	ssDone
 )
@@ -145,13 +147,9 @@ func (k *storeStep) step(c *sim.StepCtx) {
 			if fwd, st, ok := m.forwarder(k.l, m.owners(k.l)); ok && fwd != k.tile {
 				// Fetch the data with the invalidation (RFO forward).
 				k.fwd, k.fwdSt = fwd, st
-				svc := m.P.OwnerPortSvcNs
-				if st == cache.Modified {
-					svc = m.P.OwnerPortSvcMNs
-				}
 				k.pc = ssFwdCommit
 				m.meshTileToTileOps(c, k.home, fwd)
-				c.UseJit(m.tiles[fwd].port, m, svc)
+				c.UseJit(m.tiles[fwd].port, m, m.ownerPortSvc(st))
 				return
 			}
 			if hadCopy {
@@ -162,64 +160,23 @@ func (k *storeStep) step(c *sim.StepCtx) {
 				continue
 			}
 			// 4. Memory read, as in the load walk's miss path.
-			if m.Policy.Enabled() && k.place.Kind == knl.DDR {
-				k.edc = m.Mapper.CacheEDC(k.place.Channel, k.l)
-				k.pc = ssProbe
-				c.WaitJit(m, m.P.DirMissNs)
-				m.meshHopOps(c, m.FP.TilePos(k.home), m.FP.EDCPos[k.edc])
-				c.WaitJit(m, m.P.MCDRAMCacheTagNs)
+			k.mem.start()
+			k.pc = ssMem
+
+		case ssMem:
+			k.mem.step(m, c, k.l, k.tile, k.place)
+			if c.Blocked() {
 				return
 			}
-			var ctrlPos knl.Pos
-			var fromCtrl float64
-			if k.place.Kind == knl.DDR {
-				ctrlPos = m.FP.IMCPos[k.place.Channel/3]
-				fromCtrl = m.Router.TileToIMC(k.tile, k.place.Channel)
-			} else {
-				ctrlPos = m.FP.EDCPos[k.place.Channel]
-				fromCtrl = m.Router.TileToEDC(k.tile, k.place.Channel)
-			}
-			ch := m.Mem.Channel(k.place.Kind, k.place.Channel)
-			k.base = ch.DeviceLatencyNs() + fromCtrl
-			k.pc = ssMemTail
-			c.WaitJit(m, m.P.DirMissNs)
-			m.meshHopOps(c, m.FP.TilePos(k.home), ctrlPos)
-			ch.ServeReadCtx(c, 1)
-			return
-
-		case ssProbe:
-			// Side-cache tag result, after the MCDRAM tag-check wait.
-			if m.Policy.Probe(k.edc, k.l) {
-				ch := m.Mem.Channel(knl.MCDRAM, k.edc)
-				k.base = ch.DeviceLatencyNs() + m.Router.TileToEDC(k.tile, k.edc)
+			if k.mem.pc == mrDone {
 				k.pc = ssMemTail
-				ch.ServeReadCtx(c, 1)
-				return
 			}
-			ddr := m.Mem.Channel(knl.DDR, k.place.Channel)
-			k.base = ddr.DeviceLatencyNs() + m.Router.TileToIMC(k.tile, k.place.Channel)
-			k.pc = ssFill
-			m.meshHopOps(c, m.FP.EDCPos[k.edc], m.FP.IMCPos[k.place.Channel/3])
-			ddr.ServeReadCtx(c, 1)
-			m.Mem.Channel(knl.MCDRAM, k.edc).ServeWriteCtx(c, 1)
-			return
-
-		case ssFill:
-			// Side-cache fill, after the DDR read and MCDRAM write ports.
-			if victim, dirty, ok := m.Policy.Fill(k.edc, k.l); ok && dirty {
-				if place, found := m.placeOfLine(victim); found {
-					k.pc = ssMemTail
-					m.Mem.Channel(knl.DDR, place.Channel).ServeWriteCtx(c, 1)
-					return
-				}
-			}
-			k.pc = ssMemTail
 
 		case ssMemTail:
 			// Both tail jitters draw here, once the memory ports have served
 			// the read — not at the final wait (the load walk defers its
 			// DeliverNs draw; the store must not).
-			k.tail = m.jitter(k.base) + m.jitter(m.P.DeliverNs)
+			k.tail = m.jitter(k.mem.base) + m.jitter(m.P.DeliverNs)
 			k.pc = ssInv
 
 		case ssFwdCommit:
@@ -271,12 +228,12 @@ func (k *storeStep) step(c *sim.StepCtx) {
 			return
 
 		case ntStart:
-			// Non-temporal: invalidate cached copies (if any), then write
-			// straight to memory. The owner set is re-read under the
-			// directory lock (ntDir).
-			k.place = m.placeOf(k.b, k.l)
+			// Non-temporal: invalidate cached copies (if any), then post
+			// the line's write to memory. The owner set is re-read under
+			// the directory lock (ntDir).
+			k.wb.start(k.l)
 			if m.owners(k.l) != 0 {
-				k.home = k.place.HomeTile
+				k.home = m.placeOf(k.b, k.l).HomeTile
 				k.pc = ntDir
 				m.meshTileToTileOps(c, k.tile, k.home)
 				c.Acquire(m.tiles[k.home].cha)
@@ -297,38 +254,17 @@ func (k *storeStep) step(c *sim.StepCtx) {
 			k.pc = ntWrite
 
 		case ntWrite:
-			// memWrite: the posted line write's channel occupancies. Unlike
-			// wbState this uses the buffer's placement, already resolved, so
-			// an unregistered line still charges its channel.
-			if m.Policy.Enabled() && k.place.Kind == knl.DDR {
-				k.edc = m.Mapper.CacheEDC(k.place.Channel, k.l)
-				k.pc = ntFill
-				m.Mem.Channel(knl.MCDRAM, k.edc).ServeWriteCtx(c, 1)
+			// The posted write is the write-back walk on the line itself;
+			// the posted-store wait joins the juncture that finishes it.
+			k.wb.step(m, c)
+			if k.wb.pc == wbDone {
+				k.pc = ntNotify
+				c.WaitJit(m, m.P.StorePostNs)
 				return
 			}
-			k.pc = ntNotify
-			m.Mem.Channel(k.place.Kind, k.place.Channel).ServeWriteCtx(c, 1)
-			c.WaitJit(m, m.P.StorePostNs)
-			return
-
-		case ntFill:
-			// Side-cache fill on a write miss, after the MCDRAM write port.
-			if !m.Policy.Probe(k.edc, k.l) {
-				if victim, dirty, ok := m.Policy.Fill(k.edc, k.l); ok && dirty {
-					if place, found := m.placeOfLine(victim); found {
-						k.pc = ntMark
-						m.Mem.Channel(knl.DDR, place.Channel).ServeWriteCtx(c, 1)
-						return
-					}
-				}
+			if c.Blocked() {
+				return
 			}
-			k.pc = ntMark
-
-		case ntMark:
-			m.Policy.MarkDirty(k.edc, k.l)
-			k.pc = ntNotify
-			c.WaitJit(m, m.P.StorePostNs)
-			return
 
 		case ntNotify:
 			// Pollers are notified after the posted-store wait completes.

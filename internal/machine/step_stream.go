@@ -98,24 +98,19 @@ func (s *serialStep) step(c *sim.StepCtx) {
 					return
 				}
 				if st := lookup(m.tiles[s.tile].l2, s.l, local); st.Readable() {
-					svc := m.P.OwnerPortSvcNs
 					if st == cache.Modified {
-						svc = m.P.OwnerPortSvcMNs
 						m.downgradeSiblingL1(s.tile, s.core, s.l)
 					}
 					// Bookkeeping commits before the port wait so concurrent
 					// single-line transactions never observe half-applied state.
 					cs.l1.Insert(s.l, cache.Shared)
 					s.pc = srDone
-					c.Use(m.tiles[s.tile].port, svc)
+					c.Use(m.tiles[s.tile].port, m.ownerPortSvc(st))
 					return
 				}
 				if fwd, st, ok := m.forwarder(s.l, owners); ok {
 					s.fwd = fwd
-					s.svc = m.P.OwnerPortSvcNs
-					if st == cache.Modified {
-						s.svc = m.P.OwnerPortSvcMNs
-					}
+					s.svc = m.ownerPortSvc(st)
 					m.tiles[fwd].l2.SetState(s.l, cache.Shared)
 					m.downgradeSiblingL1(fwd, -1, s.l)
 					if st == cache.Modified {
@@ -164,7 +159,7 @@ func (s *serialStep) step(c *sim.StepCtx) {
 				if owners != 0 {
 					m.invalidateOthers(-1, s.l)
 				}
-				m.pendMemWrite(s.pd, s.b, s.l)
+				m.pendWrite(&s.pd.writes, s.b, s.l)
 				s.pc = srNotify
 				c.Wait(m.P.StorePostNs)
 				return

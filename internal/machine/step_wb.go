@@ -7,12 +7,13 @@ import (
 )
 
 // wbState is the write-back protocol walk as a resumable state machine,
-// run inside the load, store and stream walks (victim write-backs) and as
-// the posted write-back step process (wbStep). In cache/hybrid mode, DDR
-// write-backs land in the MCDRAM cache ("write-backs are made directly to
-// MCDRAM", paper Section II-C). Each step call runs one juncture — the
-// state reads and writes between two blocking points — and queues that
-// juncture's channel occupancies on c.
+// run inside the load, store and stream walks (victim write-backs), as the
+// single-line NT store's posted line write, and as the posted write-back
+// step process (wbStep). In cache/hybrid mode, DDR write-backs land in the
+// MCDRAM cache ("write-backs are made directly to MCDRAM", paper Section
+// II-C). Each step call runs one juncture — the state reads and writes
+// between two blocking points — and queues that juncture's channel
+// occupancies on c.
 //
 // The side-cache probe happens after the MCDRAM write completes (wbFill),
 // and MarkDirty after a dirty victim's DDR flush (wbMark), so a concurrent
@@ -53,12 +54,10 @@ func (w *wbState) step(m *Machine, c *sim.StepCtx) {
 		m.Mem.Channel(place.Kind, place.Channel).ServeWriteCtx(c, 1)
 	case wbFill:
 		if !m.Policy.Probe(w.edc, w.l) {
-			if victim, dirty, ok := m.Policy.Fill(w.edc, w.l); ok && dirty {
-				if place, found := m.placeOfLine(victim); found {
-					w.pc = wbMark
-					m.Mem.Channel(knl.DDR, place.Channel).ServeWriteCtx(c, 1)
-					return
-				}
+			if ch, ok := m.sideFill(w.edc, w.l); ok {
+				w.pc = wbMark
+				m.Mem.Channel(knl.DDR, ch).ServeWriteCtx(c, 1)
+				return
 			}
 		}
 		m.Policy.MarkDirty(w.edc, w.l)

@@ -32,33 +32,15 @@ type pending struct {
 	// async lines (write-backs of forwarded M data) are served by a helper
 	// process so they consume channel bandwidth without delaying the stream.
 	async  [2][maxChans]int32
-	nAsync int32
+	nAsync int32 // write-backs booked into async since the last flush
 }
 
 // pendWriteBack books an asynchronous dirty write-back of line l.
 func (m *Machine) pendWriteBack(pd *pending, l cache.Line) {
-	b, ok := m.bufferOfLine(l)
-	if !ok {
-		return
-	}
-	ch := m.channelOf(b, l)
-	if m.Policy.Enabled() && b.Kind == knl.DDR {
-		edc := m.Mapper.CacheEDC(ch, l)
-		pd.async[knl.MCDRAM][edc]++
+	if b, ok := m.bufferOfLine(l); ok {
+		m.pendWrite(&pd.async, b, l)
 		pd.nAsync++
-		if !m.Policy.Probe(edc, l) {
-			if victim, dirty, vok := m.Policy.Fill(edc, l); vok && dirty {
-				if vb, found := m.bufferOfLine(victim); found {
-					pd.async[knl.DDR][m.channelOf(vb, victim)]++
-					pd.nAsync++
-				}
-			}
-		}
-		m.Policy.MarkDirty(edc, l)
-		return
 	}
-	pd.async[b.Kind][ch]++
-	pd.nAsync++
 }
 
 // pendMemRead books a batched memory read of line l, routing through the
@@ -73,34 +55,32 @@ func (m *Machine) pendMemRead(pd *pending, b memmode.Buffer, l cache.Line) {
 		}
 		pd.reads[knl.DDR][ch]++
 		pd.writes[knl.MCDRAM][edc]++ // simultaneous cache fill
-		if victim, dirty, ok := m.Policy.Fill(edc, l); ok && dirty {
-			if vb, found := m.bufferOfLine(victim); found {
-				pd.writes[knl.DDR][m.channelOf(vb, victim)]++
-			}
+		if vch, ok := m.sideFill(edc, l); ok {
+			pd.writes[knl.DDR][vch]++
 		}
 		return
 	}
 	pd.reads[b.Kind][ch]++
 }
 
-// pendMemWrite books a batched memory write of line l (NT stores), routing
-// through the MCDRAM side cache in cache/hybrid mode.
-func (m *Machine) pendMemWrite(pd *pending, b memmode.Buffer, l cache.Line) {
+// pendWrite books a memory write of line l of buffer b into lines
+// (pending.writes for NT stores, pending.async for write-backs), routing
+// through the MCDRAM side cache in cache/hybrid mode: the untimed twin of
+// wbState.
+func (m *Machine) pendWrite(lines *[2][maxChans]int32, b memmode.Buffer, l cache.Line) {
 	ch := m.channelOf(b, l)
 	if m.Policy.Enabled() && b.Kind == knl.DDR {
 		edc := m.Mapper.CacheEDC(ch, l)
-		pd.writes[knl.MCDRAM][edc]++
+		lines[knl.MCDRAM][edc]++
 		if !m.Policy.Probe(edc, l) {
-			if victim, dirty, ok := m.Policy.Fill(edc, l); ok && dirty {
-				if vb, found := m.bufferOfLine(victim); found {
-					pd.writes[knl.DDR][m.channelOf(vb, victim)]++
-				}
+			if vch, ok := m.sideFill(edc, l); ok {
+				lines[knl.DDR][vch]++
 			}
 		}
 		m.Policy.MarkDirty(edc, l)
 		return
 	}
-	pd.writes[b.Kind][ch]++
+	lines[b.Kind][ch]++
 }
 
 // classify peeks where a line would be found, with no side effects.

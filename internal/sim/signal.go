@@ -10,7 +10,6 @@ package sim
 type Signal struct {
 	env     *Env
 	waiters []*Proc
-	version uint64 // incremented on every Broadcast
 }
 
 // NewSignal creates a Signal bound to env. It has no side effect on env,
@@ -30,16 +29,12 @@ func (s *Signal) wait(p *Proc) {
 	p.env.blocked++
 }
 
-// Version returns the number of Broadcasts so far.
-func (s *Signal) Version() uint64 { return s.version }
-
 // Broadcast resumes every waiting process at the current time (in the order
-// they began waiting) and increments the version. unblock only queues
+// they began waiting). unblock only queues
 // events, so no process can join the list mid-loop, and the emptied list
 // keeps its backing array: a Signal reused across many waits (a stream's
 // flush join) allocates its waiter list once.
 func (s *Signal) Broadcast() {
-	s.version++
 	for _, p := range s.waiters {
 		s.env.unblock(p)
 	}

@@ -271,36 +271,6 @@ func TestSignalBroadcast(t *testing.T) {
 	}
 }
 
-// TestSignalVersioning: a waiter that samples Version before sleeping
-// keeps waiting until the version it needs, seeing no lost wake-up.
-func TestSignalVersioning(t *testing.T) {
-	env := NewEnv()
-	sig := NewSignal(env)
-	var got uint64
-	env.GoSteps("waiter", stepFunc(func(c *StepCtx) {
-		if sig.Version() <= 1 { // must see at least version 2
-			c.WaitSignal(sig)
-			return
-		}
-		got = sig.Version()
-		c.End()
-	}))
-	env.GoSteps("setter", junctures(
-		func(c *StepCtx) { c.Wait(1) },
-		func(c *StepCtx) {
-			sig.Broadcast()
-			c.Wait(1)
-		},
-		func(c *StepCtx) { sig.Broadcast() },
-	))
-	if _, err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
-		t.Errorf("waiter saw version %d, want 2", got)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	env := NewEnv()
 	sig := NewSignal(env)

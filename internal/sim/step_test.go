@@ -53,16 +53,16 @@ type stepFunc func(c *StepCtx)
 
 func (f stepFunc) Step(c *StepCtx) { f(c) }
 
-// TestSignalZeroWaiterBroadcast: a Broadcast with no waiters must only bump
-// the version — before anyone ever waited, and again after all waiters have
-// been woken and retired.
+// TestSignalZeroWaiterBroadcast: a Broadcast with no waiters must be a
+// no-op — before anyone ever waited, and again after all waiters have been
+// woken and retired.
 func TestSignalZeroWaiterBroadcast(t *testing.T) {
 	env := NewEnv()
 	sig := NewSignal(env)
 	var woke []Time
 	env.GoSteps("driver", junctures(
 		func(c *StepCtx) {
-			sig.Broadcast() // no waiters ever: version bump only
+			sig.Broadcast() // no waiters ever: no-op
 			c.Wait(10)
 		},
 		func(c *StepCtx) {
@@ -84,9 +84,6 @@ func TestSignalZeroWaiterBroadcast(t *testing.T) {
 	}
 	if len(woke) != 1 || woke[0] != 10 {
 		t.Errorf("woke = %v, want [10]", woke)
-	}
-	if sig.Version() != 3 {
-		t.Errorf("version = %d, want 3", sig.Version())
 	}
 	if sig.Waiting() != 0 {
 		t.Errorf("%d waiters remain", sig.Waiting())

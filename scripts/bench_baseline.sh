@@ -37,7 +37,7 @@ cores="${GOMAXPROCS:-$(getconf _NPROCESSORS_ONLN)}"
 export GOMAXPROCS="$cores"
 
 engine=$(go test -bench=EngineEventThroughput -benchmem -benchtime="$benchtime" -run '^$' ./internal/sim/)
-hotpath=$(go test -bench='LoadLineHotPath|StoreLineHotPath' -benchmem -benchtime="$benchtime" -run '^$' ./internal/machine/)
+hotpath=$(go test -bench='^Benchmark(Load|Store)LineHotPath$' -benchmem -benchtime="$benchtime" -run '^$' ./internal/machine/)
 sweep=$(go test -bench=SweepParallel -benchtime=1x -run '^$' ./internal/exp/)
 latency=$(go test -bench=LatencySweep -benchtime=3x -run '^$' ./internal/exp/)
 contention=$(go test -bench=ContentionSweep -benchtime=3x -run '^$' ./internal/exp/)
