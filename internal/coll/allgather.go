@@ -18,26 +18,24 @@ const Allgather Op = 4
 
 // tunedAllgather runs the m-way dissemination with payload accumulation.
 type tunedAllgather struct {
-	g    *group
 	mWay int
 	rds  int
 	// slabs[rank]: n payload lines (slot per contributor) + one flag line
 	// per round at the end.
 	slabs []memmode.Buffer
 	n     int
-	got   []map[int]bool // rank -> set of contributor ranks received
+	got   []int // rank -> number of contributor ranks received
 }
 
 func newTunedAllgather(m *machine.Machine, cfg knl.Config, model *core.Model,
 	g *group, p Params) *tunedAllgather {
 	n := len(g.places)
 	b := tune.Barrier(model, n)
-	ag := &tunedAllgather{g: g, mWay: b.M, rds: b.Rounds, n: n,
-		got: make([]map[int]bool, n)}
-	for r, pl := range g.places {
+	ag := &tunedAllgather{mWay: b.M, rds: b.Rounds, n: n,
+		got: make([]int, n)}
+	for _, pl := range g.places {
 		ag.slabs = append(ag.slabs,
 			allocFor(m, cfg, pl, p.BufKind, int64(n+b.Rounds+1)*knl.LineSize))
-		ag.got[r] = map[int]bool{}
 	}
 	return ag
 }
@@ -75,7 +73,7 @@ func (ag *tunedAllgather) emit(s *machine.Script, rank, seq int) {
 			break
 		}
 	}
-	s.Do(func() { ag.got[rank] = mine })
+	s.Do(func() { ag.got[rank] = len(mine) })
 }
 
 // blockOwners lists the contributor ranks held by `owner` after gathering
@@ -96,19 +94,13 @@ func blockOwners(owner, span, mWay, n int) []int {
 }
 
 func (ag *tunedAllgather) validate(m *machine.Machine, iters int) bool {
-	for rank := range ag.got {
-		if len(ag.got[rank]) != ag.n {
-			return false
-		}
-	}
-	return true
+	return allEqual(ag.got, ag.n)
 }
 
 // ompAllgather is the centralized baseline: every thread deposits its line
 // into one shared slab, waits on a counter, then reads all n slots — n^2
 // contended reads of the same tile's memory.
 type ompAllgather struct {
-	g      *group
 	slab   memmode.Buffer
 	count  memmode.Buffer
 	forkNs float64
@@ -119,7 +111,6 @@ type ompAllgather struct {
 func newOMPAllgather(m *machine.Machine, cfg knl.Config, g *group, p Params) *ompAllgather {
 	n := len(g.places)
 	return &ompAllgather{
-		g:      g,
 		slab:   allocFor(m, cfg, g.places[0], p.BufKind, int64(n)*knl.LineSize),
 		count:  allocFor(m, cfg, g.places[0], p.BufKind, knl.LineSize),
 		forkNs: p.OMPForkNs.Float(),
@@ -145,18 +136,12 @@ func (oa *ompAllgather) emit(s *machine.Script, rank, seq int) {
 }
 
 func (oa *ompAllgather) validate(m *machine.Machine, iters int) bool {
-	for _, h := range oa.got {
-		if h != oa.n {
-			return false
-		}
-	}
-	return true
+	return allEqual(oa.got, oa.n)
 }
 
 // mpiAllgather is the baseline: Bruck with m=1, every block exchange an
 // MPI message (overhead + double copy).
 type mpiAllgather struct {
-	g   *group
 	mpi *mpiFabric
 	n   int
 	got []int
@@ -164,8 +149,8 @@ type mpiAllgather struct {
 
 func newMPIAllgather(m *machine.Machine, cfg knl.Config, g *group, p Params) *mpiAllgather {
 	return &mpiAllgather{
-		g: g, mpi: newMPIFabric(m, cfg, p, len(g.places)),
-		n: len(g.places), got: make([]int, len(g.places)),
+		mpi: newMPIFabric(m, cfg, p, len(g.places)),
+		n:   len(g.places), got: make([]int, len(g.places)),
 	}
 }
 
@@ -197,10 +182,5 @@ func (ma *mpiAllgather) emit(s *machine.Script, rank, seq int) {
 }
 
 func (ma *mpiAllgather) validate(m *machine.Machine, iters int) bool {
-	for _, h := range ma.got {
-		if h != ma.n {
-			return false
-		}
-	}
-	return true
+	return allEqual(ma.got, ma.n)
 }

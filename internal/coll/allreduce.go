@@ -17,51 +17,33 @@ import (
 // flag machinery implements it.
 const Allreduce Op = 3
 
-// tunedAllreduce composes the tuned reduce and broadcast.
-type tunedAllreduce struct {
-	red *tunedReduce
-	bc  *tunedBcast
-	// result[rank] is the sum each rank observed.
-	result  []uint64
-	threads int
+// allreduce composes a reduce with a broadcast whose payload source is the
+// reduce result; the tuned and MPI variants differ only in their parts.
+type allreduce struct {
+	red, bc iterRunner
+	seen    []uint64 // the broadcast's per-rank observations
 }
 
-func newTunedAllreduce(m *machine.Machine, cfg knl.Config, model *core.Model,
-	g *group, p Params) *tunedAllreduce {
-	return &tunedAllreduce{
-		red:     newTunedReduce(m, cfg, model, g, p),
-		bc:      newTunedBcast(m, cfg, model, g, p),
-		result:  make([]uint64, len(g.places)),
-		threads: len(g.places),
-	}
-}
-
-func (ar *tunedAllreduce) emit(s *machine.Script, rank, seq int) {
+func (ar *allreduce) emit(s *machine.Script, rank, seq int) {
 	ar.red.emit(s, rank, seq)
-	// The reduce root injects the sum into the broadcast payload word —
-	// deferred to the reduce-completion instant, when rootSum is set.
-	if rank == 0 {
-		s.Do(func() { ar.bc.inject = ar.red.rootSum })
-	}
 	ar.bc.emit(s, rank, seq)
-	s.Do(func() { ar.result[rank] = ar.bc.seen[rank] })
 }
 
-func (ar *tunedAllreduce) validate(m *machine.Machine, iters int) bool {
-	n := uint64(ar.threads)
-	want := n * (n + 1) / 2
-	for _, v := range ar.result {
-		if v != want {
-			return false
-		}
-	}
-	return true
+func (ar *allreduce) validate(m *machine.Machine, iters int) bool {
+	return allEqual(ar.seen, triangle(len(ar.seen)))
+}
+
+// newTunedAllreduce fuses the tuned reduce and broadcast.
+func newTunedAllreduce(m *machine.Machine, cfg knl.Config, model *core.Model,
+	g *group, p Params) *allreduce {
+	red := newTunedReduce(m, cfg, model, g, p)
+	bc := newTunedBcast(m, cfg, model, g, p, func(int) uint64 { return red.rootSum })
+	return &allreduce{red: red, bc: bc, seen: bc.seen}
 }
 
 // ompAllreduce is the centralized baseline: atomic accumulation plus a
 // release broadcast of the result.
 type ompAllreduce struct {
-	g       *group
 	acc     memmode.Buffer
 	count   memmode.Buffer
 	out     memmode.Buffer
@@ -72,7 +54,6 @@ type ompAllreduce struct {
 
 func newOMPAllreduce(m *machine.Machine, cfg knl.Config, g *group, p Params) *ompAllreduce {
 	return &ompAllreduce{
-		g:       g,
 		acc:     allocFor(m, cfg, g.places[0], p.BufKind, knl.LineSize),
 		count:   allocFor(m, cfg, g.places[0], p.BufKind, knl.LineSize),
 		out:     allocFor(m, cfg, g.places[0], p.BufKind, knl.LineSize),
@@ -100,50 +81,15 @@ func (oa *ompAllreduce) emit(s *machine.Script, rank, seq int) {
 }
 
 func (oa *ompAllreduce) validate(m *machine.Machine, iters int) bool {
-	n := uint64(oa.threads)
-	want := (uint64(iters) * n * (n + 1) / 2) % 65536
-	for _, v := range oa.result {
-		if v != want {
-			return false
-		}
-	}
-	return true
+	return allEqual(oa.result, uint64(iters)*triangle(oa.threads)%65536)
 }
 
-// mpiAllreduce reduces up and broadcasts down binomial trees (the classic
-// non-rabenseifner MPI_Allreduce for small payloads).
-type mpiAllreduce struct {
-	red *mpiReduce
-	bc  *mpiBcast
-	sum []uint64
-}
-
-func newMPIAllreduce(m *machine.Machine, cfg knl.Config, g *group, p Params) *mpiAllreduce {
-	return &mpiAllreduce{
-		red: newMPIReduce(m, cfg, g, p),
-		bc:  newMPIBcast(m, cfg, g, p),
-		sum: make([]uint64, len(g.places)),
-	}
-}
-
-func (ma *mpiAllreduce) emit(s *machine.Script, rank, seq int) {
-	ma.red.emit(s, rank, seq)
-	if rank == 0 {
-		s.Do(func() { ma.bc.inject = ma.red.rootSum })
-	}
-	ma.bc.emit(s, rank, seq)
-	s.Do(func() { ma.sum[rank] = ma.bc.seen[rank] })
-}
-
-func (ma *mpiAllreduce) validate(m *machine.Machine, iters int) bool {
-	n := uint64(len(ma.sum))
-	want := n * (n + 1) / 2
-	for _, v := range ma.sum {
-		if v != want {
-			return false
-		}
-	}
-	return true
+// newMPIAllreduce reduces up and broadcasts down binomial trees (the
+// classic non-rabenseifner MPI_Allreduce for small payloads).
+func newMPIAllreduce(m *machine.Machine, cfg knl.Config, g *group, p Params) *allreduce {
+	red := newMPIReduce(m, cfg, g, p)
+	bc := newMPIBcast(m, cfg, g, p, func(int) uint64 { return red.rootSum })
+	return &allreduce{red: red, bc: bc, seen: bc.seen}
 }
 
 // PredictAllreduce gives the model cost of the fused tuned allreduce.

@@ -13,43 +13,27 @@ import (
 // payload sharing one cache line (RI+RL), per-child acknowledgement lines
 // (RI + k*RR) and a flat intra-tile stage.
 type tunedBcast struct {
-	g        *group
-	parent   []int
-	children [][]int
-	childIdx []int // node -> its slot in parent's ack buffer
+	g *group
+	*treeIndex
 
 	payload  []memmode.Buffer // per node: MsgLines lines; line 0 = flag+data
 	acks     []memmode.Buffer // per node: one line per child
 	tileFlag []memmode.Buffer // per node: intra-tile release
 	seen     []uint64         // per rank: last observed value
-	// inject, when nonzero, replaces the payload value of the next
-	// iteration (< 4096; the allreduce hands the reduce result down).
-	inject uint64
+	// src is the root's payload word for an iteration (< 4096), read at
+	// the instant the root starts broadcasting it.
+	src func(seq int) uint64
 }
 
 func newTunedBcast(m *machine.Machine, cfg knl.Config, model *core.Model,
-	g *group, p Params) *tunedBcast {
+	g *group, p Params, src func(seq int) uint64) *tunedBcast {
 	tt := tune.Broadcast(model, len(g.leaders))
 	ti := indexTree(tt.Tree, len(g.leaders))
-	tb := &tunedBcast{
-		g: g, parent: ti.parent, children: ti.children,
-		childIdx: make([]int, len(g.leaders)),
-		seen:     make([]uint64, len(g.places)),
-	}
-	for node, kids := range ti.children {
-		for i, c := range kids {
-			tb.childIdx[c] = i
-			_ = node
-		}
-	}
-	lines := p.MsgLines
-	if lines < 1 {
-		lines = 1
-	}
+	tb := &tunedBcast{g: g, treeIndex: ti, seen: make([]uint64, len(g.places)), src: src}
 	for node, lr := range g.leaders {
 		pl := g.places[lr]
 		tb.payload = append(tb.payload,
-			allocFor(m, cfg, pl, p.BufKind, int64(lines)*knl.LineSize))
+			allocFor(m, cfg, pl, p.BufKind, int64(p.MsgLines)*knl.LineSize))
 		ackLines := len(ti.children[node])
 		if ackLines < 1 {
 			ackLines = 1
@@ -62,9 +46,10 @@ func newTunedBcast(m *machine.Machine, cfg knl.Config, model *core.Model,
 	return tb
 }
 
-// value encodes the broadcast payload word: monotone in seq so pollers can
-// use >= thresholds.
-func bcastValue(seq int) uint64 { return uint64(seq)*4096 + uint64(seq%1000) + 7 }
+// bcastPayload is a plain broadcast's payload word: it differs between
+// consecutive iterations, and the flag word seq*4096 + payload stays
+// monotone in seq so pollers can use >= thresholds.
+func bcastPayload(seq int) uint64 { return uint64(seq%1000) + 7 }
 
 func (tb *tunedBcast) emit(s *machine.Script, rank, seq int) {
 	node := tb.g.nodeOf[rank]
@@ -83,15 +68,9 @@ func (tb *tunedBcast) emit(s *machine.Script, rank, seq int) {
 
 	var val uint64
 	if tb.parent[node] < 0 {
-		// Deferred: inject is set by the allreduce mid-iteration, so the
-		// payload value is computed at the simulated instant.
-		s.Do(func() {
-			val = bcastValue(seq)
-			if tb.inject != 0 {
-				val = uint64(seq)*4096 + tb.inject
-				tb.inject = 0
-			}
-		})
+		// Deferred: an allreduce's source is the reduce result, set
+		// mid-iteration, so it is read at the simulated instant.
+		s.Do(func() { val = uint64(seq)*4096 + tb.src(seq) })
 		// Root: write the payload, then flag+data in line 0.
 		for li := 1; li < lines; li++ {
 			s.Store(tb.payload[node], li)
@@ -107,7 +86,7 @@ func (tb *tunedBcast) emit(s *machine.Script, rank, seq int) {
 		}
 		s.StoreWordFn(tb.payload[node], 0, func() uint64 { return val })
 		// Acknowledge to the parent.
-		s.StoreWord(tb.acks[p], tb.childIdx[node], uint64(seq))
+		s.StoreWord(tb.acks[p], tb.slot[node], uint64(seq))
 	}
 	s.Do(func() { tb.seen[rank] = val - uint64(seq)*4096 })
 
@@ -123,13 +102,7 @@ func (tb *tunedBcast) emit(s *machine.Script, rank, seq int) {
 }
 
 func (tb *tunedBcast) validate(m *machine.Machine, iters int) bool {
-	want := bcastValue(iters) - uint64(iters)*4096
-	for _, v := range tb.seen {
-		if v != want {
-			return false
-		}
-	}
-	return true
+	return allEqual(tb.seen, bcastPayload(iters))
 }
 
 // ompBcast is the centralized baseline: a single shared flag+payload that
@@ -144,13 +117,9 @@ type ompBcast struct {
 }
 
 func newOMPBcast(m *machine.Machine, cfg knl.Config, g *group, p Params) *ompBcast {
-	lines := p.MsgLines
-	if lines < 1 {
-		lines = 1
-	}
 	return &ompBcast{
 		g:       g,
-		payload: allocFor(m, cfg, g.places[0], p.BufKind, int64(lines)*knl.LineSize),
+		payload: allocFor(m, cfg, g.places[0], p.BufKind, int64(p.MsgLines)*knl.LineSize),
 		ack:     allocFor(m, cfg, g.places[0], p.BufKind, knl.LineSize),
 		seen:    make([]uint64, len(g.places)),
 		forkNs:  p.OMPForkNs.Float(),
@@ -164,8 +133,8 @@ func (ob *ompBcast) emit(s *machine.Script, rank, seq int) {
 		for li := 1; li < lines; li++ {
 			s.Store(ob.payload, li)
 		}
-		s.StoreWord(ob.payload, 0, bcastValue(seq))
-		s.Do(func() { ob.seen[0] = bcastValue(seq) - uint64(seq)*4096 })
+		s.StoreWord(ob.payload, 0, uint64(seq)*4096+bcastPayload(seq))
+		s.Do(func() { ob.seen[0] = bcastPayload(seq) })
 		// Cumulative arrival counter: one tick per reader per iteration.
 		s.WaitWordGE(ob.ack, 0, uint64(seq)*uint64(len(ob.g.places)-1), nil)
 		return
@@ -180,11 +149,5 @@ func (ob *ompBcast) emit(s *machine.Script, rank, seq int) {
 }
 
 func (ob *ompBcast) validate(m *machine.Machine, iters int) bool {
-	want := bcastValue(iters) - uint64(iters)*4096
-	for _, v := range ob.seen {
-		if v != want {
-			return false
-		}
-	}
-	return true
+	return allEqual(ob.seen, bcastPayload(iters))
 }

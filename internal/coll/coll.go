@@ -150,12 +150,14 @@ func buildGroup(places []knl.Place) *group {
 type treeIndex struct {
 	parent   []int   // node -> parent node (-1 for root)
 	children [][]int // node -> child nodes
+	slot     []int   // node -> its index in its parent's children
 }
 
 func indexTree(t *core.Tree, numNodes int) *treeIndex {
 	ti := &treeIndex{
 		parent:   make([]int, numNodes),
 		children: make([][]int, numNodes),
+		slot:     make([]int, numNodes),
 	}
 	ti.parent[0] = -1
 	next := 1
@@ -171,6 +173,7 @@ func indexTree(t *core.Tree, numNodes int) *treeIndex {
 			id := next
 			next++
 			ti.parent[id] = e.id
+			ti.slot[id] = len(ti.children[e.id])
 			ti.children[e.id] = append(ti.children[e.id], id)
 			queue = append(queue, qe{k, id})
 		}
@@ -238,51 +241,56 @@ func Measure(cfg knl.Config, model *core.Model, o bench.Options, op Op,
 
 // measure is Measure on a machine from pool (nil builds a fresh one),
 // returned to the pool once the result is validated. The machine runs
-// machine.New's default protocol constants.
+// machine.New's default protocol constants. The runners see p with
+// MsgLines of at least one; the Result records the caller's p.
 func measure(pool *exp.MachinePool, cfg knl.Config, model *core.Model,
 	o bench.Options, op Op, alg Algorithm, p Params) Result {
 	m := pool.Get(cfg, machine.DefaultParams(), cfg.YieldSeed)
 	places := knl.Pin(p.Schedule, m.NumTiles(), p.Threads)
 	g := buildGroup(places)
+	rp := p
+	if rp.MsgLines < 1 {
+		rp.MsgLines = 1
+	}
 
 	var runner iterRunner
 	switch {
 	case op == Barrier && alg == Tuned:
-		runner = newTunedBarrier(m, cfg, model, g, p)
+		runner = newTunedBarrier(m, cfg, model, g, rp)
 	case op == Barrier && alg == OMP:
-		runner = newOMPBarrier(m, cfg, g, p)
+		runner = newOMPBarrier(m, cfg, g, rp)
 	case op == Barrier && alg == MPI:
-		runner = newMPIBarrier(m, cfg, g, p)
+		runner = newMPIBarrier(m, cfg, g, rp)
 	case op == Bcast && alg == Tuned:
-		runner = newTunedBcast(m, cfg, model, g, p)
+		runner = newTunedBcast(m, cfg, model, g, rp, bcastPayload)
 	case op == Bcast && alg == OMP:
-		runner = newOMPBcast(m, cfg, g, p)
+		runner = newOMPBcast(m, cfg, g, rp)
 	case op == Bcast && alg == MPI:
-		runner = newMPIBcast(m, cfg, g, p)
+		runner = newMPIBcast(m, cfg, g, rp, bcastPayload)
 	case op == Reduce && alg == Tuned:
-		runner = newTunedReduce(m, cfg, model, g, p)
+		runner = newTunedReduce(m, cfg, model, g, rp)
 	case op == Reduce && alg == OMP:
-		runner = newOMPReduce(m, cfg, g, p)
+		runner = newOMPReduce(m, cfg, g, rp)
 	case op == Reduce && alg == MPI:
-		runner = newMPIReduce(m, cfg, g, p)
+		runner = newMPIReduce(m, cfg, g, rp)
 	case op == Allreduce && alg == Tuned:
-		runner = newTunedAllreduce(m, cfg, model, g, p)
+		runner = newTunedAllreduce(m, cfg, model, g, rp)
 	case op == Allreduce && alg == OMP:
-		runner = newOMPAllreduce(m, cfg, g, p)
+		runner = newOMPAllreduce(m, cfg, g, rp)
 	case op == Allreduce && alg == MPI:
-		runner = newMPIAllreduce(m, cfg, g, p)
+		runner = newMPIAllreduce(m, cfg, g, rp)
 	case op == Allgather && alg == Tuned:
-		runner = newTunedAllgather(m, cfg, model, g, p)
+		runner = newTunedAllgather(m, cfg, model, g, rp)
 	case op == Allgather && alg == OMP:
-		runner = newOMPAllgather(m, cfg, g, p)
+		runner = newOMPAllgather(m, cfg, g, rp)
 	case op == Allgather && alg == MPI:
-		runner = newMPIAllgather(m, cfg, g, p)
+		runner = newMPIAllgather(m, cfg, g, rp)
 	case op == Scan && alg == Tuned:
-		runner = newTunedScan(m, cfg, model, g, p)
+		runner = newTunedScan(m, cfg, model, g, rp)
 	case op == Scan && alg == OMP:
-		runner = newOMPScan(m, cfg, g, p)
+		runner = newOMPScan(m, cfg, g, rp)
 	default:
-		runner = newMPIScan(m, cfg, g, p)
+		runner = newMPIScan(m, cfg, g, rp)
 	}
 
 	maxes := bench.RunWindows(m, places, o, nil, func(rank, iter int) machine.Program {
@@ -309,4 +317,28 @@ type iterRunner interface {
 	emit(s *machine.Script, rank, seq int)
 	// validate checks operation semantics after all iterations.
 	validate(m *machine.Machine, iters int) bool
+}
+
+// allEqual is the check that every rank observed want.
+func allEqual[T comparable](got []T, want T) bool {
+	for _, v := range got {
+		if v != want {
+			return false
+		}
+	}
+	return true
+}
+
+// triangle is 1+2+...+n, the sum of the contributions rank+1 of ranks
+// 0..n-1.
+func triangle(n int) uint64 { return uint64(n) * uint64(n+1) / 2 }
+
+// prefixSums is the scan's check: rank r observed triangle(r+1).
+func prefixSums(got []uint64) bool {
+	for rank, v := range got {
+		if v != triangle(rank+1) {
+			return false
+		}
+	}
+	return true
 }

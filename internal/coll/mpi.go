@@ -13,38 +13,36 @@ import (
 // fundamental" (address spaces could be mapped), which is exactly what the
 // tuned algorithms exploit by sharing structures directly.
 type mpiFabric struct {
-	m        *machine.Machine
-	cfg      knl.Config
-	p        Params
-	n        int
-	msgLines int
-	// bounce[(from*n+to)*rounds'..] buffers, allocated lazily per edge+tag.
-	bounce map[int]memmode.Buffer
+	m   *machine.Machine
+	cfg knl.Config
+	p   Params
+	n   int
+	// segs holds the MsgLines-line segments, allocated on first touch:
+	// key (from*n+to)*16 + tag%16 is an edge's bounce buffer, key -1-rank
+	// a receiver's private landing buffer.
+	segs map[int]memmode.Buffer
 }
 
 func newMPIFabric(m *machine.Machine, cfg knl.Config, p Params, n int) *mpiFabric {
-	lines := p.MsgLines
-	if lines < 1 {
-		lines = 1
-	}
-	return &mpiFabric{
-		m: m, cfg: cfg, p: p, n: n,
-		msgLines: lines,
-		bounce:   map[int]memmode.Buffer{},
-	}
+	return &mpiFabric{m: m, cfg: cfg, p: p, n: n, segs: map[int]memmode.Buffer{}}
 }
 
-// buf returns the bounce buffer of a directed edge and tag slot.
-func (f *mpiFabric) buf(from, to, tag int) memmode.Buffer {
-	key := (from*f.n+to)*16 + tag%16
-	b, ok := f.bounce[key]
+// segment returns the segment under key, allocating it near rank on first
+// touch.
+func (f *mpiFabric) segment(key, rank int) memmode.Buffer {
+	b, ok := f.segs[key]
 	if !ok {
-		// Shared segments conventionally live near the receiver.
-		b = allocFor(f.m, f.cfg, f.placeOf(to), knl.DDR,
-			int64(f.msgLines)*knl.LineSize)
-		f.bounce[key] = b
+		b = allocFor(f.m, f.cfg, f.placeOf(rank), knl.DDR,
+			int64(f.p.MsgLines)*knl.LineSize)
+		f.segs[key] = b
 	}
 	return b
+}
+
+// buf returns the bounce buffer of a directed edge and tag slot. Shared
+// segments conventionally live near the receiver.
+func (f *mpiFabric) buf(from, to, tag int) memmode.Buffer {
+	return f.segment((from*f.n+to)*16+tag%16, to)
 }
 
 func (f *mpiFabric) placeOf(rank int) knl.Place {
@@ -60,7 +58,7 @@ func (f *mpiFabric) send(s *machine.Script, from, to, tag, seq int, value func()
 	s.Compute(f.p.MPIOverheadNs.Float())
 	var b memmode.Buffer
 	s.Do(func() { b = f.buf(from, to, tag) })
-	for li := 1; li < f.msgLines; li++ {
+	for li := 1; li < f.p.MsgLines; li++ {
 		li := li
 		s.OpF(func() machine.KernelOp {
 			return machine.KernelOp{Kind: machine.KernelStore, B: b, Li: li}
@@ -88,28 +86,17 @@ func (f *mpiFabric) recv(s *machine.Script, from, to, tag, seq int, then func(pa
 			then(got - uint64(seq)*4096)
 		}
 	})
-	for li := 1; li < f.msgLines; li++ {
+	for li := 1; li < f.p.MsgLines; li++ {
 		li := li
 		s.OpF(func() machine.KernelOp {
 			return machine.KernelOp{Kind: machine.KernelLoad, B: b, Li: li}
 		}, nil)
 		s.OpF(func() machine.KernelOp {
-			return machine.KernelOp{Kind: machine.KernelStore, B: f.recvScratch(to), Li: li}
+			// The receiver's private landing buffer: the copy-out half
+			// of the double copy.
+			return machine.KernelOp{Kind: machine.KernelStore, B: f.segment(-1-to, to), Li: li}
 		}, nil)
 	}
-}
-
-// recvScratch is the receiver's private landing buffer (the copy-out half
-// of the double copy).
-func (f *mpiFabric) recvScratch(rank int) memmode.Buffer {
-	key := -1 - rank
-	b, ok := f.bounce[key]
-	if !ok {
-		b = allocFor(f.m, f.cfg, f.placeOf(rank), knl.DDR,
-			int64(f.msgLines)*knl.LineSize)
-		f.bounce[key] = b
-	}
-	return b
 }
 
 // binomialEdges computes, for every rank, its parent and children in a
@@ -135,34 +122,29 @@ func binomialEdges(n int) (parent []int, children [][]int) {
 
 // mpiBcast broadcasts down a binomial tree over all threads.
 type mpiBcast struct {
-	g        *group
 	mpi      *mpiFabric
 	parent   []int
 	children [][]int
 	seen     []uint64
-	// inject, when nonzero, replaces the next root payload (< 4096).
-	inject uint64
+	src      func(seq int) uint64 // the root's payload word, as tunedBcast.src
 }
 
-func newMPIBcast(m *machine.Machine, cfg knl.Config, g *group, p Params) *mpiBcast {
+func newMPIBcast(m *machine.Machine, cfg knl.Config, g *group, p Params,
+	src func(seq int) uint64) *mpiBcast {
 	pa, ch := binomialEdges(len(g.places))
 	return &mpiBcast{
-		g: g, mpi: newMPIFabric(m, cfg, p, len(g.places)),
-		parent: pa, children: ch, seen: make([]uint64, len(g.places)),
+		mpi:    newMPIFabric(m, cfg, p, len(g.places)),
+		parent: pa, children: ch, seen: make([]uint64, len(g.places)), src: src,
 	}
 }
 
 func (b *mpiBcast) emit(s *machine.Script, rank, seq int) {
 	var val uint64
 	if rank == 0 {
-		// Deferred: inject is set by the allreduce at reduce-completion time,
-		// mid-iteration, so it must be read at the simulated instant.
+		// Deferred, as in tunedBcast: the source is read at the simulated
+		// instant.
 		s.Do(func() {
-			val = uint64(seq%1000) + 7
-			if b.inject != 0 {
-				val = b.inject
-				b.inject = 0
-			}
+			val = b.src(seq)
 			b.seen[0] = val
 		})
 	} else {
@@ -177,13 +159,7 @@ func (b *mpiBcast) emit(s *machine.Script, rank, seq int) {
 }
 
 func (b *mpiBcast) validate(m *machine.Machine, iters int) bool {
-	want := uint64(iters%1000) + 7
-	for _, v := range b.seen {
-		if v != want {
-			return false
-		}
-	}
-	return true
+	return allEqual(b.seen, bcastPayload(iters))
 }
 
 // mpiReduce reduces up a binomial tree over all threads.
@@ -217,6 +193,5 @@ func (rd *mpiReduce) emit(s *machine.Script, rank, seq int) {
 }
 
 func (rd *mpiReduce) validate(m *machine.Machine, iters int) bool {
-	n := uint64(len(rd.g.places))
-	return rd.rootSum == n*(n+1)/2
+	return rd.rootSum == triangle(len(rd.g.places))
 }

@@ -14,10 +14,8 @@ import (
 // descendants"), value+flag in one line, and an intra-tile flat gather
 // before the inter-tile phase.
 type tunedReduce struct {
-	g        *group
-	parent   []int
-	children [][]int
-	childIdx []int
+	g *group
+	*treeIndex
 
 	// slots[node]: one line per child of node, receiving (seq, partial).
 	slots []memmode.Buffer
@@ -25,24 +23,13 @@ type tunedReduce struct {
 	tileSlots []memmode.Buffer
 	opNs      float64
 	rootSum   uint64
-	threads   int
 }
 
 func newTunedReduce(m *machine.Machine, cfg knl.Config, model *core.Model,
 	g *group, p Params) *tunedReduce {
 	tt := tune.Reduce(model, len(g.leaders))
 	ti := indexTree(tt.Tree, len(g.leaders))
-	tr := &tunedReduce{
-		g: g, parent: ti.parent, children: ti.children,
-		childIdx: make([]int, len(g.leaders)),
-		opNs:     model.ReduceOpNs.Float(),
-		threads:  len(g.places),
-	}
-	for _, kids := range ti.children {
-		for i, c := range kids {
-			tr.childIdx[c] = i
-		}
-	}
+	tr := &tunedReduce{g: g, treeIndex: ti, opNs: model.ReduceOpNs.Float()}
 	for node, lr := range g.leaders {
 		pl := g.places[lr]
 		slotLines := len(ti.children[node])
@@ -99,14 +86,13 @@ func (tr *tunedReduce) emit(s *machine.Script, rank, seq int) {
 		s.Do(func() { tr.rootSum = sum })
 		return
 	}
-	s.StoreWordFn(tr.slots[tr.parent[node]], tr.childIdx[node], func() uint64 {
+	s.StoreWordFn(tr.slots[tr.parent[node]], tr.slot[node], func() uint64 {
 		return encodeReduce(seq, sum)
 	})
 }
 
 func (tr *tunedReduce) validate(m *machine.Machine, iters int) bool {
-	n := uint64(tr.threads)
-	return tr.rootSum == n*(n+1)/2
+	return tr.rootSum == triangle(len(tr.g.places))
 }
 
 // ompReduce is the centralized baseline: every thread atomically adds its
@@ -148,6 +134,5 @@ func (or *ompReduce) emit(s *machine.Script, rank, seq int) {
 }
 
 func (or *ompReduce) validate(m *machine.Machine, iters int) bool {
-	n := uint64(len(or.g.places))
-	return or.rootSum == uint64(iters)*n*(n+1)/2
+	return or.rootSum == uint64(iters)*triangle(len(or.g.places))
 }

@@ -17,7 +17,6 @@ const Scan Op = 5
 
 // tunedScan publishes per-round partials in per-thread slabs.
 type tunedScan struct {
-	g *group
 	// slabs[rank]: one line per round holding (seq, partial).
 	slabs  []memmode.Buffer
 	rounds int
@@ -36,7 +35,7 @@ func scanRounds(n int) int {
 func newTunedScan(m *machine.Machine, cfg knl.Config, model *core.Model,
 	g *group, p Params) *tunedScan {
 	n := len(g.places)
-	ts := &tunedScan{g: g, rounds: scanRounds(n), n: n,
+	ts := &tunedScan{rounds: scanRounds(n), n: n,
 		result: make([]uint64, n)}
 	for _, pl := range g.places {
 		ts.slabs = append(ts.slabs,
@@ -62,19 +61,12 @@ func (ts *tunedScan) emit(s *machine.Script, rank, seq int) {
 }
 
 func (ts *tunedScan) validate(m *machine.Machine, iters int) bool {
-	for rank, got := range ts.result {
-		want := uint64(rank+1) * uint64(rank+2) / 2 // 1+2+...+(rank+1)
-		if got != want {
-			return false
-		}
-	}
-	return true
+	return prefixSums(ts.result)
 }
 
 // ompScan is the centralized baseline: serialized handoff — thread i waits
 // for thread i-1's prefix, adds, publishes. O(n) critical path.
 type ompScan struct {
-	g      *group
 	chain  memmode.Buffer // one line per rank
 	forkNs float64
 	n      int
@@ -84,7 +76,6 @@ type ompScan struct {
 func newOMPScan(m *machine.Machine, cfg knl.Config, g *group, p Params) *ompScan {
 	n := len(g.places)
 	return &ompScan{
-		g:      g,
 		chain:  allocFor(m, cfg, g.places[0], p.BufKind, int64(n)*knl.LineSize),
 		forkNs: p.OMPForkNs.Float(),
 		n:      n,
@@ -106,24 +97,18 @@ func (os *ompScan) emit(s *machine.Script, rank, seq int) {
 }
 
 func (os *ompScan) validate(m *machine.Machine, iters int) bool {
-	for rank, got := range os.result {
-		if got != uint64(rank+1)*uint64(rank+2)/2 {
-			return false
-		}
-	}
-	return true
+	return prefixSums(os.result)
 }
 
 // mpiScan is Hillis-Steele with messages.
 type mpiScan struct {
-	g      *group
 	mpi    *mpiFabric
 	n      int
 	result []uint64
 }
 
 func newMPIScan(m *machine.Machine, cfg knl.Config, g *group, p Params) *mpiScan {
-	return &mpiScan{g: g, mpi: newMPIFabric(m, cfg, p, len(g.places)),
+	return &mpiScan{mpi: newMPIFabric(m, cfg, p, len(g.places)),
 		n: len(g.places), result: make([]uint64, len(g.places))}
 }
 
@@ -143,12 +128,7 @@ func (ms *mpiScan) emit(s *machine.Script, rank, seq int) {
 }
 
 func (ms *mpiScan) validate(m *machine.Machine, iters int) bool {
-	for rank, got := range ms.result {
-		if got != uint64(rank+1)*uint64(rank+2)/2 {
-			return false
-		}
-	}
-	return true
+	return prefixSums(ms.result)
 }
 
 // ScanModelCost is the capability-model prediction for the tuned scan:
