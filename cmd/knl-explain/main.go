@@ -23,6 +23,7 @@ import (
 	"knlcap/internal/core"
 	"knlcap/internal/knl"
 	"knlcap/internal/machine"
+	"knlcap/internal/memmode"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -73,25 +74,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return c.Usagef("-owner must be a core in 0..%d (got %d)", knl.NumCores-1, *owner)
 	}
 
-	p := machine.DefaultParams()
-	p.JitterFrac = 0
-	m := machine.NewWithParams(cfg, p)
-	buf := m.Alloc.MustAlloc(mk, 0, knl.LineSize)
-	if st != cache.Invalid {
-		m.Prime(buf, *owner, st)
-	}
-
-	var latency float64
-	reqTile := *from / knl.CoresPerTile
-	s := &machine.Script{}
-	s.Load(buf, 0)
-	s.Do(func() { latency = m.Env.Now() }) // the load issued at time 0
-	m.SpawnKernel(knl.Place{Tile: reqTile, Core: *from}, s.Program())
-	if _, err := m.Run(); err != nil {
+	a, err := explain(cfg, mk, *from, *owner, st)
+	if err != nil {
 		return c.Fail(err)
 	}
 
-	place := m.Mapper.Place(mk, 0, buf.Line(0))
+	place, reqTile := a.place, *from/knl.CoresPerTile
 	cli.Fprintf(stdout, "configuration: %s | line backed by %v channel %d, home CHA on tile %d\n",
 		cfg.Name(), place.Kind, place.Channel, place.HomeTile)
 	cli.Fprintf(stdout, "request: core %d (tile %d) loads a line", *from, reqTile)
@@ -100,68 +88,162 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		cli.Fprintf(stdout, " cached nowhere")
 	}
-	cli.Fprintf(stdout, "\n\nmeasured on the simulator: %.1f ns\n\n", latency)
+	cli.Fprintf(stdout, "\n\nmeasured on the simulator: %.1f ns\n\n", a.latency)
 
 	cli.Fprintf(stdout, "protocol walk (timing parameters):\n")
-	step := func(name string, v float64) { cli.Fprintf(stdout, "  %-42s %6.1f ns\n", name, v) }
-	ownerTile := *owner / knl.CoresPerTile
-	switch {
-	case st != cache.Invalid && ownerTile == reqTile && *owner == *from:
-		step("L1 hit", p.L1HitNs)
-	case st != cache.Invalid && ownerTile == reqTile:
-		switch st {
-		case cache.Modified:
-			step("shared L2 access + sibling L1 write-back", p.L2HitMNs)
-		case cache.Exclusive:
-			step("shared L2 access + clean sibling snoop", p.L2HitENs)
-		default:
-			step("shared L2 access (S/F)", p.L2HitSFNs)
-		}
-	default:
-		step("L1 miss + L2 tag check", p.L2MissDetectNs)
-		step("mesh: tile -> home CHA", m.Router.TileToTile(reqTile, place.HomeTile))
-		step("CHA tag-directory pipeline", p.CHASvcNs)
-		if st != cache.Invalid {
-			fwdTile := ownerTile
-			step("mesh: home -> forwarder", m.Router.TileToTile(place.HomeTile, fwdTile))
-			svc, extra := p.OwnerPortSvcNs, p.OwnerExtraSFNs
-			switch st {
-			case cache.Modified:
-				svc, extra = p.OwnerPortSvcMNs, p.OwnerExtraMNs
-			case cache.Exclusive:
-				extra = p.OwnerExtraENs
-			}
-			step("forwarder L2 port", svc)
-			step(fmt.Sprintf("forwarding (%s state handling)", st), extra)
-			step("mesh: forwarder -> requester + fill", m.Router.TileToTile(fwdTile, reqTile)+p.DeliverNs)
-		} else {
-			step("directory miss handling", p.DirMissNs)
-			dev := m.Mem.Channel(place.Kind, place.Channel)
-			if cfg.Memory != knl.Flat && place.Kind == knl.DDR {
-				step("MCDRAM side-cache tag probe", p.MCDRAMCacheTagNs)
-			}
-			step("mesh: home -> memory controller", ctrlLeg(m, place.HomeTile, place))
-			step(fmt.Sprintf("%v channel port", place.Kind), dev.Params().CmdSvcNs+dev.Params().ReadSvcNs)
-			step(fmt.Sprintf("%v device access", place.Kind), dev.DeviceLatencyNs())
-			step("mesh: controller -> requester + fill", ctrlLeg(m, reqTile, place)+p.DeliverNs)
-		}
+	for _, l := range a.legs {
+		cli.Fprintf(stdout, "  %-42s %6.1f ns\n", l.name, l.ns)
 	}
 
 	model := core.Default()
 	cli.Fprintf(stdout, "\ncapability-model abstraction:\n")
-	switch {
-	case st != cache.Invalid && *owner == *from:
+	switch a.src {
+	case srcL1:
 		cli.Fprintf(stdout, "  R_L (local cache read)      = %.1f ns\n", model.RL)
-	case st != cache.Invalid && ownerTile == reqTile:
+	case srcTile:
 		cli.Fprintf(stdout, "  R_tile(%s)                   = %.1f / %.1f / %.1f ns (M/E/SF)\n",
 			st, model.RTileM, model.RTileE, model.RTileSF)
-	case st != cache.Invalid:
+	case srcRemote:
 		cli.Fprintf(stdout, "  R_R (remote cache read)     = %.1f ns (band %.0f-%.0f)\n",
 			model.RR, model.RRMin, model.RRMax)
 	default:
 		cli.Fprintf(stdout, "  R_I (memory read, %v)    = %.1f ns\n", mk, model.MemLatency(mk))
 	}
 	return 0
+}
+
+// access is one explained load.
+type access struct {
+	latency float64 // measured on the simulator, jitter off
+	legs    []leg
+	src     source
+	place   cluster.LinePlace
+}
+
+// explain primes line 0 of a fresh jitter-free machine in state st at
+// core owner (a line in state Invalid is cached nowhere), lists the walk
+// of a load by core from, then runs that load.
+func explain(cfg knl.Config, mk knl.MemKind, from, owner int, st cache.State) (access, error) {
+	p := machine.DefaultParams()
+	p.JitterFrac = 0
+	m := machine.NewWithParams(cfg, p)
+	buf := m.Alloc.MustAlloc(mk, 0, knl.LineSize)
+	if st != cache.Invalid {
+		m.Prime(buf, owner, st)
+	}
+	// The walk reads the primed state, so it is listed before the load
+	// changes it.
+	var a access
+	a.legs, a.src = walk(m, buf, from)
+	a.place = m.Mapper.Place(mk, 0, buf.Line(0))
+	s := &machine.Script{}
+	s.Load(buf, 0)
+	s.Do(func() { a.latency = m.Env.Now() }) // the load issued at time 0
+	m.SpawnKernel(knl.Place{Tile: from / knl.CoresPerTile, Core: from}, s.Program())
+	_, err := m.Run()
+	return a, err
+}
+
+// leg is one charge of the load walk: a wait, a port service or a mesh
+// traversal.
+type leg struct {
+	name string
+	ns   float64
+}
+
+// source is where the load finds its data.
+type source int
+
+const (
+	srcL1 source = iota
+	srcTile
+	srcRemote
+	srcMem
+)
+
+// walk lists, in order, every charge the load walk (internal/machine's
+// loadStep and memRead) makes when core from loads line 0 of buf on the
+// idle machine m: they add up to the measured latency with jitter off.
+func walk(m *machine.Machine, buf memmode.Buffer, from int) ([]leg, source) {
+	p := m.P
+	l := buf.Line(0)
+	var legs []leg
+	add := func(name string, ns float64) { legs = append(legs, leg{name, ns}) }
+	// hop is a request packet: it holds its ring segments for FlitNs per
+	// hop, then traverses.
+	hop := func(name string, a, b knl.Pos) {
+		if a == b {
+			return
+		}
+		add("ring segments: "+name, m.Fabric.FlitNs*float64(a.Hops(b)))
+		add("mesh: "+name, m.Router.Latency(a, b))
+	}
+
+	reqTile := from / knl.CoresPerTile
+	if m.L1State(from, l).Readable() {
+		add("L1 hit", p.L1HitNs)
+		return legs, srcL1
+	}
+	switch m.LineState(reqTile, l) {
+	case cache.Modified:
+		add("shared L2 access + sibling L1 write-back", p.L2HitMNs)
+		return legs, srcTile
+	case cache.Exclusive:
+		add("shared L2 access + clean sibling snoop", p.L2HitENs)
+		return legs, srcTile
+	case cache.Shared, cache.Forward:
+		add("shared L2 access (S/F)", p.L2HitSFNs)
+		return legs, srcTile
+	}
+
+	place := m.Mapper.Place(buf.Kind, buf.Affinity, l)
+	home := m.FP.TilePos(place.HomeTile)
+	add("L1 miss + L2 tag check", p.L2MissDetectNs)
+	hop("tile -> home CHA", m.FP.TilePos(reqTile), home)
+	add("CHA tag-directory pipeline", p.CHASvcNs)
+	for fwd := 0; fwd < m.NumTiles(); fwd++ {
+		fst := m.LineState(fwd, l)
+		if !fst.CanForward() {
+			continue
+		}
+		svc, extra := p.OwnerPortSvcNs, p.OwnerExtraSFNs
+		switch fst {
+		case cache.Modified:
+			svc, extra = p.OwnerPortSvcMNs, p.OwnerExtraMNs
+		case cache.Exclusive:
+			extra = p.OwnerExtraENs
+		}
+		hop("home -> forwarder", home, m.FP.TilePos(fwd))
+		add("forwarder L2 port", svc)
+		add(fmt.Sprintf("forwarding (%s state handling)", fst), extra)
+		add("mesh: forwarder -> requester + fill", m.Router.TileToTile(fwd, reqTile)+p.DeliverNs)
+		return legs, srcRemote
+	}
+
+	add("directory miss handling", p.DirMissNs)
+	dev := m.Mem.Channel(place.Kind, place.Channel)
+	port := fmt.Sprintf("%v channel port", place.Kind)
+	if m.Policy.Enabled() && place.Kind == knl.DDR {
+		// A cold line misses the side cache: the EDC forwards the request
+		// to DDR, and the data fills the side cache on its way back.
+		edc := m.Mapper.CacheEDC(place.Channel, l)
+		hop("home -> side-cache EDC", home, m.FP.EDCPos[edc])
+		add("MCDRAM side-cache tag probe", p.MCDRAMCacheTagNs)
+		hop("EDC -> memory controller", m.FP.EDCPos[edc], m.FP.IMCPos[place.Channel/3])
+		add(port, dev.Params().CmdSvcNs+dev.Params().ReadSvcNs)
+		fill := m.Mem.Channel(knl.MCDRAM, edc).Params()
+		add("MCDRAM side-cache fill port", fill.CmdSvcNs+fill.WriteSvcNs)
+	} else {
+		ctrl := m.FP.IMCPos[place.Channel/3]
+		if place.Kind == knl.MCDRAM {
+			ctrl = m.FP.EDCPos[place.Channel]
+		}
+		hop("home -> memory controller", home, ctrl)
+		add(port, dev.Params().CmdSvcNs+dev.Params().ReadSvcNs)
+	}
+	add(fmt.Sprintf("%v device access", place.Kind), dev.DeviceLatencyNs())
+	add("mesh: controller -> requester + fill", ctrlLeg(m, reqTile, place)+p.DeliverNs)
+	return legs, srcMem
 }
 
 // ctrlLeg is the mesh latency between a tile and the controller serving
