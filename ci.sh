@@ -115,24 +115,34 @@ if [ "$quick" = 0 ]; then
     # Tier 2: memo determinism gate. Two identical -cache invocations into a
     # fresh cache directory must (a) print byte-identical results and (b) run
     # the second entirely from the cache: its memo summary must show zero
-    # misses and zero stores, proving the simulator was never invoked.
-    step "tier-2: memo determinism gate (two -cache runs, second must not simulate)"
+    # misses and zero stores, proving the simulator was never invoked. The
+    # knl-sweep pair gates the sweep keys and the gob round trip of sweep
+    # points; the knl-coll pair gates the coll-figure key and the gob round
+    # trip of []coll.Result.
+    step "tier-2: memo determinism gate (two -cache runs each, second must not simulate)"
     memodir="$bindir/memo"
     mkdir "$memodir"
-    "$bindir/knl-sweep" -fig 4 -quick -nojitter -converge 3 \
-        -cache -cache-dir "$memodir/cache" > "$memodir/run1.out" 2> "$memodir/run1.err"
-    "$bindir/knl-sweep" -fig 4 -quick -nojitter -converge 3 \
-        -cache -cache-dir "$memodir/cache" > "$memodir/run2.out" 2> "$memodir/run2.err"
-    if ! cmp -s "$memodir/run1.out" "$memodir/run2.out"; then
-        echo "ci.sh: cached rerun output differs from the cold run" >&2
-        diff "$memodir/run1.out" "$memodir/run2.out" >&2 || true
-        exit 1
-    fi
-    grep '^memo:' "$memodir/run2.err" >&2
-    if ! grep -q '^memo: .*misses=0 stores=0' "$memodir/run2.err"; then
-        echo "ci.sh: second -cache run invoked the simulator (expected misses=0 stores=0)" >&2
-        exit 1
-    fi
+    while read -r name cmd; do
+        # $cmd is a binary name and its flags, split on purpose.
+        for run in 1 2; do
+            # shellcheck disable=SC2086
+            "$bindir"/$cmd -cache -cache-dir "$memodir/$name.cache" < /dev/null \
+                > "$memodir/$name.$run.out" 2> "$memodir/$name.$run.err"
+        done
+        if ! cmp -s "$memodir/$name.1.out" "$memodir/$name.2.out"; then
+            echo "ci.sh: $name: cached rerun output differs from the cold run" >&2
+            diff "$memodir/$name.1.out" "$memodir/$name.2.out" >&2 || true
+            exit 1
+        fi
+        grep '^memo:' "$memodir/$name.2.err" >&2
+        if ! grep -q '^memo: .*misses=0 stores=0' "$memodir/$name.2.err"; then
+            echo "ci.sh: $name: second -cache run invoked the simulator (expected misses=0 stores=0)" >&2
+            exit 1
+        fi
+    done <<'MEMO'
+sweep knl-sweep -fig 4 -quick -nojitter -converge 3
+coll knl-coll -fig 6 -quick
+MEMO
 
     # Tier 2: the committed artifacts are the oracle. Every results/ file
     # is regenerated by the binaries built above with its command from the

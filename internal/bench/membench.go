@@ -126,31 +126,20 @@ func allocPool(m *machine.Machine, cfg knl.Config, places []knl.Place,
 // artificially small footprint instead of the paper's randomized steady
 // state.
 func warmSideCache(m *machine.Machine, pools []threadBufs, k StreamKernel) {
-	touch := func(b memmode.Buffer, dirty bool) {
-		for li := 0; li < b.NumLines(); li++ {
-			l := b.Line(li)
-			place := m.Mapper.Place(knl.DDR, b.Affinity, l)
-			edc := m.Mapper.CacheEDC(place.Channel, l)
-			m.Policy.Fill(edc, l)
-			if dirty {
-				m.Policy.MarkDirty(edc, l)
-			}
-		}
-	}
 	for bi := 0; bi < len(pools[0].dst); bi++ {
 		for _, pool := range pools {
 			switch k {
 			case KernelRead:
-				touch(pool.src[bi], false)
+				m.WarmSideCache(pool.src[bi], false)
 			case KernelWrite:
-				touch(pool.dst[bi], true)
+				m.WarmSideCache(pool.dst[bi], true)
 			case KernelCopy:
-				touch(pool.dst[bi], true)
-				touch(pool.src[bi], false)
+				m.WarmSideCache(pool.dst[bi], true)
+				m.WarmSideCache(pool.src[bi], false)
 			case KernelTriad:
-				touch(pool.dst[bi], true)
-				touch(pool.src[bi], false)
-				touch(pool.src2[bi], false)
+				m.WarmSideCache(pool.dst[bi], true)
+				m.WarmSideCache(pool.src[bi], false)
+				m.WarmSideCache(pool.src2[bi], false)
 			}
 		}
 	}

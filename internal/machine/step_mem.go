@@ -4,6 +4,7 @@ import (
 	"knlcap/internal/cache"
 	"knlcap/internal/cluster"
 	"knlcap/internal/knl"
+	"knlcap/internal/memmode"
 	"knlcap/internal/sim"
 )
 
@@ -105,4 +106,19 @@ func (m *Machine) sideFill(edc int, l cache.Line) (ch int, ok bool) {
 		return 0, false
 	}
 	return m.channelOf(b, victim), true
+}
+
+// WarmSideCache installs every line of b, in line order, in the side-cache
+// slot memRead would fill, at zero simulated cost and with no victim
+// write-back; dirty marks each line as written. A bandwidth benchmark
+// calls it to start its windows from the side cache's steady state.
+func (m *Machine) WarmSideCache(b memmode.Buffer, dirty bool) {
+	for li := 0; li < b.NumLines(); li++ {
+		l := b.Line(li)
+		edc := m.Mapper.CacheEDC(m.placeOf(b, l).Channel, l)
+		m.sideFill(edc, l)
+		if dirty {
+			m.Policy.MarkDirty(edc, l)
+		}
+	}
 }
