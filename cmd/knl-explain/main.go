@@ -23,7 +23,6 @@ import (
 	"knlcap/internal/core"
 	"knlcap/internal/knl"
 	"knlcap/internal/machine"
-	"knlcap/internal/memmode"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -133,9 +132,8 @@ func explain(cfg knl.Config, mk knl.MemKind, from, owner int, st cache.State) (a
 	}
 	// The walk reads the primed state, so it is listed before the load
 	// changes it.
-	var a access
-	a.legs, a.src = walk(m, buf, from)
-	a.place = m.Mapper.Place(mk, 0, buf.Line(0))
+	a := access{place: m.Mapper.Place(mk, 0, buf.Line(0))}
+	a.legs, a.src = walk(m, buf.Line(0), from, a.place)
 	s := &machine.Script{}
 	s.Load(buf, 0)
 	s.Do(func() { a.latency = m.Env.Now() }) // the load issued at time 0
@@ -162,11 +160,11 @@ const (
 )
 
 // walk lists, in order, every charge the load walk (internal/machine's
-// loadStep and memRead) makes when core from loads line 0 of buf on the
-// idle machine m: they add up to the measured latency with jitter off.
-func walk(m *machine.Machine, buf memmode.Buffer, from int) ([]leg, source) {
+// loadStep and memRead) makes when core from loads line l, placed at
+// place, on the idle machine m: they add up to the measured latency with
+// jitter off.
+func walk(m *machine.Machine, l cache.Line, from int, place cluster.LinePlace) ([]leg, source) {
 	p := m.P
-	l := buf.Line(0)
 	var legs []leg
 	add := func(name string, ns float64) { legs = append(legs, leg{name, ns}) }
 	// hop is a request packet: it holds its ring segments for FlitNs per
@@ -196,7 +194,6 @@ func walk(m *machine.Machine, buf memmode.Buffer, from int) ([]leg, source) {
 		return legs, srcTile
 	}
 
-	place := m.Mapper.Place(buf.Kind, buf.Affinity, l)
 	home := m.FP.TilePos(place.HomeTile)
 	add("L1 miss + L2 tag check", p.L2MissDetectNs)
 	hop("tile -> home CHA", m.FP.TilePos(reqTile), home)
