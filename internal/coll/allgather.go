@@ -148,8 +148,11 @@ type mpiAllgather struct {
 }
 
 func newMPIAllgather(m *machine.Machine, cfg knl.Config, g *group, p Params) *mpiAllgather {
-	return &mpiAllgather{mpi: newMPIFabric(m, cfg, p, len(g.places)),
-		n: len(g.places), got: make([]int, len(g.places))}
+	return &mpiAllgather{
+		mpi: newMPIFabric(m, cfg, p, len(g.places)),
+		n:   len(g.places),
+		got: make([]int, len(g.places)),
+	}
 }
 
 func (ma *mpiAllgather) emit(s *machine.Script, rank, seq int) {
